@@ -157,17 +157,29 @@ def _make_statistic(args, m: int):
 
 
 def _resolve_tau(args, statistic) -> float | None:
-    if isinstance(statistic, (Pearson, PearsonTruncated)):
-        if getattr(args, "tau", None) is not None or getattr(args, "equalize", False):
+    """The tau of the statistic's canonical rule, from --tau or --equalize;
+    the Pearson-family rule takes --eps and no tau."""
+    equalize = getattr(args, "equalize", False)
+    if statistic.rule_kind == "pearson":
+        if args.tau is not None or equalize:
             raise _UsageError(
                 f"the {statistic.name} rule is set by --eps alone; drop --tau/--equalize"
             )
+        if args.eps is None:
+            raise _UsageError("the Pearson-family rule needs --eps")
         return None
-    if getattr(args, "equalize", False):
+    if equalize:
         return equalizing_tau(args.eps)
-    if getattr(args, "tau", None) is None:
-        raise _UsageError("need --tau or --equalize for this statistic")
+    if args.tau is None:
+        other = "--equalize" if hasattr(args, "equalize") else "--tau-abs"
+        raise _UsageError(f"need --tau or {other} for this statistic")
     return args.tau
+
+
+def _rule(args, statistic):
+    """The canonical rule at (--n, --m); simulate and oracle share it."""
+    tau = _resolve_tau(args, statistic)
+    return make_threshold(statistic, args.n, args.m, tau=tau, eps=args.eps)
 
 
 def _metadata(args, command: str, params: dict) -> dict:
@@ -281,11 +293,7 @@ def _estimate_payload(est) -> dict:
 
 def _cmd_simulate(args) -> int:
     statistic = _make_statistic(args, args.m)
-    tau = _resolve_tau(args, statistic)
-    if isinstance(statistic, (Pearson, PearsonTruncated)):
-        rule = make_threshold(statistic, args.n, args.m, eps=args.eps)
-    else:
-        rule = make_threshold(statistic, args.n, args.m, tau=tau, eps=args.eps)
+    rule = _rule(args, statistic)
     plan = SimPlan(
         n=args.n, m=args.m, eps=args.eps, statistic=statistic, rule=rule,
         trials=args.trials, seed=args.seed, streams=args.streams,
@@ -342,14 +350,8 @@ def _cmd_oracle(args) -> int:
     statistic = _make_statistic(args, args.m)
     if args.tau_abs is not None:
         rule = absolute_threshold(statistic, args.n, args.m, args.tau_abs)
-    elif isinstance(statistic, (Pearson, PearsonTruncated)):
-        if args.eps is None:
-            raise _UsageError("the Pearson-family rule needs --eps")
-        rule = make_threshold(statistic, args.n, args.m, eps=args.eps)
-    elif args.tau is not None:
-        rule = make_threshold(statistic, args.n, args.m, tau=args.tau, eps=args.eps)
     else:
-        raise _UsageError("need --tau or --tau-abs")
+        rule = _rule(args, statistic)
     null = uniform(args.m)
     alt = biuniform_worst_case(args.m, args.eps) if args.eps is not None else null
     pf, pm = exact_error_probs(statistic, rule, null, alt, args.n, budget=args.budget)

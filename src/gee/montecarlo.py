@@ -23,14 +23,10 @@ from numpy.random import Generator, Philox
 
 from .pmf import Pmf, biuniform_worst_case, uniform
 from .statistics import (
-    Coincidence,
-    ExtendedCoincidence,
+    FTable,
     OccupancyFingerprint,
-    Pearson,
-    PearsonTruncated,
     SeparableStatistic,
     ThresholdRule,
-    WeightedCoincidence,
     make_threshold,
 )
 
@@ -154,108 +150,51 @@ def _make_sampler(source: Pmf, n: int) -> tuple[str, Callable[[Generator, int], 
 # statistic kernels
 
 
-def _runs(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run decomposition of row-sorted symbols: (row, length, symbol) per run."""
-    b, n = xs.shape
-    flat = xs.reshape(-1)
-    start = np.empty(flat.size, dtype=bool)
-    start[0] = True
-    np.not_equal(flat[1:], flat[:-1], out=start[1:])
-    start[::n] = True
-    idx = np.flatnonzero(start)
-    lengths = np.diff(idx, append=flat.size)
-    return idx // n, lengths, flat[idx]
+def _block_values(
+    tables: Sequence[FTable], path: str, data: np.ndarray, m: int
+) -> list[np.ndarray]:
+    """Statistic values on one block: a (b, m) count matrix on the "counts"
+    path, else a row-sorted (b, n) symbol matrix.
 
+    For sorted rows, with E_l the number of positions i in a row where
+    x_i == x_{i+l-1} (so E_1 = n), a symbol seen c times owns
+    max(c - l + 1, 0) of them, and S = sum_j f_j(0) + sum_l (D_l - D_{l-1}) E_l
+    with D_l = f(l) - f(l-1) and D_0 = D_{K+1} = 0.  Windows stop at the
+    first empty level; their counts are shared across statistics, and a
+    reference-dependent table weights each window by its symbol's entry.
+    """
+    if path == "counts":
+        return [t.values(data) for t in tables]
+    b, n = data.shape
+    counts = {1: np.full(b, n) if n else None}
 
-def _level_counts(rows: np.ndarray, lengths: np.ndarray, level: int, b: int) -> np.ndarray:
-    return np.bincount(rows[lengths == level], minlength=b)
+    def window(l: int) -> np.ndarray:
+        return data[:, l - 1:] == data[:, : n - l + 1]
 
+    def count(l: int) -> np.ndarray | None:
+        if l not in counts:
+            e = np.count_nonzero(window(l), axis=1) if l <= n else None
+            counts[l] = e if e is not None and e.any() else None
+        return counts[l]
 
-def _values_sorted(stat: SeparableStatistic, xs: np.ndarray, m: int) -> np.ndarray:
-    b, n = xs.shape
-    if isinstance(stat, Coincidence):
-        neq = xs[:, 1:] != xs[:, :-1]
-        left = np.empty((b, n), dtype=bool)
-        left[:, 0] = True
-        left[:, 1:] = neq
-        right = np.empty((b, n), dtype=bool)
-        right[:, -1] = True
-        right[:, :-1] = neq
-        return -(left & right).sum(axis=1).astype(np.float64)
-
-    rows, lengths, symbols = _runs(xs)
-    if isinstance(stat, Pearson):
-        if stat.reference is not None and not stat.reference.is_uniform():
-            p = stat.reference.probs[symbols]
-            w = (lengths.astype(np.float64) ** 2 - 2.0 * lengths * n * p) / (n * p)
-            return (n / m) * (n + np.bincount(rows, weights=w, minlength=b))
-        sq = np.bincount(rows, weights=lengths.astype(np.float64) ** 2, minlength=b)
-        return sq - n * n / m
-    if isinstance(stat, PearsonTruncated):
-        phi1 = _level_counts(rows, lengths, 1, b)
-        phi2 = _level_counts(rows, lengths, 2, b)
-        return phi1 + 4.0 * phi2 - n * n / m
-    if isinstance(stat, ExtendedCoincidence):
-        values = -_level_counts(rows, lengths, 1, b).astype(np.float64)
-        for l, v in enumerate(stat.weights, start=2):
-            if v != 0.0:
-                values += v * _level_counts(rows, lengths, l, b)
-        return values
-    if isinstance(stat, WeightedCoincidence):
-        ref = stat.reference
-        if ref.m != m:
-            raise ValueError(f"reference has {ref.m} symbols, data {m}")
-        if ref.is_uniform():
-            distinct = np.bincount(rows, minlength=b)
-            phi1 = _level_counts(rows, lengths, 1, b)
-            phi2 = _level_counts(rows, lengths, 2, b)
-            return (
-                (m - distinct) * (n * n / (2.0 * m * m))
-                - phi1 * (n / m)
-                + phi2.astype(np.float64)
-            )
-        p = ref.probs[symbols]
-        w = np.where(
-            lengths == 1,
-            -n * p - 0.5 * n * n * p * p,
-            np.where(lengths == 2, 1.0 - 0.5 * n * n * p * p, -0.5 * n * n * p * p),
-        )
-        base = 0.5 * n * n * float(np.dot(ref.probs, ref.probs))
-        return base + np.bincount(rows, weights=w, minlength=b)
-    raise TypeError(f"unsupported statistic {stat!r}")
-
-
-def _values_counts(stat: SeparableStatistic, counts: np.ndarray) -> np.ndarray:
-    b, m = counts.shape
-    n = int(counts[0].sum())
-    if isinstance(stat, Coincidence):
-        return -(counts == 1).sum(axis=1).astype(np.float64)
-    if isinstance(stat, Pearson):
-        if stat.reference is not None and not stat.reference.is_uniform():
-            p = stat.reference.probs
-            return (n / m) * ((counts - n * p) ** 2 / (n * p)).sum(axis=1)
-        c = counts.astype(np.float64)
-        return np.einsum("ij,ij->i", c, c) - n * n / m
-    if isinstance(stat, PearsonTruncated):
-        return (
-            (counts == 1).sum(axis=1)
-            + 4.0 * (counts == 2).sum(axis=1)
-            - n * n / m
-        )
-    if isinstance(stat, ExtendedCoincidence):
-        values = -(counts == 1).sum(axis=1).astype(np.float64)
-        for l, v in enumerate(stat.weights, start=2):
-            if v != 0.0:
-                values += v * (counts == l).sum(axis=1)
-        return values
-    if isinstance(stat, WeightedCoincidence):
-        p = stat.reference.probs
-        return (
-            0.5 * n * n * ((counts == 0) * p * p).sum(axis=1)
-            - n * ((counts == 1) * p).sum(axis=1)
-            + (counts == 2).sum(axis=1)
-        )
-    raise TypeError(f"unsupported statistic {stat!r}")
+    out = []
+    for t in tables:
+        if t.group is None:
+            core = np.full(b, m * t.f[0, 0])
+        else:
+            gx = t.group[data]
+            core = np.full(b, np.bincount(t.group, minlength=len(t.f)) @ t.f[:, 0])
+        for l, d in t.steps:
+            e = count(l)
+            if e is None:
+                break
+            if t.group is None:
+                core += d[0] * e
+            else:
+                w = d[gx[:, : n - l + 1]]
+                core += (w if l == 1 else np.where(window(l), w, 0.0)).sum(axis=1)
+        out.append(core / t.scale + t.shift)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -347,20 +286,15 @@ def _count_event(
     ctx: int,
     streams: int,
 ) -> int:
+    table = stat.table(n, source.m)
     path, draw = _make_sampler(source, n)
     sizes = _block_sizes(trials)
-    m = source.m
 
     def run(block_ids: Sequence[int]) -> int:
         total = 0
         for blk in block_ids:
-            rng = _block_rng(seed, ctx, blk)
-            data = draw(rng, sizes[blk])
-            values = (
-                _values_counts(stat, data)
-                if path == "counts"
-                else _values_sorted(stat, data, m)
-            )
+            data = draw(_block_rng(seed, ctx, blk), sizes[blk])
+            values = _block_values([table], path, data, source.m)[0]
             hits = (values < cut) if below else (values >= cut)
             total += int(hits.sum())
         return total
@@ -419,36 +353,23 @@ def simulate_statistics(
     across statistics (and across thresholds) is exact because all are
     computed from identical samples.
     """
+    tables = [stat.table(n, source.m) for stat in statistics]
     path, draw = _make_sampler(source, n)
-    out: list[list[np.ndarray]] = [[] for _ in statistics]
-    for blk, size in enumerate(_block_sizes(trials)):
-        rng = _block_rng(seed, ctx, blk)
-        data = draw(rng, size)
-        for i, stat in enumerate(statistics):
-            out[i].append(
-                _values_counts(stat, data)
-                if path == "counts"
-                else _values_sorted(stat, data, source.m)
-            )
-    return [np.concatenate(chunks) for chunks in out]
+    blocks = [
+        _block_values(tables, path, draw(_block_rng(seed, ctx, blk), size), source.m)
+        for blk, size in enumerate(_block_sizes(trials))
+    ]
+    return [np.concatenate(chunks) for chunks in zip(*blocks)]
 
 
 def sample_occupancy(p: Pmf, n: int, rng: Generator) -> OccupancyFingerprint:
-    """Occupancy fingerprint of n i.i.d. draws from p.
-
-    Uses the O(m) conditional-binomial chain when m < n and an O(n)
-    draw of symbols otherwise; both produce the exact multinomial law.
-    """
+    """Occupancy fingerprint of n i.i.d. draws from p: one row of the
+    Monte Carlo block sampler, with the same path choice and exact law."""
     if n < 0:
         raise ValueError(f"sample size must be >= 0, got {n}")
-    if p.m < n:
-        counts = rng.multinomial(n, p.probs)
-    else:
-        if p.is_uniform():
-            symbols = rng.integers(0, p.m, size=n)
-        else:
-            symbols = rng.choice(p.m, size=n, p=p.probs)
-        counts = np.bincount(symbols, minlength=p.m)
+    path, draw = _make_sampler(p, n)
+    row = draw(rng, 1)[0]
+    counts = row if path == "counts" else np.bincount(row, minlength=p.m)
     return OccupancyFingerprint(n=n, m=p.m, phi=np.bincount(counts))
 
 
@@ -472,10 +393,7 @@ def sweep(
     rows: list[SweepRow] = []
     for i, n in enumerate(sorted(int(x) for x in n_list)):
         m = int(m_rule(n))
-        if isinstance(statistic, (Pearson, PearsonTruncated)):
-            rule = make_threshold(statistic, n, m, eps=eps)
-        else:
-            rule = make_threshold(statistic, n, m, tau=tau, eps=eps)
+        rule = make_threshold(statistic, n, m, tau=tau, eps=eps)
         plan = SimPlan(
             n=n, m=m, eps=eps, statistic=statistic, rule=rule,
             trials=trials, seed=seed, streams=streams,

@@ -17,22 +17,14 @@ thread around it.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .pmf import Pmf, uniform, tv_distance, chi_square_functional
-from .statistics import (
-    Coincidence,
-    ExtendedCoincidence,
-    Pearson,
-    PearsonTruncated,
-    SeparableStatistic,
-    ThresholdRule,
-    WeightedCoincidence,
-    binomial_pmf,
-)
+from .statistics import FTable, SeparableStatistic, ThresholdRule, binomial_pmf
 
 __all__ = [
     "ExactDistribution",
@@ -98,120 +90,33 @@ class ExactDistribution:
 # per-symbol f tables
 
 
-def _per_symbol_f(stat: SeparableStatistic, m: int, n: int, cmax: int) -> np.ndarray:
-    """True (float) values f_j(c) for c = 0..cmax, shape (m, cmax+1)."""
-    cs = np.arange(cmax + 1, dtype=np.float64)
-    if isinstance(stat, Coincidence):
-        row = -(cs == 1).astype(np.float64)
-    elif isinstance(stat, Pearson):
-        if stat.reference is not None and not (
-            stat.reference.m == m and stat.reference.is_uniform()
-        ):
-            p = stat.reference.probs
-            if stat.reference.m != m:
-                raise ValueError(f"reference has {stat.reference.m} symbols, data {m}")
-            if np.any(p <= 0.0):
-                raise ValueError("Pearson reference must have full support")
-            return (n / m) * (cs[None, :] - n * p[:, None]) ** 2 / (n * p[:, None])
-        row = (cs - n / m) ** 2
-    elif isinstance(stat, PearsonTruncated):
-        # each of the m symbols carries a 1/m share of the n^2/m offset
-        row = (cs == 1) + 4.0 * (cs == 2) - (n * n / m) / m
-    elif isinstance(stat, ExtendedCoincidence):
-        row = -(cs == 1).astype(np.float64)
-        for l, v in enumerate(stat.weights, start=2):
-            if l <= cmax:
-                row[l] += v
-    elif isinstance(stat, WeightedCoincidence):
-        p = stat.reference.probs
-        if stat.reference.m != m:
-            raise ValueError(f"reference has {stat.reference.m} symbols, data {m}")
-        table = np.zeros((m, cmax + 1))
-        table[:, 0] = 0.5 * n * n * p**2
-        if cmax >= 1:
-            table[:, 1] = -n * p
-        if cmax >= 2:
-            table[:, 2] = 1.0
-        return table
-    else:
-        raise TypeError(f"unsupported statistic {stat!r}")
-    return np.broadcast_to(row, (m, cmax + 1)).copy()
-
-
-def _as_f_table(stat, m: int, n: int, cmax: int) -> np.ndarray:
-    """f values for a statistic object or a raw per-symbol table."""
+def _table(stat, m: int, n: int) -> FTable:
+    """The table of a statistic object, or of a raw per-symbol table of
+    shape (c,) or (m, c), read as constant beyond its last column."""
     if isinstance(stat, SeparableStatistic):
-        return _per_symbol_f(stat, m, n, cmax)
+        return stat.table(n, m)
     table = np.asarray(stat, dtype=np.float64)
-    if table.ndim == 1:
-        table = np.broadcast_to(table, (m, table.size))
-    if table.ndim != 2 or table.shape[0] != m or table.shape[1] < cmax + 1:
-        raise ValueError(
-            f"f table must have shape (m, >={cmax + 1}) = ({m}, ...), "
-            f"got {table.shape}"
-        )
-    return table[:, : cmax + 1]
+    if table.ndim == 1 and table.size:
+        return FTable(table[None, :], 1, 0.0)
+    if table.ndim != 2 or table.shape[0] != m or not table.shape[1]:
+        raise ValueError(f"f table must have shape (c,) or (m, c) = ({m}, c), got {table.shape}")
+    rows, group = np.unique(table, axis=0, return_inverse=True)
+    return FTable(rows, 1, 0.0, group.ravel())
+
+
+def _symbol_groups(t: FTable, p: Pmf) -> Counter[tuple[float, int]]:
+    """Multiplicity of each (p_j, table row) pair, in order of first appearance."""
+    rows = np.zeros(p.m, dtype=np.int64) if t.group is None else t.group
+    return Counter(zip(p.probs.tolist(), rows.tolist()))
+
+
+def _levels(t: FTable, n: int) -> np.ndarray:
+    """Table rows at counts 0..n, shape (g, n+1)."""
+    return t.f[:, np.minimum(np.arange(n + 1), t.K)]
 
 
 # ---------------------------------------------------------------------------
 # integer cores for the dynamic program
-
-
-def _integer_core(stat, m: int, n: int) -> tuple[np.ndarray, float, float]:
-    """Integer core table (m, n+1), plus (scale, shift) with
-    true value = core/scale + shift."""
-    cs = np.arange(n + 1, dtype=np.int64)
-    if isinstance(stat, SeparableStatistic):
-        if isinstance(stat, Coincidence):
-            return np.broadcast_to(-(cs == 1).astype(np.int64), (m, n + 1)), 1.0, 0.0
-        if isinstance(stat, Pearson):
-            if stat.reference is not None and not (
-                stat.reference.m == m and stat.reference.is_uniform()
-            ):
-                raise ScalingError(
-                    "exact law of the Pearson statistic needs a uniform reference"
-                )
-            return np.broadcast_to(cs * cs, (m, n + 1)), 1.0, -(n * n) / m
-        if isinstance(stat, PearsonTruncated):
-            row = ((cs == 1) + 4 * (cs == 2)).astype(np.int64)
-            return np.broadcast_to(row, (m, n + 1)), 1.0, -(n * n) / m
-        if isinstance(stat, ExtendedCoincidence):
-            row = -(cs == 1).astype(np.float64)
-            for l, v in enumerate(stat.weights, start=2):
-                if l <= n:
-                    row[l] += v
-            rounded = np.rint(row)
-            if np.max(np.abs(row - rounded)) > 1e-9:
-                raise ScalingError(
-                    "extended-coincidence weights must be integers for the exact law"
-                )
-            return np.broadcast_to(rounded.astype(np.int64), (m, n + 1)), 1.0, 0.0
-        if isinstance(stat, WeightedCoincidence):
-            if not (stat.reference.m == m and stat.reference.is_uniform()):
-                raise ScalingError(
-                    "exact law of the weighted coincidence statistic needs a "
-                    "uniform reference"
-                )
-            row = np.zeros(n + 1, dtype=np.int64)
-            row[0] = n * n
-            if n >= 1:
-                row[1] = -2 * n * m
-            if n >= 2:
-                row[2] = 2 * m * m
-            return np.broadcast_to(row, (m, n + 1)), float(2 * m * m), 0.0
-        raise TypeError(f"unsupported statistic {stat!r}")
-    table = np.asarray(stat)
-    if table.ndim == 1:
-        table = np.broadcast_to(table, (m, table.size))
-    if table.ndim != 2 or table.shape[0] != m or table.shape[1] < n + 1:
-        raise ValueError(
-            f"f table must have shape (m, >=n+1) = ({m}, >={n + 1}), got {table.shape}"
-        )
-    table = table[:, : n + 1]
-    rounded = np.rint(table.astype(np.float64))
-    if np.max(np.abs(table - rounded)) > 1e-9:
-        raise ScalingError("f table must be integer-valued")
-    return rounded.astype(np.int64), 1.0, 0.0
 
 
 def _deviation_bounds(core: np.ndarray, n: int) -> tuple[int, int]:
@@ -257,8 +162,20 @@ def _core_distribution(
     if n < 0:
         raise ValueError(f"sample size must be >= 0, got {n}")
     m = p.m
-    core, scale, shift = _integer_core(stat, m, n)
-    lo, up = _deviation_bounds(core, n)
+    t = _table(stat, m, n)
+    levels = _levels(t, n)
+    core = np.rint(levels)
+    if np.max(np.abs(levels - core)) > 1e-9:
+        raise ScalingError(
+            f"{getattr(stat, 'name', 'f table')}: the exact law needs an "
+            f"integer-valued f table (scale {t.scale})"
+        )
+    core = core.astype(np.int64)
+    dev = core - core[:, :1]
+    # value steps are multiples of the gcd, so the program runs on dev / gcd
+    step = max(int(np.gcd.reduce(dev, axis=None)), 1)
+    dev //= step
+    lo, up = _deviation_bounds(dev, n)
     width = up - lo + 1
     cells = max(n, 1) * m * width
     if cells > budget:
@@ -267,27 +184,21 @@ def _core_distribution(
             f"{max(n, 1)}*{m}*{width}), over the budget of {budget}"
         )
 
-    base = int(core[:, 0].sum())
-    # group symbols sharing (probability, f row) to reuse weight vectors
-    keys = {}
-    for j in range(m):
-        key = (float(p.probs[j]), core[j].tobytes())
-        keys.setdefault(key, [0, core[j]])[0] += 1
-
+    groups = _symbol_groups(t, p)
+    base = sum(count * int(core[g, 0]) for (_, g), count in groups.items())
     W = np.zeros((n + 1, width))
     W[0, -lo] = 1.0
-    for (pj, _), (count, row) in keys.items():
+    for (pj, g), count in groups.items():
         if pj == 0.0:
             continue  # never drawn; contributes f(0), already in base
         w = _poisson_weights(n * pj, n)
-        dev = row.astype(np.int64) - int(row[0])
         for _ in range(count):
             nxt = np.zeros_like(W)
             for c in range(n + 1):
                 wc = w[c]
                 if wc == 0.0:
                     continue
-                d = int(dev[c])
+                d = int(dev[g, c])
                 src = W[: n + 1 - c]
                 if d >= 0:
                     nxt[c:, d:] += src[:, : width - d] * wc
@@ -299,8 +210,8 @@ def _core_distribution(
     vec = W[n] / cond
     vec /= vec.sum()  # strip the ~1e-15 conditioning drift; mass is 1 exactly
     mask = vec > 0.0
-    values = base + lo + np.flatnonzero(mask).astype(np.int64)
-    return values, vec[mask], scale, shift
+    values = base + step * (lo + np.flatnonzero(mask).astype(np.int64))
+    return values, vec[mask], t.scale, t.shift
 
 
 def exact_distribution(
@@ -309,7 +220,7 @@ def exact_distribution(
     """Exact law of a separable statistic under n i.i.d. draws from p.
 
     `stat` is a statistic object or a per-symbol integer f table of shape
-    (n+1,) or (m, n+1).
+    (c,) or (m, c), read as constant beyond its last column.
     """
     values, probs, scale, shift = _core_distribution(stat, p, n, budget)
     return ExactDistribution(values / scale + shift, probs)
@@ -352,17 +263,13 @@ def exact_expectation(stat, p: Pmf, n: int) -> float:
     """
     if n < 0:
         raise ValueError(f"sample size must be >= 0, got {n}")
-    m = p.m
-    table = _as_f_table(stat, m, n, n)
+    t = _table(stat, p.m, n)
+    levels = _levels(t, n)
     total = 0.0
-    values, inverse = np.unique(p.probs, return_inverse=True)
-    for g, pj in enumerate(values):
-        rows = table[inverse == g]
-        if not rows.size:
-            continue
-        binom = np.array([binomial_pmf(c, n, float(pj)) for c in range(n + 1)])
-        total += float(rows.sum(axis=0) @ binom)
-    return total
+    for (pj, g), count in _symbol_groups(t, p).items():
+        binom = np.array([binomial_pmf(c, n, pj) for c in range(n + 1)])
+        total += count * float(levels[g] @ binom)
+    return total / t.scale + t.shift
 
 
 def asymptotic_moments(
@@ -377,17 +284,19 @@ def asymptotic_moments(
     The variance branch applies only to symmetric statistics with
     f(0) = 0 and f(2) != 2 f(1) (the coincidence family); it returns
     (n^2/m) (f(2) - 2 f(1))^2 (m sum nu_j^2) / 2, and None otherwise.
-    Statistics are taken with their defining f tables; none of them
-    carries an extra -n shift.
+    Here f_j is the true per-symbol value core_j/scale + shift/m; none
+    of the statistics carries an extra -n shift.
     """
-    table = _as_f_table(stat, nu.m, n, 2)
+    m = nu.m
+    t = _table(stat, m, n)
+    rows = _levels(t, 2) / t.scale + t.shift / m
+    table = np.broadcast_to(rows if t.group is None else rows[t.group], (m, 3))
     f0, f1, f2 = table[:, 0], table[:, 1], table[:, 2]
     v = nu.probs
     mean = float(f0.sum() + n * np.dot(v, f1 - f0) + 0.5 * n * n * np.dot(v * v, f0 - 2 * f1 + f2))
     symmetric = bool(np.all(table == table[0]))
     var: float | None = None
     if symmetric and f0[0] == 0.0 and f2[0] != 2.0 * f1[0]:
-        m = nu.m
         var = float(0.5 * (n * n / m) * (f2[0] - 2 * f1[0]) ** 2 * (m * np.dot(v, v)))
     return mean, var
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .pmf import Pmf
 __all__ = [
     "OccupancyFingerprint",
     "occupancy",
+    "FTable",
     "SeparableStatistic",
     "Coincidence",
     "Pearson",
@@ -69,8 +71,7 @@ class OccupancyFingerprint:
         return int(self.phi[l]) if 0 <= l < self.phi.size else 0
 
 
-def occupancy(counts) -> OccupancyFingerprint:
-    """Fingerprint of a per-symbol occurrence vector."""
+def _as_counts(counts) -> np.ndarray:
     arr = np.asarray(counts)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("counts must be a non-empty vector")
@@ -79,29 +80,103 @@ def occupancy(counts) -> OccupancyFingerprint:
         raise ValueError("counts must be integers")
     if np.any(as_int < 0):
         raise ValueError("counts must be non-negative")
+    return as_int
+
+
+def occupancy(counts) -> OccupancyFingerprint:
+    """Fingerprint of a per-symbol occurrence vector."""
+    as_int = _as_counts(counts)
     return OccupancyFingerprint(
         n=int(as_int.sum()), m=int(as_int.size), phi=np.bincount(as_int)
     )
 
 
-def _require_uniform(reference: Pmf | None, m: int, what: str) -> None:
-    if reference is not None and not (reference.m == m and reference.is_uniform()):
-        raise NeedsCountsError(
-            f"{what} over a fingerprint assumes a uniform reference on {m} symbols; "
-            "evaluate from the raw count vector instead"
-        )
+@dataclass(frozen=True, eq=False)
+class FTable:
+    """A separable statistic's per-symbol table at one (n, m).
+
+    Row g of `f` holds the integer-scaled core f(c) for c = 0..K of every
+    symbol j with group[j] == g; `group` None means one row shared by all
+    symbols.  f is constant beyond K, and the statistic's value on the
+    per-symbol counts c_j is sum_j f[group[j], min(c_j, K)] / scale + shift.
+    """
+
+    f: np.ndarray
+    scale: int
+    shift: float
+    group: np.ndarray | None = None
+
+    @property
+    def K(self) -> int:
+        return self.f.shape[1] - 1
+
+    @cached_property
+    def steps(self) -> list[tuple[int, np.ndarray]]:
+        """(l, D_l - D_{l-1}) per row, for each level l = 1..K+1 where some
+        row's step changes; D_l = f(l) - f(l-1) and D_0 = D_{K+1} = 0."""
+        d = np.diff(self.f, n=2, axis=1, prepend=self.f[:, :1], append=self.f[:, -1:])
+        return [(l + 1, d[:, l]) for l in np.flatnonzero(d.any(axis=0)).tolist()]
+
+    def shared_row(self, what: str) -> np.ndarray:
+        """The row every symbol shares; a reference-dependent table has none."""
+        if self.group is not None:
+            raise NeedsCountsError(
+                f"{what} assumes a uniform reference; evaluate from the raw count vector instead"
+            )
+        return self.f[0]
+
+    def values(self, counts: np.ndarray) -> np.ndarray:
+        """Statistic values of the count vectors along the last axis."""
+        c = np.minimum(counts, self.K)
+        core = self.f[0][c] if self.group is None else self.f[self.group, c]
+        return core.sum(axis=-1) / self.scale + self.shift
 
 
 class SeparableStatistic:
-    """Base class: a statistic of the form sum_j f_j(count of symbol j)."""
+    """Base class: a statistic of the form sum_j f_j(count of symbol j).
+
+    A subclass defines its table once, in `core(n, m, q)`: it returns
+    (f, scale, shift), where f holds the core f(c) for c = 0..K (constant
+    beyond K) as one row, or one row per entry of the (g, 1) column q of
+    m * p_j when the table depends on a reference distribution p (q is
+    [[1.0]] when there is none, or it is uniform).  The statistic's value
+    is sum_j f_j(c_j) / scale + shift with an integer scale, so integer
+    cores give exact laws in the oracle.  `rule_kind` names the canonical
+    threshold rule: "centred" (cut at the null mean plus (n^2/m) tau),
+    "uncentred" (cut at (n^2/m) tau) or "pearson" (the eps consistency
+    rule).  Every evaluator (fingerprints, counts, Monte Carlo kernels,
+    the exact oracle, moments, thresholds) is derived from that table.
+    """
 
     name: str = "separable"
+    rule_kind: ClassVar[str] = "centred"
 
-    def from_fingerprint(self, fp: OccupancyFingerprint) -> float:
+    def core(self, n: int, m: int, q: np.ndarray) -> tuple[np.ndarray, int, float]:
+        """(f, scale, shift) of the table at (n, m); see the class docstring."""
         raise NotImplementedError
 
+    def table(self, n: int, m: int) -> FTable:
+        """The table at sample size n on m symbols; checks the reference here."""
+        ref = getattr(self, "reference", None)
+        if ref is not None and ref.m != m:
+            raise ValueError(f"reference has {ref.m} symbols, data has {m}")
+        group = None
+        q = np.ones((1, 1))
+        if ref is not None and not ref.is_uniform():
+            probs, group = np.unique(ref.probs, return_inverse=True)
+            q = m * probs[:, None]
+        f, scale, shift = self.core(n, m, q)
+        return FTable(np.atleast_2d(np.asarray(f, dtype=np.float64)), scale, shift, group)
+
+    def from_fingerprint(self, fp: OccupancyFingerprint) -> float:
+        t = self.table(fp.n, fp.m)
+        f = t.shared_row(f"{self.name} over a fingerprint")
+        core = np.dot(f[np.minimum(np.arange(fp.phi.size), t.K)], fp.phi)
+        return float(core) / t.scale + t.shift
+
     def from_counts(self, counts) -> float:
-        return self.from_fingerprint(occupancy(counts))
+        arr = _as_counts(counts)
+        return float(self.table(int(arr.sum()), arr.size).values(arr))
 
 
 @dataclass(frozen=True)
@@ -110,8 +185,8 @@ class Coincidence(SeparableStatistic):
 
     name: str = "coincidence"
 
-    def from_fingerprint(self, fp: OccupancyFingerprint) -> float:
-        return -float(fp.level(1))
+    def core(self, n, m, q):
+        return np.array([0, -1, 0]), 1, 0.0
 
 
 @dataclass(frozen=True)
@@ -120,29 +195,19 @@ class Pearson(SeparableStatistic):
     sum_j count_j^2 - n^2/m.
 
     `reference` is the null distribution; None means uniform on whatever
-    alphabet the data lives on.
+    alphabet the data lives on.  Against a reference p the value is
+    (n/m) sum_j (count_j - n p_j)^2 / (n p_j) = sum_j count_j^2/(m p_j) - n^2/m.
     """
 
     reference: Pmf | None = None
     name: str = "pearson"
+    rule_kind: ClassVar[str] = "pearson"
 
-    def from_fingerprint(self, fp: OccupancyFingerprint) -> float:
-        _require_uniform(self.reference, fp.m, "the Pearson statistic")
-        levels = np.arange(fp.phi.size, dtype=np.float64)
-        return float(np.dot(levels**2, fp.phi)) - fp.n**2 / fp.m
-
-    def from_counts(self, counts) -> float:
-        arr = np.asarray(counts, dtype=np.float64)
-        n = float(arr.sum())
-        m = arr.size
-        if self.reference is None or self.reference.is_uniform():
-            return float(np.dot(arr, arr)) - n * n / m
-        p = self.reference.probs
-        if self.reference.m != m:
-            raise ValueError(f"reference has {self.reference.m} symbols, counts {m}")
-        if np.any(p <= 0.0):
+    def core(self, n, m, q):
+        if np.any(q <= 0.0):
             raise ValueError("Pearson reference must have full support")
-        return float((n / m) * np.sum((arr - n * p) ** 2 / (n * p)))
+        c = np.arange(n + 1)
+        return c * c / q, 1, -(n * n) / m
 
 
 @dataclass(frozen=True)
@@ -151,9 +216,10 @@ class PearsonTruncated(SeparableStatistic):
     Phi_1 + 4 Phi_2 - n^2/m under a uniform reference."""
 
     name: str = "pearson-truncated"
+    rule_kind: ClassVar[str] = "pearson"
 
-    def from_fingerprint(self, fp: OccupancyFingerprint) -> float:
-        return fp.level(1) + 4.0 * fp.level(2) - fp.n**2 / fp.m
+    def core(self, n, m, q):
+        return np.array([0, 1, 4, 0]), 1, -(n * n) / m
 
 
 @dataclass(frozen=True)
@@ -179,44 +245,23 @@ class ExtendedCoincidence(SeparableStatistic):
             return True
         return self.weights[0] == 0.0 and all(v >= 0.0 for v in self.weights[1:])
 
-    def from_fingerprint(self, fp: OccupancyFingerprint) -> float:
-        value = -float(fp.level(1))
-        for l, v in enumerate(self.weights, start=2):
-            value += v * fp.level(l)
-        return value
+    def core(self, n, m, q):
+        return np.array([0.0, -1.0, *self.weights, 0.0]), 1, 0.0
 
 
 @dataclass(frozen=True)
 class WeightedCoincidence(SeparableStatistic):
     """Coincidence variant whose expectation tracks the squared L2 distance
     to the reference: f_j is n^2 p_j^2 / 2 at count 0, -n p_j at count 1,
-    1 at count 2, and 0 above."""
+    1 at count 2, and 0 above (the core is f_j scaled by 2 m^2)."""
 
     reference: Pmf
     name: str = "weighted-coincidence"
+    rule_kind: ClassVar[str] = "uncentred"
 
-    def from_fingerprint(self, fp: OccupancyFingerprint) -> float:
-        _require_uniform(self.reference, fp.m, "the weighted coincidence statistic")
-        n, m = fp.n, fp.m
-        return (
-            fp.level(0) * n * n / (2.0 * m * m)
-            - fp.level(1) * n / m
-            + fp.level(2)
-        )
-
-    def from_counts(self, counts) -> float:
-        arr = np.asarray(counts)
-        if self.reference.m != arr.size:
-            raise ValueError(
-                f"reference has {self.reference.m} symbols, counts {arr.size}"
-            )
-        n = float(arr.sum())
-        p = self.reference.probs
-        return float(
-            0.5 * n * n * np.sum(p[arr == 0] ** 2)
-            - n * np.sum(p[arr == 1])
-            + np.count_nonzero(arr == 2)
-        )
+    def core(self, n, m, q):
+        f = np.hstack([n * n * q * q, -2 * n * m * q, 2 * m * m + 0 * q, 0 * q])
+        return f, 2 * m * m, 0.0
 
 
 def binomial_pmf(k: int, n: int, p: float) -> float:
@@ -244,14 +289,17 @@ def binomial_pmf(k: int, n: int, p: float) -> float:
 
 
 def expected_level_count(l: int, n: int, m: int) -> float:
-    """E[Phi_l] under the uniform null: m * P(Binomial(n, 1/m) = l)."""
+    """E[Phi_l] under the uniform null: m * P(Binomial(n, 1/m) = l),
+    in the closed form n (1 - 1/m)^(n-1) at l = 1."""
+    if l == 1:
+        return n * (1.0 - 1.0 / m) ** (n - 1)
     return m * binomial_pmf(l, n, 1.0 / m)
 
 
 def coincidence_mean(n: int, m: int) -> float:
     """Exact E[S] of the coincidence statistic under the uniform null:
     -n (1 - 1/m)^(n-1)."""
-    return -n * (1.0 - 1.0 / m) ** (n - 1)
+    return -expected_level_count(1, n, m)
 
 
 @dataclass(frozen=True)
@@ -292,21 +340,22 @@ def make_threshold(
 ) -> ThresholdRule:
     """Build the canonical decision rule for a statistic at (n, m).
 
-    Coincidence / extended coincidence: reject iff S >= E_null[S] + (n^2/m) tau,
-    with the expectation computed exactly from binomial level counts.
-    Weighted coincidence: reject iff S >= (n^2/m) tau (no centering term).
-    Pearson / truncated Pearson: the consistency rule
-    reject iff S >= n + (n^2/m)(kappa_bar(eps) - 1)/2, which needs eps and
-    takes no tau.
+    The statistic's `rule_kind` picks the rule.  "centred" (coincidence,
+    extended coincidence): reject iff S >= E_null[S] + (n^2/m) tau, with
+    E_null[S] = sum_l f(l) E_null[Phi_l] over the table's levels (Phi_K
+    counting symbols seen K or more times) from exact binomial level counts.
+    "uncentred" (weighted coincidence): reject iff S >= (n^2/m) tau.
+    "pearson" (Pearson, truncated Pearson): reject iff
+    S >= n + (n^2/m)(kappa_bar(eps) - 1)/2, which needs eps and takes no tau.
 
-    For the coincidence family, tau above kappa_bar(eps) - 1 is clamped
-    (with a warning) when eps is supplied; negative tau is an error.
+    For the tau rules, tau above kappa_bar(eps) - 1 is clamped (with a
+    warning) when eps is supplied; negative tau is an error.
     """
     if n < 1 or m < 2:
         raise ValueError(f"need n >= 1 and m >= 2, got n={n}, m={m}")
     scale = n * n / m
 
-    if isinstance(statistic, (Pearson, PearsonTruncated)):
+    if statistic.rule_kind == "pearson":
         if tau is not None:
             raise ValueError(
                 "the Pearson-family rule is set by eps alone; use "
@@ -332,14 +381,14 @@ def make_threshold(
             tau = hi
     tau_n = scale * tau
 
-    if isinstance(statistic, Coincidence):
-        base = coincidence_mean(n, m)
-    elif isinstance(statistic, ExtendedCoincidence):
-        base = coincidence_mean(n, m)
-        for l, v in enumerate(statistic.weights, start=2):
-            base += v * expected_level_count(l, n, m)
-    elif isinstance(statistic, WeightedCoincidence):
-        base = 0.0
-    else:
-        raise ValueError(f"no canonical threshold rule for {statistic.name}")
+    base = 0.0
+    if statistic.rule_kind == "centred":
+        t = statistic.table(n, m)
+        f = t.shared_row(f"the centred rule for {statistic.name}")
+        for l in np.flatnonzero(f).tolist():
+            level = expected_level_count(l, n, m) if l < t.K else sum(
+                expected_level_count(c, n, m) for c in range(l, n + 1)
+            )
+            base += f[l] * level
+        base = float(base / t.scale + t.shift)
     return ThresholdRule(statistic, n, m, cut=base + tau_n, tau=tau, tau_n=tau_n)

@@ -82,3 +82,40 @@ def enumerate_law(value_of_counts, probs: np.ndarray, n: int) -> dict[float, flo
         counts = np.bincount(np.array(seq, dtype=np.int64), minlength=m)
         law[round(float(value_of_counts(counts)), 9)] += prob
     return dict(law)
+
+
+def direct_value(stat, counts) -> float:
+    """A statistic's value from its textbook formula on a count vector.
+
+    Written per statistic and loop by loop, without the f tables the
+    library derives its evaluators from.
+    """
+    c = [int(x) for x in counts]
+    n, m = sum(c), len(c)
+    ref = getattr(stat, "reference", None)
+    p = [1.0 / m] * m if ref is None else [float(x) for x in ref.probs]
+    name = stat.name
+    if name == "coincidence":
+        return -float(sum(1 for x in c if x == 1))
+    if name == "pearson":
+        if ref is None:
+            return float(sum(x * x for x in c)) - n * n / m
+        return (n / m) * sum((x - n * pj) ** 2 / (n * pj) for x, pj in zip(c, p))
+    if name == "pearson-truncated":
+        return sum(1 for x in c if x == 1) + 4.0 * sum(1 for x in c if x == 2) - n * n / m
+    if name == "extended-coincidence":
+        value = -float(sum(1 for x in c if x == 1))
+        for level, v in enumerate(stat.weights, start=2):
+            value += v * sum(1 for x in c if x == level)
+        return value
+    if name == "weighted-coincidence":
+        total = 0.0
+        for x, pj in zip(c, p):
+            if x == 0:
+                total += 0.5 * n * n * pj * pj
+            elif x == 1:
+                total -= n * pj
+            elif x == 2:
+                total += 1.0
+        return total
+    raise ValueError(f"no direct formula for {name}")

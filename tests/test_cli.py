@@ -132,6 +132,13 @@ class TestOracle:
         ])
         assert code == 3
 
+    def test_pearson_with_tau_is_usage_error(self, capsys):
+        code = main([
+            "oracle", "--stat", "pearson", "--n", "10", "--m", "30",
+            "--eps", "0.3", "--tau", "0.2",
+        ])
+        assert code == 2
+
     def test_missing_rule_is_usage_error(self, capsys):
         code = main(["oracle", "--stat", "coincidence", "--n", "3", "--m", "3"])
         assert code == 2
@@ -169,6 +176,31 @@ class TestSimulate:
             "--eps", "0.3", "--tau", "0.2", "--trials", "1000",
         ])
         assert code == 2
+
+
+class TestSimulatePinned:
+    """Exceed counts recorded before the statistics were rebuilt on their
+    f tables, at a sparse (sorted-symbol) and a dense (counts) point."""
+
+    SPARSE = ["--n", "1000", "--m", "31623", "--eps", "0.45", "--trials", "5000", "--seed", "5"]
+    DENSE = ["--n", "120", "--m", "30", "--eps", "0.1", "--trials", "4000", "--seed", "6"]
+
+    @pytest.mark.parametrize("stat,flags,sparse,dense", [
+        ("coincidence", [], (1017, 144), (1295, 3025)),
+        ("pearson", [], (234, 642), (1284, 1859)),
+        ("pearson-truncated", [], (143, 1152), (0, 4000)),
+        ("extended", ["--weights", "0,1,3"], (1093, 132), (1746, 2692)),
+        ("weighted", [], (266, 682), (1823, 2078)),
+    ])
+    def test_counts(self, capsys, stat, flags, sparse, dense):
+        for point, tau, expected in ((self.SPARSE, "0.2", sparse), (self.DENSE, "0.002", dense)):
+            rule = [] if stat.startswith("pearson") else ["--tau", tau]
+            code, out = run_cli(
+                capsys, "simulate", "--stat", stat, *flags, *rule, *point, "--no-timestamp"
+            )
+            data = json.loads(out)
+            assert code == 0
+            assert (data["pf"]["count"], data["pm"]["count"]) == expected
 
 
 class TestSweep:

@@ -8,6 +8,7 @@ from numpy.random import Generator, Philox
 from pytest import approx
 
 from gee.montecarlo import (
+    _block_values,
     PartitionMap,
     SimPlan,
     ErrorEstimate,
@@ -23,9 +24,13 @@ from gee.statistics import (
     Coincidence,
     ExtendedCoincidence,
     Pearson,
+    PearsonTruncated,
+    WeightedCoincidence,
     absolute_threshold,
     make_threshold,
 )
+
+from .oracles import direct_value
 
 
 def coincidence_plan(n, m, eps, tau, trials, seed, streams=1, alternative=None):
@@ -135,6 +140,64 @@ class TestEstimates:
         assert ErrorEstimate.from_count(10, 10).ci95_halfwidth == 0.0
 
 
+class TestKernelsMatchCounts:
+    """The block evaluators of both sampler paths, row by row, against
+    from_counts and the textbook formulas."""
+
+    @staticmethod
+    def statistics(m):
+        ref = Pmf(np.arange(1, m + 1) / (m * (m + 1) / 2))
+        return [
+            Coincidence(),
+            Pearson(),
+            PearsonTruncated(),
+            ExtendedCoincidence(weights=(0.0, 1.0, 3.0)),
+            ExtendedCoincidence(weights=(0.5, -1.25, 0.0, 2.75)),
+            WeightedCoincidence(uniform(m)),
+            Pearson(reference=ref),
+            WeightedCoincidence(ref),
+        ]
+
+    @pytest.mark.parametrize("n,m", [(1, 2), (6, 4), (30, 12), (40, 3)])
+    def test_sorted_and_count_blocks(self, n, m, rng):
+        hand = [[0] * n, list(range(m)) * (n // m) + [0] * (n % m)]
+        xs = np.vstack([hand, rng.integers(0, m, size=(40, n))])
+        xs.sort(axis=1)
+        counts = np.array([np.bincount(row, minlength=m) for row in xs])
+        stats = self.statistics(m)
+        tables = [stat.table(n, m) for stat in stats]
+        for path, data in (("sorted", xs.astype(np.uint32)), ("counts", counts)):
+            for stat, values in zip(stats, _block_values(tables, path, data, m)):
+                assert values.shape == (len(counts),)
+                for row, value in zip(counts, values):
+                    assert value == approx(stat.from_counts(row), rel=1e-12, abs=1e-9)
+                    assert value == approx(direct_value(stat, row), rel=1e-12, abs=1e-9)
+
+
+class TestReferenceChecks:
+    """Reference-dependent statistics fail the same way on every path."""
+
+    REF6 = Pmf([0.3, 0.3, 0.1, 0.1, 0.1, 0.1])
+
+    @pytest.mark.parametrize("stat", [Pearson(reference=REF6), WeightedCoincidence(REF6)])
+    @pytest.mark.parametrize("m", [3, 8])
+    def test_size_mismatch(self, stat, m):
+        message = f"reference has 6 symbols, data has {m}"
+        with pytest.raises(ValueError, match=message):
+            stat.from_counts(np.ones(m, dtype=int))
+        for n in (5, 4 * m):  # sorted-symbol path, then counts path
+            with pytest.raises(ValueError, match=message):
+                simulate_statistics(uniform(m), [stat], n, 5, seed=1)
+
+    def test_pearson_support(self):
+        stat = Pearson(reference=Pmf([0.5, 0.5, 0.0]))
+        with pytest.raises(ValueError, match="full support"):
+            stat.from_counts([1, 1, 0])
+        for n in (2, 12):
+            with pytest.raises(ValueError, match="full support"):
+                simulate_statistics(uniform(3), [stat], n, 5, seed=1)
+
+
 class TestPairedProperties:
     def test_threshold_monotonicity_on_shared_trials(self):
         values = simulate_statistics(uniform(30), [Coincidence()], 12, 20_000, seed=21)[0]
@@ -195,6 +258,10 @@ class TestSweep:
         )
         r = rows[0]
         assert r.pf.trials == 2000
+
+    def test_pearson_rejects_tau(self):
+        with pytest.raises(ValueError, match="eps alone"):
+            sweep(0.35, Pearson(), 0.3, (20,), lambda n: 2 * n, 100, 1)
 
     def test_matches_exact_at_small_sizes(self):
         rows = sweep(

@@ -98,6 +98,13 @@ class TestExactDistribution:
                 ExtendedCoincidence(weights=(0.0, 0.5)), uniform(3), 3
             )
 
+    def test_weighted_core_reduced_by_gcd(self):
+        # core steps are multiples of gcd(400, 2400, 7200) = 400, so the
+        # value range shrinks from 124,001 to 311 and fits the default budget
+        stat = WeightedCoincidence(uniform(60))
+        dist = exact_distribution(stat, uniform(60), 20)
+        assert dist.mean() == approx(exact_expectation(stat, uniform(60), 20), abs=1e-12)
+
     def test_weighted_nonuniform_reference_rejected(self):
         stat = WeightedCoincidence(Pmf([0.7, 0.3]))
         with pytest.raises(ScalingError):
