@@ -99,6 +99,13 @@ def _positive_int(s: str) -> int:
     return v
 
 
+def _alphabet_arg(s: str) -> int:
+    v = int(float(s))
+    if v < 2:
+        raise argparse.ArgumentTypeError(f"the alphabet needs at least 2 symbols, got {s}")
+    return v
+
+
 def _n_list_arg(s: str) -> list[int]:
     try:
         values = [int(float(tok)) for tok in s.split(",") if tok]
@@ -309,6 +316,7 @@ def _cmd_simulate(args) -> int:
         "cut": rule.cut,
         "pf": _estimate_payload(estimate_pf(plan)),
         "pm": _estimate_payload(estimate_pm(plan)),
+        "sampler": plan.sampler,
     }
     _emit_json(args, payload)
     return 0
@@ -335,6 +343,9 @@ def _cmd_sweep(args) -> int:
         "seed": args.seed, "streams": args.streams, "rng": RNG_ALGORITHM,
     }
     meta = _metadata(args, "sweep", params)
+    meta["sampler"] = " ".join(
+        f"n={row.n}:pf={row.sampler['pf']},pm={row.sampler['pm']}" for row in rows
+    )
     lines = [
         f"{row.n},{row.m},{_fmt(row.r)},{_fmt(row.pf.p_hat)},{_fmt(row.pf.ci95_halfwidth)},"
         f"{_fmt(row.pm.p_hat)},{_fmt(row.pm.ci95_halfwidth)},{';'.join(row.flags)}"
@@ -435,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     expo.set_defaults(func=_cmd_exponents)
 
     worst = subs.add_parser("worst-case", help="worst-case bi-uniform alternative")
-    worst.add_argument("--m", type=_positive_int, required=True)
+    worst.add_argument("--m", type=_alphabet_arg, required=True)
     worst.add_argument("--eps", type=_eps_arg, required=True)
     worst.add_argument("--bruteforce", action="store_true")
     worst.add_argument("--mesh", type=_positive_int, default=200)
@@ -446,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--stat", choices=_STAT_NAMES, default="coincidence")
     sim.add_argument("--weights", help="extended-statistic weights v2,v3,...")
     sim.add_argument("--n", type=_positive_int, required=True)
-    sim.add_argument("--m", type=_positive_int, required=True)
+    sim.add_argument("--m", type=_alphabet_arg, required=True)
     sim.add_argument("--eps", type=_eps_arg, required=True)
     _add_tau_group(sim)
     sim.add_argument("--trials", type=_positive_int, default=100000)
@@ -477,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--stat", choices=_STAT_NAMES, default="coincidence")
     orc.add_argument("--weights", help="extended-statistic weights v2,v3,...")
     orc.add_argument("--n", type=_positive_int, required=True)
-    orc.add_argument("--m", type=_positive_int, required=True)
+    orc.add_argument("--m", type=_alphabet_arg, required=True)
     orc.add_argument("--eps", type=_eps_arg)
     rule_group = orc.add_mutually_exclusive_group()
     rule_group.add_argument("--tau", type=float, help="normalized threshold")

@@ -5,9 +5,27 @@ BLOCK_TRIALS, and block b of an estimation context draws from a Philox
 generator keyed by (seed, context, b).  Estimates are integer counts
 summed over blocks, so results are bit-identical for any stream count
 and any worker count; `streams` only chooses how blocks are distributed
-across threads.  The sampling path (per-symbol counts vs sorted symbol
-draws) is a fixed function of (n, m) recorded below, and both paths
-sample the exact multinomial law.
+across threads.
+
+The sampling path is a fixed function of (source, n, m, tables), pinned
+in `_sampler_path`, and every path samples the exact multinomial law:
+
+- "counts" (4m <= n): per-symbol counts from the conditional-binomial
+  chain, a (b, m) count matrix.
+- "sorted" / "alias": all n symbols drawn (directly for uniform and
+  two-band sources, through an alias table otherwise) and sorted per
+  row.  This is the general path and the reference the tests hold the
+  event path to.
+- "event" (uniform or two-band source, n >= 256, m >= 16n, every table
+  shared by all symbols): only the repeat structure is drawn.  With D
+  distinct symbols seen, the run of fresh draws before the next repeat
+  has survival function prod_{i<g} (1 - (D+i)/m), so the repeat times
+  depend on the draw count and the number of repeats alone; given them,
+  a repeat taken with D symbols seen hits a symbol that is uniform among
+  those D, labelled by order of first appearance.  A symbol seen c times
+  leaves c - 1 labels, so the sorted label rows hold ~n^2/2m entries and
+  feed the same window kernel as sorted symbols.  A two-band source
+  splits k ~ Binomial(n, w1) and runs one such chain per band.
 """
 
 from __future__ import annotations
@@ -16,7 +34,8 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from itertools import count, islice
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -45,7 +64,7 @@ __all__ = [
 ]
 
 BLOCK_TRIALS = 2048
-RNG_ALGORITHM = f"philox4x64-block{BLOCK_TRIALS}"
+RNG_ALGORITHM = f"philox4x64-block{BLOCK_TRIALS}-v2"
 
 _MASK64 = (1 << 64) - 1
 
@@ -56,14 +75,9 @@ def _block_rng(seed: int, ctx: int, block: int) -> Generator:
 
 
 # ---------------------------------------------------------------------------
-# samplers: each returns either a (b, m) count matrix ("counts") or a
-# row-sorted (b, n) symbol matrix ("sorted"); both are exact multinomial.
-
-
-def _use_counts_path(n: int, m: int) -> bool:
-    # per-trial cost ~4*m for the conditional-binomial chain vs ~n log n
-    # for draw-and-sort; the crossover is pinned per release
-    return 4 * m <= n
+# samplers: each returns a (b, m) count matrix ("counts"), a row-sorted
+# (b, n) symbol matrix ("sorted", "alias") or the sorted repeat labels of
+# each row ("event"); all are exact multinomial.
 
 
 def _two_band_split(probs: np.ndarray) -> tuple[int, float] | None:
@@ -73,6 +87,24 @@ def _two_band_split(probs: np.ndarray) -> tuple[int, float] | None:
         return None
     s = int(np.count_nonzero(probs == vals[1]))
     return s, float(probs[:s].sum())
+
+
+def _sampler_path(source: Pmf, n: int, tables: Sequence[FTable]) -> str:
+    """The block sampler's path, pinned per release.
+
+    Per-trial cost is ~4m for the conditional-binomial chain, ~n log n to
+    draw and sort, and ~(n^2/2m) log n for the event chain, whose
+    per-round overhead loses below n = 256 or m = 16n.  The event kernel
+    needs every table to be shared by all symbols.
+    """
+    m = source.m
+    if 4 * m <= n:
+        return "counts"
+    if not source.is_uniform() and _two_band_split(source.probs) is None:
+        return "alias"
+    if n >= 256 and m >= 16 * n and all(t.group is None for t in tables):
+        return "event"
+    return "sorted"
 
 
 class _AliasTable:
@@ -104,14 +136,110 @@ class _AliasTable:
         return np.where(keep, idx, self.alias[idx])
 
 
-def _make_sampler(source: Pmf, n: int) -> tuple[str, Callable[[Generator, int], np.ndarray]]:
+class _Repeats(NamedTuple):
+    """An event-path block: n draws per row, and per row the label of the
+    symbol each repeat draw hit, sorted; -1 - column pads short rows."""
+
+    n: int
+    labels: np.ndarray
+
+
+class _RepeatChain:
+    """Repeat times of samples from `size` equiprobable symbols, for up to
+    n draws.
+
+    With A[k] = -sum_{i<k} log1p(-i/size) (inf past size), the next g
+    draws after D distinct symbols are all fresh with probability
+    exp(A[D] - A[D+g]), so an Exp(1) variate e gives the run
+    g = max{g : A[D+g] <= A[D] + e}.  sqrt(A) grows about linearly, so a
+    guide table over it starts each search at most a few entries below
+    its end: ~5x faster than `searchsorted` on unsorted keys.
+    """
+
+    def __init__(self, size: int, n: int) -> None:
+        i = np.minimum(np.arange(n + 1), size)
+        with np.errstate(divide="ignore"):
+            self.a = np.concatenate([[0.0], np.cumsum(-np.log1p(-i / size)), [np.inf]])
+        self.buckets = 4 * (n + 1)  # ~4 buckets per entry keep each walk to a step or two
+        step = math.sqrt(self.a[np.isfinite(self.a)][-1]) / self.buckets or 1.0
+        self.inv_step = 1.0 / step
+        # guide[j] = #{k : A[k] <= ((j - 1) step)^2}: a search for x with
+        # sqrt(x) in [j step, (j + 1) step) starts at or below its end
+        grid = (np.maximum(np.arange(self.buckets + 1) - 1, 0) * step) ** 2
+        self.guide = np.searchsorted(self.a, grid, side="right")
+
+    def count_le(self, x: np.ndarray) -> np.ndarray:
+        """#{k : A[k] <= x} for each x >= 0."""
+        j = np.minimum(np.sqrt(x) * self.inv_step, self.buckets).astype(np.int64)
+        end = self.guide[j]
+        while (up := self.a[end] <= x).any():  # the closing inf stops every walk
+            end += up
+        return end
+
+    def distinct(self, rng: Generator, draws: np.ndarray) -> np.ndarray:
+        """Row i of the result lists, for each repeat among its draws[i]
+        draws in order, the number of distinct symbols seen before it; 0
+        pads rows with fewer repeats.  Each round draws the fresh run of
+        every row still drawing from one Exp(1) variate."""
+        b = draws.size
+        rows = np.flatnonzero(draws > 0)
+        left = draws[rows].astype(np.int64)
+        seen = np.zeros(rows.size, dtype=np.int64)
+        cols = []
+        while rows.size:
+            x = self.a[seen] + rng.standard_exponential(rows.size)
+            fresh = np.minimum(self.count_le(x) - 1 - seen, left)
+            seen += fresh
+            left -= fresh
+            more = left > 0
+            rows, seen, left = rows[more], seen[more], left[more] - 1
+            if rows.size:
+                col = np.zeros(b, dtype=np.int64)
+                col[rows] = seen
+                cols.append(col)
+        return np.stack(cols, axis=1) if cols else np.zeros((b, 0), dtype=np.int64)
+
+
+def _event_sampler(source: Pmf, n: int) -> Callable[[Generator, int], _Repeats]:
+    """Event-path draws of n symbols from a uniform or two-band source."""
+    m = source.m
+    band = None if source.is_uniform() else _two_band_split(source.probs)
+    sizes = [m] if band is None else [band[0], m - band[0]]
+    chains = [_RepeatChain(size, n) for size in sizes]
+
+    def draw_event(rng: Generator, b: int) -> _Repeats:
+        if band is None:
+            split = [np.full(b, n)]
+        else:
+            k = rng.binomial(n, band[1], size=b)
+            split = [k, n - k]
+        parts = [chain.distinct(rng, k) for chain, k in zip(chains, split)]
+        seen = np.hstack(parts)
+        # band i labels its symbols i*n + (order of first appearance)
+        offset = np.repeat(np.arange(len(parts)) * n, [p.shape[1] for p in parts])
+        labels = np.broadcast_to(-1 - np.arange(seen.shape[1]), seen.shape).copy()
+        hit = seen > 0
+        labels[hit] = rng.integers(0, seen[hit]) + np.broadcast_to(offset, seen.shape)[hit]
+        labels.sort(axis=1)
+        return _Repeats(n, labels)
+
+    return draw_event
+
+
+def _make_sampler(
+    source: Pmf, n: int, tables: Sequence[FTable]
+) -> tuple[str, Callable[[Generator, int], np.ndarray | _Repeats]]:
     m = source.m
     probs = source.probs
-    if _use_counts_path(n, m):
+    path = _sampler_path(source, n, tables)
+    if path == "counts":
         def draw_counts(rng: Generator, b: int) -> np.ndarray:
             return rng.multinomial(n, probs, size=b)
 
-        return "counts", draw_counts
+        return path, draw_counts
+
+    if path == "event":
+        return path, _event_sampler(source, n)
 
     dtype = np.uint32 if m <= 0xFFFFFFFF else np.uint64
     if source.is_uniform():
@@ -120,7 +248,7 @@ def _make_sampler(source: Pmf, n: int) -> tuple[str, Callable[[Generator, int], 
             x.sort(axis=1)
             return x
 
-        return "sorted", draw_uniform
+        return path, draw_uniform
 
     band = _two_band_split(probs)
     if band is not None:
@@ -135,7 +263,7 @@ def _make_sampler(source: Pmf, n: int) -> tuple[str, Callable[[Generator, int], 
             x.sort(axis=1)
             return x
 
-        return "sorted", draw_two_band
+        return path, draw_two_band
 
     table = _AliasTable(probs)
     def draw_alias(rng: Generator, b: int) -> np.ndarray:
@@ -143,58 +271,80 @@ def _make_sampler(source: Pmf, n: int) -> tuple[str, Callable[[Generator, int], 
         x.sort(axis=1)
         return x
 
-    return "sorted", draw_alias
+    return path, draw_alias
 
 
 # ---------------------------------------------------------------------------
 # statistic kernels
 
 
+def _levels(
+    path: str, data: np.ndarray | _Repeats
+) -> Iterator[tuple[int, np.ndarray | None, np.ndarray]]:
+    """(l, W_l, E_l) for l = 1, 2, ... up to the last non-empty level.
+
+    E_l counts, per row, the windows of l equal draws: a symbol seen c
+    times owns max(c - l + 1, 0) of them, so E_1 = n.  On sorted symbols
+    W_l[:, i] marks x_i == x_{i+l-1} (W_1 is all true, given as None).
+    A symbol seen c times leaves c - 1 repeat labels, so on the event
+    path W_l marks the length-(l-1) windows of the sorted labels, with
+    W_2 the non-pad slots.  Each W_{l+1} is W_l AND the adjacent-equal
+    mask, shifted to the window's end.
+    """
+    if path == "event":
+        n, x = data
+        lag = 1
+    else:
+        x, n, lag = data, data.shape[1], 0
+    eq = x[:, 1:] == x[:, :-1]
+    yield 1, None, np.full(x.shape[0], n)
+    w = x >= 0 if lag else eq
+    for l in count(2):
+        # summing the mask's bytes is ~2.5x faster than count_nonzero(axis=1)
+        e = w.view(np.uint8).sum(axis=1, dtype=np.int32)
+        if not e.any():
+            return
+        yield l, w, e
+        w = w[:, :-1] & eq[:, l - 1 - lag:]
+
+
 def _block_values(
-    tables: Sequence[FTable], path: str, data: np.ndarray, m: int
+    tables: Sequence[FTable], path: str, data: np.ndarray | _Repeats, m: int
 ) -> list[np.ndarray]:
     """Statistic values on one block: a (b, m) count matrix on the "counts"
-    path, else a row-sorted (b, n) symbol matrix.
+    path, the sorted repeat labels on the "event" path, else a row-sorted
+    (b, n) symbol matrix.
 
-    For sorted rows, with E_l the number of positions i in a row where
-    x_i == x_{i+l-1} (so E_1 = n), a symbol seen c times owns
-    max(c - l + 1, 0) of them, and S = sum_j f_j(0) + sum_l (D_l - D_{l-1}) E_l
+    With E_l the windows of `_levels`, S = sum_j f_j(0) + sum_l (D_l - D_{l-1}) E_l
     with D_l = f(l) - f(l-1) and D_0 = D_{K+1} = 0.  Windows stop at the
     first empty level; their counts are shared across statistics, and a
-    reference-dependent table weights each window by its symbol's entry.
+    reference-dependent table (sorted symbols only) weights each window
+    by its symbol's entry.
     """
     if path == "counts":
         return [t.values(data) for t in tables]
-    b, n = data.shape
-    counts = {1: np.full(b, n) if n else None}
-
-    def window(l: int) -> np.ndarray:
-        return data[:, l - 1:] == data[:, : n - l + 1]
-
-    def count(l: int) -> np.ndarray | None:
-        if l not in counts:
-            e = np.count_nonzero(window(l), axis=1) if l <= n else None
-            counts[l] = e if e is not None and e.any() else None
-        return counts[l]
-
-    out = []
+    x = data.labels if path == "event" else data
+    steps = [dict(t.steps) for t in tables]
+    cores, groups = [], []
     for t in tables:
         if t.group is None:
-            core = np.full(b, m * t.f[0, 0])
+            cores.append(np.full(x.shape[0], m * t.f[0, 0]))
+            groups.append(None)
         else:
-            gx = t.group[data]
-            core = np.full(b, np.bincount(t.group, minlength=len(t.f)) @ t.f[:, 0])
-        for l, d in t.steps:
-            e = count(l)
-            if e is None:
-                break
-            if t.group is None:
+            cores.append(np.full(x.shape[0], np.bincount(t.group, minlength=len(t.f)) @ t.f[:, 0]))
+            groups.append(t.group[x])
+    top = max((l for s in steps for l in s), default=0)
+    for l, w, e in islice(_levels(path, data), top):
+        for s, core, gx in zip(steps, cores, groups):
+            d = s.get(l)
+            if d is None:
+                continue
+            if gx is None:
                 core += d[0] * e
             else:
-                w = d[gx[:, : n - l + 1]]
-                core += (w if l == 1 else np.where(window(l), w, 0.0)).sum(axis=1)
-        out.append(core / t.scale + t.shift)
-    return out
+                wd = d[gx[:, : gx.shape[1] - l + 1]]
+                core += (wd if w is None else np.where(w, wd, 0.0)).sum(axis=1)
+    return [core / t.scale + t.shift for t, core in zip(tables, cores)]
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +386,16 @@ class SimPlan:
     def r(self) -> float:
         return self.n * self.n / self.m
 
+    @property
+    def sampler(self) -> dict[str, str]:
+        """The sampler path of each estimate: "counts", "sorted", "alias"
+        or "event", a fixed function of the source, n, m and statistic."""
+        tables = [self.rule.statistic.table(self.n, self.m)]
+        return {
+            "pf": _sampler_path(uniform(self.m), self.n, tables),
+            "pm": _sampler_path(self.alternative, self.n, tables),
+        }
+
 
 @dataclass(frozen=True)
 class ErrorEstimate:
@@ -268,6 +428,7 @@ class SweepRow:
     pf: ErrorEstimate
     pm: ErrorEstimate
     flags: tuple[str, ...]
+    sampler: dict[str, str]
 
 
 def _block_sizes(trials: int) -> list[int]:
@@ -287,7 +448,7 @@ def _count_event(
     streams: int,
 ) -> int:
     table = stat.table(n, source.m)
-    path, draw = _make_sampler(source, n)
+    path, draw = _make_sampler(source, n, [table])
     sizes = _block_sizes(trials)
 
     def run(block_ids: Sequence[int]) -> int:
@@ -301,9 +462,12 @@ def _count_event(
 
     if streams == 1 or len(sizes) == 1:
         return run(range(len(sizes)))
-    chunks = np.array_split(np.arange(len(sizes)), min(streams, len(sizes)))
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        return sum(pool.map(run, chunks))
+    first, *rest = np.array_split(np.arange(len(sizes)), min(streams, len(sizes)))
+    # the calling thread runs one chunk itself: starting a worker while
+    # another holds the GIL costs up to a switch interval (5 ms)
+    with ThreadPoolExecutor(max_workers=len(rest)) as pool:
+        futures = [pool.submit(run, chunk) for chunk in rest]
+        return run(first) + sum(f.result() for f in futures)
 
 
 def estimate_pf(plan: SimPlan, ctx: int = 0) -> ErrorEstimate:
@@ -354,7 +518,7 @@ def simulate_statistics(
     computed from identical samples.
     """
     tables = [stat.table(n, source.m) for stat in statistics]
-    path, draw = _make_sampler(source, n)
+    path, draw = _make_sampler(source, n, tables)
     blocks = [
         _block_values(tables, path, draw(_block_rng(seed, ctx, blk), size), source.m)
         for blk, size in enumerate(_block_sizes(trials))
@@ -367,10 +531,19 @@ def sample_occupancy(p: Pmf, n: int, rng: Generator) -> OccupancyFingerprint:
     Monte Carlo block sampler, with the same path choice and exact law."""
     if n < 0:
         raise ValueError(f"sample size must be >= 0, got {n}")
-    path, draw = _make_sampler(p, n)
-    row = draw(rng, 1)[0]
-    counts = row if path == "counts" else np.bincount(row, minlength=p.m)
-    return OccupancyFingerprint(n=n, m=p.m, phi=np.bincount(counts))
+    path, draw = _make_sampler(p, n, ())
+    data = draw(rng, 1)
+    if path == "counts":
+        phi = np.bincount(data[0])
+    elif path == "event":
+        labels = data.labels[0]
+        hits = np.unique(labels[labels >= 0], return_counts=True)[1]
+        seen = n - int(hits.sum())
+        phi = np.bincount(hits + 1, minlength=2)
+        phi[:2] = p.m - seen, seen - hits.size
+    else:
+        phi = np.bincount(np.bincount(data[0], minlength=p.m))
+    return OccupancyFingerprint(n=n, m=p.m, phi=phi)
 
 
 def sweep(
@@ -412,7 +585,9 @@ def sweep(
                 "consider more trials",
                 stacklevel=2,
             )
-        rows.append(SweepRow(n=n, m=m, r=n * n / m, pf=pf, pm=pm, flags=tuple(flags)))
+        rows.append(SweepRow(
+            n=n, m=m, r=n * n / m, pf=pf, pm=pm, flags=tuple(flags), sampler=plan.sampler,
+        ))
     return rows
 
 

@@ -127,8 +127,11 @@ class FTable:
 
     def values(self, counts: np.ndarray) -> np.ndarray:
         """Statistic values of the count vectors along the last axis."""
-        c = np.minimum(counts, self.K)
-        core = self.f[0][c] if self.group is None else self.f[self.group, c]
+        if self.group is None:
+            # clipping indices to K reads f(min(c, K)) without a (b, m) temporary
+            core = self.f[0].take(counts, mode="clip")
+        else:
+            core = self.f[self.group, np.minimum(counts, self.K)]
         return core.sum(axis=-1) / self.scale + self.shift
 
 

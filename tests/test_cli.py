@@ -106,6 +106,18 @@ class TestWorstCase:
         assert code == 3
 
 
+class TestAlphabetSize:
+    @pytest.mark.parametrize("argv", [
+        ["worst-case", "--m", "1", "--eps", "0.3"],
+        ["simulate", "--n", "3", "--m", "1", "--eps", "0.3", "--tau", "0.1"],
+        ["oracle", "--n", "3", "--m", "1", "--tau-abs", "0"],
+    ])
+    def test_one_symbol_is_usage_error(self, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+
+
 class TestOracle:
     def test_exact_pf(self, capsys):
         code, out = run_cli(
@@ -180,10 +192,22 @@ class TestSimulate:
 
 class TestSimulatePinned:
     """Exceed counts recorded before the statistics were rebuilt on their
-    f tables, at a sparse (sorted-symbol) and a dense (counts) point."""
+    f tables, at a sparse (sorted-symbol) and a dense (counts) point; the
+    sparse point now takes the event path, so `test_counts` holds the
+    sorted reference path to its old counts and `test_event_counts` pins
+    the event path's counts, recorded when it was added."""
 
     SPARSE = ["--n", "1000", "--m", "31623", "--eps", "0.45", "--trials", "5000", "--seed", "5"]
     DENSE = ["--n", "120", "--m", "30", "--eps", "0.1", "--trials", "4000", "--seed", "6"]
+
+    def simulate(self, capsys, stat, flags, point, tau):
+        rule = [] if stat.startswith("pearson") else ["--tau", tau]
+        code, out = run_cli(
+            capsys, "simulate", "--stat", stat, *flags, *rule, *point, "--no-timestamp"
+        )
+        assert code == 0
+        data = json.loads(out)
+        return (data["pf"]["count"], data["pm"]["count"]), data["sampler"]
 
     @pytest.mark.parametrize("stat,flags,sparse,dense", [
         ("coincidence", [], (1017, 144), (1295, 3025)),
@@ -192,15 +216,25 @@ class TestSimulatePinned:
         ("extended", ["--weights", "0,1,3"], (1093, 132), (1746, 2692)),
         ("weighted", [], (266, 682), (1823, 2078)),
     ])
-    def test_counts(self, capsys, stat, flags, sparse, dense):
-        for point, tau, expected in ((self.SPARSE, "0.2", sparse), (self.DENSE, "0.002", dense)):
-            rule = [] if stat.startswith("pearson") else ["--tau", tau]
-            code, out = run_cli(
-                capsys, "simulate", "--stat", stat, *flags, *rule, *point, "--no-timestamp"
+    def test_counts(self, capsys, sorted_reference, stat, flags, sparse, dense):
+        for point, tau, expected, path in (
+            (self.SPARSE, "0.2", sparse, "sorted"), (self.DENSE, "0.002", dense, "counts"),
+        ):
+            assert self.simulate(capsys, stat, flags, point, tau) == (
+                expected, {"pf": path, "pm": path}
             )
-            data = json.loads(out)
-            assert code == 0
-            assert (data["pf"]["count"], data["pm"]["count"]) == expected
+
+    @pytest.mark.parametrize("stat,flags,sparse", [
+        ("coincidence", [], (1097, 152)),
+        ("pearson", [], (275, 638)),
+        ("pearson-truncated", [], (176, 1189)),
+        ("extended", ["--weights", "0,1,3"], (1178, 134)),
+        ("weighted", [], (305, 704)),
+    ])
+    def test_event_counts(self, capsys, stat, flags, sparse):
+        assert self.simulate(capsys, stat, flags, self.SPARSE, "0.2") == (
+            sparse, {"pf": "event", "pm": "event"}
+        )
 
 
 class TestSweep:
@@ -230,6 +264,16 @@ class TestSweep:
             for s, text in outputs.items()
         }
         assert rows["1"] == rows["8"]
+
+    def test_sampler_metadata(self, capsys):
+        _, out = run_cli(
+            capsys, "sweep", "--eps", "0.45", "--equalize", "--n", "12,300",
+            "--m-rule", "n^1.5", "--trials", "100", "--seed", "2", "--no-timestamp",
+        )
+        meta, header, rows = parse_csv(out)
+        assert "# sampler: n=12:pf=sorted,pm=sorted n=300:pf=event,pm=event" in meta
+        assert header == "n,m,r,pf_hat,pf_ci,pm_hat,pm_ci,flags"
+        assert [row[0] for row in rows] == ["12", "300"]
 
     def test_m_rule_power(self, capsys):
         code, out = run_cli(

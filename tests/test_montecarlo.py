@@ -9,6 +9,9 @@ from pytest import approx
 
 from gee.montecarlo import (
     _block_values,
+    _event_sampler,
+    _RepeatChain,
+    _sampler_path,
     PartitionMap,
     SimPlan,
     ErrorEstimate,
@@ -18,7 +21,7 @@ from gee.montecarlo import (
     simulate_statistics,
     sweep,
 )
-from gee.oracle import exact_error_probs
+from gee.oracle import exact_distribution, exact_error_probs
 from gee.pmf import Pmf, biuniform_worst_case, permuted_worst_case, uniform
 from gee.statistics import (
     Coincidence,
@@ -28,6 +31,7 @@ from gee.statistics import (
     WeightedCoincidence,
     absolute_threshold,
     make_threshold,
+    occupancy,
 )
 
 from .oracles import direct_value
@@ -172,6 +176,137 @@ class TestKernelsMatchCounts:
                 for row, value in zip(counts, values):
                     assert value == approx(stat.from_counts(row), rel=1e-12, abs=1e-9)
                     assert value == approx(direct_value(stat, row), rel=1e-12, abs=1e-9)
+
+
+def event_counts(data, m):
+    """Per event-path row, a count vector equal to the row's up to symbol order."""
+    out = []
+    for row in data.labels:
+        hits = np.unique(row[row >= 0], return_counts=True)[1]
+        seen = data.n - int(hits.sum())
+        assert hits.size <= seen <= m
+        out.append(np.concatenate([hits + 1, np.ones(seen - hits.size, int), np.zeros(m - seen, int)]))
+    return np.array(out)
+
+
+def chi_square(values, law):
+    """Pearson's X^2 of sampled values against an exact law, with the
+    support points of expected count below 5 pooled into one bin;
+    returns (X^2, degrees of freedom)."""
+    mids = (law.support[1:] + law.support[:-1]) / 2
+    idx = np.searchsorted(mids, values)
+    assert np.allclose(law.support[idx], values, rtol=0, atol=1e-9)
+    observed = np.bincount(idx, minlength=law.support.size)
+    expected = law.probs * values.size
+    small = expected < 5
+    observed = np.append(observed[~small], observed[small].sum())
+    expected = np.append(expected[~small], expected[small].sum())
+    keep = expected > 0
+    x2 = float(np.sum((observed[keep] - expected[keep]) ** 2 / expected[keep]))
+    return x2, int(keep.sum()) - 1
+
+
+def chi_square_bound(df, z=5.0):
+    """Upper chi-square quantile at a normal z (Wilson-Hilferty)."""
+    a = 2.0 / (9.0 * df)
+    return df * (1.0 - a + z * math.sqrt(a)) ** 3
+
+
+class TestEventSampler:
+    """The event sampler, called directly, against the exact oracle and
+    the sorted reference path."""
+
+    @pytest.mark.parametrize("source,n", [
+        (uniform(30), 12),
+        (uniform(6), 10),  # every symbol seen: the fresh-run table hits inf
+        (biuniform_worst_case(30, 0.3), 12),
+        # band mass 0.6: 2.6% of rows put all 4 draws in the low band, 13% in the high one
+        (biuniform_worst_case(12, 0.1), 4),
+        (biuniform_worst_case(20, 0.6), 9),  # the low band has no mass: k = n always
+    ])
+    def test_law_matches_oracle(self, source, n):
+        m = source.m
+        stats = [Coincidence(), PearsonTruncated(), Pearson()]
+        data = _event_sampler(source, n)(np.random.default_rng(n * m), 40_000)
+        values = _block_values([s.table(n, m) for s in stats], "event", data, m)
+        for stat, x in zip(stats, values):
+            x2, df = chi_square(x, exact_distribution(stat, source, n))
+            assert x2 <= chi_square_bound(df), (stat.name, x2, df)
+
+    @pytest.mark.parametrize("size,n", [(715542, 8000), (4096, 256), (6, 10), (2, 1), (10**9, 300)])
+    def test_guided_search_matches_binary_search(self, size, n, rng):
+        chain = _RepeatChain(size, n)
+        seen = rng.integers(0, min(size, n) + 1, size=5000)
+        e = np.concatenate([rng.standard_exponential(4990), [0.0, 1e-300, 50.0, 700.0, 1e6], np.zeros(5)])
+        x = chain.a[seen] + e
+        expected = np.searchsorted(chain.a, x, side="right")
+        assert np.array_equal(chain.count_le(x), expected)
+        assert np.all(expected - 1 - seen >= (seen == 0))  # the first draw is always fresh
+
+    @pytest.mark.parametrize("source,n", [
+        (uniform(5000), 300),
+        (biuniform_worst_case(5000, 0.45), 300),
+        (biuniform_worst_case(12, 0.1), 4),
+        (uniform(6), 10),
+    ])
+    def test_rows_are_fingerprints(self, source, n):
+        m = source.m
+        data = _event_sampler(source, n)(np.random.default_rng(7), 300)
+        counts = event_counts(data, m)
+        stats = TestKernelsMatchCounts.statistics(m)[:6]
+        values = _block_values([s.table(n, m) for s in stats], "event", data, m)
+        for i, row in enumerate(counts):
+            fp = occupancy(row)  # checks sum_l Phi_l = m and sum_l l Phi_l = n
+            assert (fp.n, fp.m) == (n, m)
+            for stat, x in zip(stats, values):
+                assert x[i] == approx(direct_value(stat, row), rel=1e-12, abs=1e-9)
+
+    def test_null_mean_closed_form(self):
+        n, m, trials = 1000, 31623, 40_960
+        assert _sampler_path(uniform(m), n, [Coincidence().table(n, m)]) == "event"
+        phi1 = -simulate_statistics(uniform(m), [Coincidence()], n, trials, seed=31)[0]
+        se = phi1.std() / math.sqrt(trials)
+        assert abs(phi1.mean() - n * (1 - 1 / m) ** (n - 1)) <= 5 * se
+
+    @pytest.mark.parametrize("source", [uniform(31623), biuniform_worst_case(31623, 0.45)])
+    def test_moments_match_sorted_path(self, source, request):
+        n, m, trials = 1000, 31623, 20_480
+        stats = TestKernelsMatchCounts.statistics(m)[:4] + [WeightedCoincidence(uniform(m))]
+        event = simulate_statistics(source, stats, n, trials, seed=41)
+        request.getfixturevalue("sorted_reference")
+        reference = simulate_statistics(source, stats, n, trials, seed=43)
+        for stat, x, y in zip(stats, event, reference):
+            c = np.concatenate([x, y]).mean()
+            for k in (1, 2):
+                a, b = (x - c) ** k, (y - c) ** k
+                se = math.sqrt(a.var() / trials + b.var() / trials)
+                assert abs(a.mean() - b.mean()) <= 5 * se, (stat.name, k)
+
+    def test_path_rule(self):
+        coin = [Coincidence().table(1000, 16000)]
+        ref = Pmf(np.arange(1, 5001) / (5000 * 5001 / 2))
+        assert _sampler_path(uniform(16000), 1000, coin) == "event"
+        assert _sampler_path(biuniform_worst_case(16000, 0.3), 1000, coin) == "event"
+        assert _sampler_path(uniform(15999), 1000, coin) == "sorted"
+        assert _sampler_path(uniform(4096), 256, coin) == "event"
+        assert _sampler_path(uniform(4096), 255, coin) == "sorted"
+        assert _sampler_path(uniform(5000), 300, [Pearson(reference=ref).table(300, 5000)]) == "sorted"
+        assert _sampler_path(uniform(5000), 300, ()) == "event"
+        alt = permuted_worst_case(16000, 0.3, set(range(2, 8002)))
+        assert _sampler_path(alt, 1000, coin) == "alias"
+        assert _sampler_path(uniform(250), 1000, coin) == "counts"
+
+    def test_plan_reports_paths(self):
+        plan = coincidence_plan(1000, 31623, 0.45, 0.2, 10, seed=1)
+        assert plan.sampler == {"pf": "event", "pm": "event"}
+        plan = coincidence_plan(12, 30, 0.45, 0.2, 10, seed=1)
+        assert plan.sampler == {"pf": "sorted", "pm": "sorted"}
+
+    def test_sample_occupancy_event_row(self):
+        rng = np.random.default_rng(3)
+        phi1 = np.array([sample_occupancy(uniform(5000), 300, rng).level(1) for _ in range(100)])
+        se = phi1.std() / math.sqrt(phi1.size)
+        assert abs(phi1.mean() - 300 * (1 - 1 / 5000) ** 299) <= 5 * se
 
 
 class TestReferenceChecks:
