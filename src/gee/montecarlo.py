@@ -10,8 +10,13 @@ across threads.
 The sampling path is a fixed function of (source, n, m, tables), pinned
 in `_sampler_path`, and every path samples the exact multinomial law:
 
-- "counts" (4m <= n): per-symbol counts from the conditional-binomial
-  chain, a (b, m) count matrix.
+- "tally" (uniform or two-band source, 4m <= n): all n symbols drawn
+  directly and counted per row, by a `bincount` of row-offset symbols
+  per chunk of rows, into a (b, m) count matrix.  A two-band source
+  splits k ~ Binomial(n, w1) first.
+- "counts" (other sources, 4m <= n): the same count matrix from the
+  conditional-binomial chain.  This is the reference the tests hold the
+  tally path to.
 - "sorted" / "alias": all n symbols drawn (directly for uniform and
   two-band sources, through an alias table otherwise) and sorted per
   row.  This is the general path and the reference the tests hold the
@@ -34,6 +39,7 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import count, islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -64,7 +70,7 @@ __all__ = [
 ]
 
 BLOCK_TRIALS = 2048
-RNG_ALGORITHM = f"philox4x64-block{BLOCK_TRIALS}-v2"
+RNG_ALGORITHM = f"philox4x64-block{BLOCK_TRIALS}-v3"
 
 _MASK64 = (1 << 64) - 1
 
@@ -75,32 +81,27 @@ def _block_rng(seed: int, ctx: int, block: int) -> Generator:
 
 
 # ---------------------------------------------------------------------------
-# samplers: each returns a (b, m) count matrix ("counts"), a row-sorted
-# (b, n) symbol matrix ("sorted", "alias") or the sorted repeat labels of
-# each row ("event"); all are exact multinomial.
+# samplers: each returns a (b, m) count matrix ("tally", "counts"), a
+# row-sorted (b, n) symbol matrix ("sorted", "alias") or the sorted repeat
+# labels of each row ("event"); all are exact multinomial.
 
-
-def _two_band_split(probs: np.ndarray) -> tuple[int, float] | None:
-    """(band size, band mass) when probs is [hi]*s + [lo]*(m-s), else None."""
-    vals = np.unique(probs)
-    if vals.size != 2 or np.any(np.diff(probs) > 0.0):
-        return None
-    s = int(np.count_nonzero(probs == vals[1]))
-    return s, float(probs[:s].sum())
+_COUNT_PATHS = ("tally", "counts")
+_TALLY_ROWS = 64  # rows drawn and counted at once: bounds the (rows, n) temporaries
 
 
 def _sampler_path(source: Pmf, n: int, tables: Sequence[FTable]) -> str:
     """The block sampler's path, pinned per release.
 
-    Per-trial cost is ~4m for the conditional-binomial chain, ~n log n to
-    draw and sort, and ~(n^2/2m) log n for the event chain, whose
-    per-round overhead loses below n = 256 or m = 16n.  The event kernel
-    needs every table to be shared by all symbols.
+    Per-trial cost is ~4m for the conditional-binomial chain, ~n to draw
+    and tally, ~n log n to draw and sort, and ~(n^2/2m) log n for the
+    event chain, whose per-round overhead loses below n = 256 or m = 16n.
+    The event kernel needs every table to be shared by all symbols.
     """
     m = source.m
+    direct = source.is_uniform() or source.two_band is not None
     if 4 * m <= n:
-        return "counts"
-    if not source.is_uniform() and _two_band_split(source.probs) is None:
+        return "tally" if direct else "counts"
+    if not direct:
         return "alias"
     if n >= 256 and m >= 16 * n and all(t.group is None for t in tables):
         return "event"
@@ -200,19 +201,26 @@ class _RepeatChain:
         return np.stack(cols, axis=1) if cols else np.zeros((b, 0), dtype=np.int64)
 
 
+def _band_draws(
+    rng: Generator, n: int, band: tuple[int, float] | None, b: int
+) -> list[np.ndarray]:
+    """Per band, the draws of each of b rows: n for a uniform source, else
+    k ~ Binomial(n, w1) in the first band and n - k in the second."""
+    if band is None:
+        return [np.full(b, n)]
+    k = rng.binomial(n, band[1], size=b)
+    return [k, n - k]
+
+
 def _event_sampler(source: Pmf, n: int) -> Callable[[Generator, int], _Repeats]:
     """Event-path draws of n symbols from a uniform or two-band source."""
     m = source.m
-    band = None if source.is_uniform() else _two_band_split(source.probs)
+    band = source.two_band
     sizes = [m] if band is None else [band[0], m - band[0]]
     chains = [_RepeatChain(size, n) for size in sizes]
 
     def draw_event(rng: Generator, b: int) -> _Repeats:
-        if band is None:
-            split = [np.full(b, n)]
-        else:
-            k = rng.binomial(n, band[1], size=b)
-            split = [k, n - k]
+        split = _band_draws(rng, n, band, b)
         parts = [chain.distinct(rng, k) for chain, k in zip(chains, split)]
         seen = np.hstack(parts)
         # band i labels its symbols i*n + (order of first appearance)
@@ -224,6 +232,38 @@ def _event_sampler(source: Pmf, n: int) -> Callable[[Generator, int], _Repeats]:
         return _Repeats(n, labels)
 
     return draw_event
+
+
+def _tally_sampler(source: Pmf, n: int) -> Callable[[Generator, int], np.ndarray]:
+    """Count matrices of n draws per row from a uniform or two-band source.
+
+    A two-band source splits k ~ Binomial(n, w1) per row, as the other
+    direct paths do, and draws k symbols uniformly from [0, s) and n - k
+    from [s, m).  Each chunk of rows is counted by one `bincount` per
+    band of its symbols offset by row * m.
+    """
+    m = source.m
+    dtype = np.uint16 if m <= 0xFFFF else np.uint32
+    band = source.two_band
+    ranges = [(0, m)] if band is None else [(0, band[0]), (band[0], m)]
+
+    def draw_tally(rng: Generator, b: int) -> np.ndarray:
+        split = _band_draws(rng, n, band, b)
+        counts = np.empty((b, m), dtype=np.int64)
+        for lo in range(0, b, _TALLY_ROWS):
+            rows = slice(lo, lo + _TALLY_ROWS)
+            c = min(_TALLY_ROWS, b - lo)
+            offset = np.arange(c) * m
+            tally = 0
+            for (low, high), draws in zip(ranges, split):
+                d = draws[rows]
+                at = np.repeat(offset, d)
+                at += rng.integers(low, high, size=at.size, dtype=dtype)
+                tally = tally + np.bincount(at, minlength=c * m)
+            counts[rows] = tally.reshape(c, m)
+        return counts
+
+    return draw_tally
 
 
 def _make_sampler(
@@ -238,6 +278,9 @@ def _make_sampler(
 
         return path, draw_counts
 
+    if path == "tally":
+        return path, _tally_sampler(source, n)
+
     if path == "event":
         return path, _event_sampler(source, n)
 
@@ -250,7 +293,7 @@ def _make_sampler(
 
         return path, draw_uniform
 
-    band = _two_band_split(probs)
+    band = source.two_band
     if band is not None:
         s, w1 = band
         def draw_two_band(rng: Generator, b: int) -> np.ndarray:
@@ -311,9 +354,9 @@ def _levels(
 def _block_values(
     tables: Sequence[FTable], path: str, data: np.ndarray | _Repeats, m: int
 ) -> list[np.ndarray]:
-    """Statistic values on one block: a (b, m) count matrix on the "counts"
-    path, the sorted repeat labels on the "event" path, else a row-sorted
-    (b, n) symbol matrix.
+    """Statistic values on one block: a (b, m) count matrix on the "tally"
+    and "counts" paths, the sorted repeat labels on the "event" path, else
+    a row-sorted (b, n) symbol matrix.
 
     With E_l the windows of `_levels`, S = sum_j f_j(0) + sum_l (D_l - D_{l-1}) E_l
     with D_l = f(l) - f(l-1) and D_0 = D_{K+1} = 0.  Windows stop at the
@@ -321,7 +364,7 @@ def _block_values(
     reference-dependent table (sorted symbols only) weights each window
     by its symbol's entry.
     """
-    if path == "counts":
+    if path in _COUNT_PATHS:
         return [t.values(data) for t in tables]
     x = data.labels if path == "event" else data
     steps = [dict(t.steps) for t in tables]
@@ -386,13 +429,19 @@ class SimPlan:
     def r(self) -> float:
         return self.n * self.n / self.m
 
+    @cached_property
+    def null(self) -> Pmf:
+        """The uniform null, one instance per plan."""
+        return uniform(self.m)
+
     @property
     def sampler(self) -> dict[str, str]:
-        """The sampler path of each estimate: "counts", "sorted", "alias"
-        or "event", a fixed function of the source, n, m and statistic."""
+        """The sampler path of each estimate: "tally", "counts", "sorted",
+        "alias" or "event", a fixed function of the source, n, m and
+        statistic."""
         tables = [self.rule.statistic.table(self.n, self.m)]
         return {
-            "pf": _sampler_path(uniform(self.m), self.n, tables),
+            "pf": _sampler_path(self.null, self.n, tables),
             "pm": _sampler_path(self.alternative, self.n, tables),
         }
 
@@ -473,7 +522,7 @@ def _count_event(
 def estimate_pf(plan: SimPlan, ctx: int = 0) -> ErrorEstimate:
     """Monte Carlo false-alarm probability: reject frequency under the uniform null."""
     count = _count_event(
-        uniform(plan.m),
+        plan.null,
         plan.rule.statistic,
         plan.rule.cut,
         below=False,
@@ -533,7 +582,7 @@ def sample_occupancy(p: Pmf, n: int, rng: Generator) -> OccupancyFingerprint:
         raise ValueError(f"sample size must be >= 0, got {n}")
     path, draw = _make_sampler(p, n, ())
     data = draw(rng, 1)
-    if path == "counts":
+    if path in _COUNT_PATHS:
         phi = np.bincount(data[0])
     elif path == "event":
         labels = data.labels[0]

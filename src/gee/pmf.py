@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
@@ -90,6 +91,19 @@ class Pmf:
 
     def is_uniform(self) -> bool:
         return bool(np.all(self.probs == self.probs[0]))
+
+    @cached_property
+    def two_band(self) -> tuple[int, float] | None:
+        """(s, mass of the first s symbols) when probs is [hi]*s + [lo]*(m-s)
+        with hi > lo, else None; checked in O(m) and once per instance."""
+        probs = self.probs
+        hi, lo = probs[0], probs[-1]
+        if not hi > lo:
+            return None
+        s = int(np.argmax(probs != hi))
+        if not np.all(probs[s:] == lo):
+            return None
+        return s, float(probs[:s].sum())
 
     def __repr__(self) -> str:
         return f"Pmf({np.array2string(self.probs, threshold=8)})"

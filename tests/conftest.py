@@ -10,12 +10,14 @@ def rng():
 
 
 @pytest.fixture()
-def sorted_reference(monkeypatch):
-    """Send every event-path choice to the sorted reference path."""
+def reference_paths(monkeypatch):
+    """Send every event-path choice to the sorted reference path and every
+    tally-path choice to the multinomial counts path."""
     choose = montecarlo._sampler_path
+    reference = {"event": "sorted", "tally": "counts"}
 
-    def no_event(*args):
+    def no_fast_path(*args):
         path = choose(*args)
-        return "sorted" if path == "event" else path
+        return reference.get(path, path)
 
-    monkeypatch.setattr(montecarlo, "_sampler_path", no_event)
+    monkeypatch.setattr(montecarlo, "_sampler_path", no_fast_path)

@@ -193,9 +193,11 @@ class TestSimulate:
 class TestSimulatePinned:
     """Exceed counts recorded before the statistics were rebuilt on their
     f tables, at a sparse (sorted-symbol) and a dense (counts) point; the
-    sparse point now takes the event path, so `test_counts` holds the
-    sorted reference path to its old counts and `test_event_counts` pins
-    the event path's counts, recorded when it was added."""
+    sparse point now takes the event path and the dense one the tally
+    path, so `test_counts` holds the sorted and multinomial reference
+    paths to their old counts, and `test_event_counts` and
+    `test_tally_counts` pin the fast paths' counts, recorded when each
+    path was added."""
 
     SPARSE = ["--n", "1000", "--m", "31623", "--eps", "0.45", "--trials", "5000", "--seed", "5"]
     DENSE = ["--n", "120", "--m", "30", "--eps", "0.1", "--trials", "4000", "--seed", "6"]
@@ -216,7 +218,7 @@ class TestSimulatePinned:
         ("extended", ["--weights", "0,1,3"], (1093, 132), (1746, 2692)),
         ("weighted", [], (266, 682), (1823, 2078)),
     ])
-    def test_counts(self, capsys, sorted_reference, stat, flags, sparse, dense):
+    def test_counts(self, capsys, reference_paths, stat, flags, sparse, dense):
         for point, tau, expected, path in (
             (self.SPARSE, "0.2", sparse, "sorted"), (self.DENSE, "0.002", dense, "counts"),
         ):
@@ -234,6 +236,18 @@ class TestSimulatePinned:
     def test_event_counts(self, capsys, stat, flags, sparse):
         assert self.simulate(capsys, stat, flags, self.SPARSE, "0.2") == (
             sparse, {"pf": "event", "pm": "event"}
+        )
+
+    @pytest.mark.parametrize("stat,flags,dense", [
+        ("coincidence", [], (1328, 2974)),
+        ("pearson", [], (1224, 1835)),
+        ("pearson-truncated", [], (0, 4000)),
+        ("extended", ["--weights", "0,1,3"], (1763, 2720)),
+        ("weighted", [], (1861, 2108)),
+    ])
+    def test_tally_counts(self, capsys, stat, flags, dense):
+        assert self.simulate(capsys, stat, flags, self.DENSE, "0.002") == (
+            dense, {"pf": "tally", "pm": "tally"}
         )
 
 

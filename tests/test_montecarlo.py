@@ -12,6 +12,7 @@ from gee.montecarlo import (
     _event_sampler,
     _RepeatChain,
     _sampler_path,
+    _tally_sampler,
     PartitionMap,
     SimPlan,
     ErrorEstimate,
@@ -113,8 +114,8 @@ class TestEstimates:
         assert a.exceed_count != b.exceed_count
 
     def test_counts_path_matches_sorted_path_law(self):
-        # n >= 4m triggers the conditional-binomial path; compare against
-        # the exact oracle rather than another sampler
+        # n >= 4m triggers the tally path; compare against the exact
+        # oracle rather than another sampler
         n, m, tau, trials = 60, 12, 0.3, 50_000
         plan = coincidence_plan(n, m, 0.3, tau, trials, seed=11)
         pf_exact, _ = exact_error_probs(
@@ -212,6 +213,17 @@ def chi_square_bound(df, z=5.0):
     return df * (1.0 - a + z * math.sqrt(a)) ** 3
 
 
+def moments_agree(x, y):
+    """True when the first two moments of two samples of equal size agree
+    within 5 standard errors."""
+    c = np.concatenate([x, y]).mean()
+    for k in (1, 2):
+        a, b = (x - c) ** k, (y - c) ** k
+        if abs(a.mean() - b.mean()) > 5 * math.sqrt((a.var() + b.var()) / x.size):
+            return False
+    return True
+
+
 class TestEventSampler:
     """The event sampler, called directly, against the exact oracle and
     the sorted reference path."""
@@ -273,14 +285,10 @@ class TestEventSampler:
         n, m, trials = 1000, 31623, 20_480
         stats = TestKernelsMatchCounts.statistics(m)[:4] + [WeightedCoincidence(uniform(m))]
         event = simulate_statistics(source, stats, n, trials, seed=41)
-        request.getfixturevalue("sorted_reference")
+        request.getfixturevalue("reference_paths")
         reference = simulate_statistics(source, stats, n, trials, seed=43)
         for stat, x, y in zip(stats, event, reference):
-            c = np.concatenate([x, y]).mean()
-            for k in (1, 2):
-                a, b = (x - c) ** k, (y - c) ** k
-                se = math.sqrt(a.var() / trials + b.var() / trials)
-                assert abs(a.mean() - b.mean()) <= 5 * se, (stat.name, k)
+            assert moments_agree(x, y), stat.name
 
     def test_path_rule(self):
         coin = [Coincidence().table(1000, 16000)]
@@ -294,7 +302,11 @@ class TestEventSampler:
         assert _sampler_path(uniform(5000), 300, ()) == "event"
         alt = permuted_worst_case(16000, 0.3, set(range(2, 8002)))
         assert _sampler_path(alt, 1000, coin) == "alias"
-        assert _sampler_path(uniform(250), 1000, coin) == "counts"
+        assert _sampler_path(uniform(250), 1000, coin) == "tally"
+        assert _sampler_path(biuniform_worst_case(250, 0.3), 1000, coin) == "tally"
+        assert _sampler_path(uniform(251), 1000, coin) == "sorted"
+        dense = permuted_worst_case(250, 0.3, set(range(2, 127)))
+        assert _sampler_path(dense, 1000, coin) == "counts"
 
     def test_plan_reports_paths(self):
         plan = coincidence_plan(1000, 31623, 0.45, 0.2, 10, seed=1)
@@ -309,6 +321,62 @@ class TestEventSampler:
         assert abs(phi1.mean() - 300 * (1 - 1 / 5000) ** 299) <= 5 * se
 
 
+class TestTallySampler:
+    """The tally sampler, called directly, against the exact oracle and
+    the multinomial reference path."""
+
+    SOURCES = [
+        uniform(12),
+        biuniform_worst_case(12, 0.3),
+        biuniform_worst_case(13, 0.3),  # bands of 6 and 7 symbols
+        biuniform_worst_case(12, 0.6),  # the low band has no mass: k = n always
+    ]
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_law_matches_oracle(self, source):
+        n, m = 60, source.m
+        assert _sampler_path(source, n, ()) == "tally"
+        stats = [Coincidence(), PearsonTruncated()]
+        counts = _tally_sampler(source, n)(np.random.default_rng(m), 40_000)
+        values = _block_values([s.table(n, m) for s in stats], "tally", counts, m)
+        for stat, x in zip(stats, values):
+            x2, df = chi_square(x, exact_distribution(stat, source, n))
+            assert x2 <= chi_square_bound(df), (stat.name, x2, df)
+
+    @pytest.mark.parametrize("source", SOURCES)
+    @pytest.mark.parametrize("b", [1, 63, 65])
+    def test_rows_are_count_vectors(self, source, b):
+        n, m = 60, source.m
+        counts = _tally_sampler(source, n)(np.random.default_rng(b), b)
+        assert counts.shape == (b, m) and counts.min() >= 0
+        assert np.all(counts.sum(axis=1) == n)
+        assert np.all(counts[:, source.probs == 0.0] == 0)
+        if source.two_band is not None:
+            # the first draws are the per-row band split, for the whole block
+            s, w1 = source.two_band
+            k = np.random.default_rng(b).binomial(n, w1, size=b)
+            assert np.array_equal(counts[:, :s].sum(axis=1), k)
+
+    @pytest.mark.parametrize("source", [uniform(500), biuniform_worst_case(500, 0.35)])
+    def test_moments_match_multinomial_path(self, source, request):
+        n, m, trials = 4000, 500, 10_240
+        stats = TestKernelsMatchCounts.statistics(m)[:4] + [WeightedCoincidence(uniform(m))]
+        tally = simulate_statistics(source, stats, n, trials, seed=51)
+        request.getfixturevalue("reference_paths")
+        reference = simulate_statistics(source, stats, n, trials, seed=53)
+        for stat, x, y in zip(stats, tally, reference):
+            assert moments_agree(x, y), stat.name
+
+    def test_wide_alphabet_row(self):
+        m = 65537  # symbols past the uint16 range
+        rng = np.random.default_rng(5)
+        fps = [sample_occupancy(uniform(m), 4 * m, rng) for _ in range(4)]
+        assert all((fp.n, fp.m) == (4 * m, m) for fp in fps)
+        phi0 = np.array([fp.level(0) for fp in fps])
+        expected = m * (1 - 1 / m) ** (4 * m)
+        assert np.all(np.abs(phi0 - expected) <= 5 * math.sqrt(expected))
+
+
 class TestReferenceChecks:
     """Reference-dependent statistics fail the same way on every path."""
 
@@ -320,7 +388,7 @@ class TestReferenceChecks:
         message = f"reference has 6 symbols, data has {m}"
         with pytest.raises(ValueError, match=message):
             stat.from_counts(np.ones(m, dtype=int))
-        for n in (5, 4 * m):  # sorted-symbol path, then counts path
+        for n in (5, 4 * m):  # sorted-symbol path, then tally path
             with pytest.raises(ValueError, match=message):
                 simulate_statistics(uniform(m), [stat], n, 5, seed=1)
 

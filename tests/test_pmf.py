@@ -51,6 +51,29 @@ class TestPmfType:
         assert biuniform_worst_case(5, 0.6).support_size == 2
         assert uniform(7).support_size == 7
 
+    @pytest.mark.parametrize("p", [
+        uniform(7),
+        biuniform_worst_case(12, 0.3),
+        biuniform_worst_case(13, 0.3),
+        biuniform_worst_case(20, 0.6),
+        biuniform_worst_case(715542, 0.45),
+        permuted_worst_case(12, 0.3, {2, 3, 4, 5, 6, 7}),
+        Pmf([0.2, 0.3, 0.5]),
+        Pmf([0.5, 0.3, 0.2]),
+        Pmf([0.4, 0.4, 0.1, 0.1]),
+        Pmf([0.4, 0.1, 0.4, 0.1]),
+        Pmf([0.25, 0.25, 0.5]),
+        Pmf([1.0, 0.0]),
+    ])
+    def test_two_band(self, p):
+        # reference: exactly two distinct values, never increasing
+        vals = np.unique(p.probs)
+        if vals.size != 2 or np.any(np.diff(p.probs) > 0.0):
+            assert p.two_band is None
+        else:
+            s = int(np.count_nonzero(p.probs == vals[1]))
+            assert p.two_band == (s, float(p.probs[:s].sum()))
+
 
 class TestConstructors:
     def test_uniform(self):
