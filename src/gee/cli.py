@@ -35,7 +35,7 @@ from .montecarlo import (
     estimate_pm,
     sweep,
 )
-from .oracle import exact_error_probs, worst_case_bruteforce
+from .oracle import BRUTEFORCE_MAX_M, exact_error_probs, worst_case_bruteforce
 from .pmf import (
     biuniform_worst_case,
     check_fdiv_conditions,
@@ -92,15 +92,30 @@ def _points_arg(s: str) -> int:
     return v
 
 
+def _whole(s: str) -> int:
+    """An integer flag value, also in float notation such as 1e6; 1.5 is an error."""
+    v = float(s)
+    if not v.is_integer():
+        raise argparse.ArgumentTypeError(f"expected an integer, got {s}")
+    return int(v)
+
+
 def _positive_int(s: str) -> int:
-    v = int(float(s))
+    v = _whole(s)
     if v < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {s}")
     return v
 
 
+def _tau_arg(s: str) -> float:
+    v = float(s)
+    if not v >= 0.0:
+        raise argparse.ArgumentTypeError(f"tau must be >= 0, got {s}")
+    return v
+
+
 def _alphabet_arg(s: str) -> int:
-    v = int(float(s))
+    v = _whole(s)
     if v < 2:
         raise argparse.ArgumentTypeError(f"the alphabet needs at least 2 symbols, got {s}")
     return v
@@ -108,8 +123,8 @@ def _alphabet_arg(s: str) -> int:
 
 def _n_list_arg(s: str) -> list[int]:
     try:
-        values = [int(float(tok)) for tok in s.split(",") if tok]
-    except ValueError as exc:
+        values = [_whole(tok) for tok in s.split(",") if tok]
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise argparse.ArgumentTypeError(f"bad n list {s!r}") from exc
     if not values or any(v < 1 for v in values):
         raise argparse.ArgumentTypeError(f"bad n list {s!r}")
@@ -276,6 +291,8 @@ def _cmd_worst_case(args) -> int:
         "chi_square_functional": value,
     }
     if args.bruteforce:
+        if args.m > BRUTEFORCE_MAX_M:
+            raise _UsageError(f"--bruteforce supports 2 <= m <= {BRUTEFORCE_MAX_M}, got {args.m}")
         params["mesh"] = args.mesh
         argmin, min_value = worst_case_bruteforce(args.m, args.eps, args.mesh)
         payload["bruteforce"] = {
@@ -325,6 +342,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     statistic = _make_statistic(args, 0)  # sweep statistics carry no reference pmf
     tau = _resolve_tau(args, statistic)
+    small = [n for n in args.n if args.m_rule(n) < 2]
+    if small:
+        raise _UsageError(
+            f"--m-rule {args.m_rule.text} gives m < 2 at n = {min(small)}; need m >= 2"
+        )
     rows = sweep(
         eps=args.eps,
         statistic=statistic,
@@ -413,7 +435,7 @@ def _add_common(sub) -> None:
 
 def _add_tau_group(sub) -> None:
     group = sub.add_mutually_exclusive_group()
-    group.add_argument("--tau", type=float, help="normalized threshold")
+    group.add_argument("--tau", type=_tau_arg, help="normalized threshold")
     group.add_argument(
         "--equalize", action="store_true",
         help="use the threshold equalizing the two exponents",
@@ -491,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--m", type=_alphabet_arg, required=True)
     orc.add_argument("--eps", type=_eps_arg)
     rule_group = orc.add_mutually_exclusive_group()
-    rule_group.add_argument("--tau", type=float, help="normalized threshold")
+    rule_group.add_argument("--tau", type=_tau_arg, help="normalized threshold")
     rule_group.add_argument("--tau-abs", dest="tau_abs", type=float,
                             help="absolute cut in statistic units")
     orc.add_argument("--budget", type=_positive_int, default=10**8,

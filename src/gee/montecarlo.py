@@ -416,6 +416,12 @@ class SimPlan:
     def __post_init__(self) -> None:
         if self.n < 1 or self.m < 2 or self.trials < 1 or self.streams < 1:
             raise ValueError("need n >= 1, m >= 2, trials >= 1, streams >= 1")
+        rule = self.rule
+        if (rule.n, rule.m, rule.statistic) != (self.n, self.m, self.statistic):
+            raise ValueError(
+                f"rule was built for {rule.statistic.name} at n={rule.n}, m={rule.m}; "
+                f"plan has {self.statistic.name} at n={self.n}, m={self.m}"
+            )
         if self.alternative is None:
             object.__setattr__(
                 self, "alternative", biuniform_worst_case(self.m, self.eps)
@@ -480,76 +486,53 @@ class SweepRow:
     sampler: dict[str, str]
 
 
-def _block_sizes(trials: int) -> list[int]:
-    full, rem = divmod(trials, BLOCK_TRIALS)
-    return [BLOCK_TRIALS] * full + ([rem] if rem else [])
+def _run_blocks(
+    source: Pmf, tables: Sequence[FTable], n: int, trials: int, seed: int, ctx: int,
+    streams: int, reduce: Callable[[list[np.ndarray]], object],
+) -> list:
+    """reduce(statistic values) of each block of `trials` rows of n draws
+    from source, in block order.  Block b draws from the Philox generator
+    keyed by (seed, ctx, b), whichever of the `streams` threads runs it.
+    """
+    path, draw = _make_sampler(source, n, tables)
+    sizes = [min(BLOCK_TRIALS, trials - lo) for lo in range(0, trials, BLOCK_TRIALS)]
 
+    def run(block_ids: Iterable[int]) -> list:
+        # each block's draw is dropped before the next one is made
+        return [
+            reduce(_block_values(tables, path, draw(_block_rng(seed, ctx, b), sizes[b]), source.m))
+            for b in block_ids
+        ]
 
-def _count_event(
-    source: Pmf,
-    stat: SeparableStatistic,
-    cut: float,
-    below: bool,
-    n: int,
-    trials: int,
-    seed: int,
-    ctx: int,
-    streams: int,
-) -> int:
-    table = stat.table(n, source.m)
-    path, draw = _make_sampler(source, n, [table])
-    sizes = _block_sizes(trials)
-
-    def run(block_ids: Sequence[int]) -> int:
-        total = 0
-        for blk in block_ids:
-            data = draw(_block_rng(seed, ctx, blk), sizes[blk])
-            values = _block_values([table], path, data, source.m)[0]
-            hits = (values < cut) if below else (values >= cut)
-            total += int(hits.sum())
-        return total
-
-    if streams == 1 or len(sizes) == 1:
+    if streams == 1 or len(sizes) <= 1:
         return run(range(len(sizes)))
     first, *rest = np.array_split(np.arange(len(sizes)), min(streams, len(sizes)))
     # the calling thread runs one chunk itself: starting a worker while
     # another holds the GIL costs up to a switch interval (5 ms)
     with ThreadPoolExecutor(max_workers=len(rest)) as pool:
         futures = [pool.submit(run, chunk) for chunk in rest]
-        return run(first) + sum(f.result() for f in futures)
+        return run(first) + [x for f in futures for x in f.result()]
+
+
+def _estimate(plan: SimPlan, source: Pmf, ctx: int, rejects: bool) -> ErrorEstimate:
+    """Frequency of rejections (or acceptances) of plan.rule under source."""
+    rule = plan.rule
+    count = sum(_run_blocks(
+        source, [rule.statistic.table(plan.n, plan.m)], plan.n, plan.trials,
+        plan.seed, ctx, plan.streams, lambda values: int(rule.rejects(values[0]).sum()),
+    ))
+    return ErrorEstimate.from_count(count if rejects else plan.trials - count, plan.trials)
 
 
 def estimate_pf(plan: SimPlan, ctx: int = 0) -> ErrorEstimate:
     """Monte Carlo false-alarm probability: reject frequency under the uniform null."""
-    count = _count_event(
-        plan.null,
-        plan.rule.statistic,
-        plan.rule.cut,
-        below=False,
-        n=plan.n,
-        trials=plan.trials,
-        seed=plan.seed,
-        ctx=ctx,
-        streams=plan.streams,
-    )
-    return ErrorEstimate.from_count(count, plan.trials)
+    return _estimate(plan, plan.null, ctx, rejects=True)
 
 
 def estimate_pm(plan: SimPlan, ctx: int = 1) -> ErrorEstimate:
     """Monte Carlo missed-detection probability: accept frequency under the
     plan's alternative (worst-case bi-uniform unless overridden)."""
-    count = _count_event(
-        plan.alternative,
-        plan.rule.statistic,
-        plan.rule.cut,
-        below=True,
-        n=plan.n,
-        trials=plan.trials,
-        seed=plan.seed,
-        ctx=ctx,
-        streams=plan.streams,
-    )
-    return ErrorEstimate.from_count(count, plan.trials)
+    return _estimate(plan, plan.alternative, ctx, rejects=False)
 
 
 def simulate_statistics(
@@ -567,31 +550,25 @@ def simulate_statistics(
     computed from identical samples.
     """
     tables = [stat.table(n, source.m) for stat in statistics]
-    path, draw = _make_sampler(source, n, tables)
-    blocks = [
-        _block_values(tables, path, draw(_block_rng(seed, ctx, blk), size), source.m)
-        for blk, size in enumerate(_block_sizes(trials))
-    ]
+    blocks = _run_blocks(source, tables, n, trials, seed, ctx, 1, lambda values: values)
     return [np.concatenate(chunks) for chunks in zip(*blocks)]
 
 
 def sample_occupancy(p: Pmf, n: int, rng: Generator) -> OccupancyFingerprint:
     """Occupancy fingerprint of n i.i.d. draws from p: one row of the
-    Monte Carlo block sampler, with the same path choice and exact law."""
+    Monte Carlo block sampler, with the same path choice and exact law.
+    Off the count paths Phi comes from the window counts E_l of `_levels`:
+    Phi_l = E_l - 2 E_{l+1} + E_{l+2}, and E_1 - E_2 symbols are seen.
+    """
     if n < 0:
         raise ValueError(f"sample size must be >= 0, got {n}")
     path, draw = _make_sampler(p, n, ())
     data = draw(rng, 1)
     if path in _COUNT_PATHS:
         phi = np.bincount(data[0])
-    elif path == "event":
-        labels = data.labels[0]
-        hits = np.unique(labels[labels >= 0], return_counts=True)[1]
-        seen = n - int(hits.sum())
-        phi = np.bincount(hits + 1, minlength=2)
-        phi[:2] = p.m - seen, seen - hits.size
     else:
-        phi = np.bincount(np.bincount(data[0], minlength=p.m))
+        e = np.array([int(el[0]) for _, _, el in _levels(path, data) if el[0]] + [0, 0])
+        phi = np.concatenate([[p.m - e[0] + e[1]], e[:-2] - 2 * e[1:-1] + e[2:]])
     return OccupancyFingerprint(n=n, m=p.m, phi=phi)
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -31,6 +30,7 @@ __all__ = [
     "OracleBudgetError",
     "ScalingError",
     "DEFAULT_CELL_BUDGET",
+    "BRUTEFORCE_MAX_M",
     "exact_distribution",
     "exact_error_probs",
     "exact_expectation",
@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 DEFAULT_CELL_BUDGET = 10**8
+BRUTEFORCE_MAX_M = 6  # the sorted grid at m = 6, mesh 200 already has 4.8M points
 
 
 class OracleBudgetError(RuntimeError):
@@ -123,23 +124,16 @@ def _deviation_bounds(core: np.ndarray, n: int) -> tuple[int, int]:
     """Safe bounds on sum_j (f_j(c_j) - f_j(0)) given sum_j c_j <= n.
 
     Each unit of count contributes at most max (f(c)-f(0))/c and at least
-    the corresponding min, so n times those ratios bound the deviation.
-    Ratios are compared exactly with integer cross-multiplication.
+    the corresponding min, so n times those ratios bound the deviation:
+    the largest ceil and the smallest floor of n (f(c)-f(0))/c, in exact
+    integer arithmetic.
     """
-    rows = np.unique(core, axis=0)
-    up_num, up_den = 0, 1
-    lo_num, lo_den = 0, 1
-    for row in rows:
-        f0 = int(row[0])
-        for c in range(1, n + 1):
-            d = int(row[c]) - f0
-            if d * up_den > up_num * c:
-                up_num, up_den = d, c
-            if d * lo_den < lo_num * c:
-                lo_num, lo_den = d, c
-    up = -((-n * up_num) // up_den) if up_num > 0 else 0  # ceil
-    lo = (n * lo_num) // lo_den if lo_num < 0 else 0  # floor
-    return lo, up
+    lim = np.iinfo(np.int64).max // (2 * max(n, 1))
+    if core.size and not -lim <= core.min() <= core.max() <= lim:
+        core = core.astype(object)  # n (f(c) - f(0)) could overflow int64: use Python ints
+    dev = n * (core[:, 1:] - core[:, :1])
+    c = np.arange(1, core.shape[1])
+    return int((dev // c).min(initial=0)), int((-(-dev // c)).max(initial=0))
 
 
 def _poisson_weights(lam: float, n: int) -> np.ndarray:
@@ -305,29 +299,38 @@ def asymptotic_moments(
 # brute-force worst case
 
 
-def _partitions(total: int, slots: int, max_val: int) -> Iterator[list[int]]:
-    """Non-increasing tuples of `slots` non-negative ints summing to `total`."""
-    if slots == 1:
-        if total <= max_val:
-            yield [total]
-        return
-    lo = -(-total // slots)  # ceil: head must carry at least the average
-    for v in range(min(total, max_val), lo - 1, -1):
-        for tail in _partitions(total - v, slots - 1, v):
-            yield [v] + tail
+def _partitions(total: int, slots: int, max_val: int) -> np.ndarray:
+    """Non-increasing rows of `slots` non-negative ints at most max_val,
+    summing to `total`, in descending lexicographic order.
+
+    Built one column at a time: each row is expanded into its next
+    entries, largest first, from min(what is left, the entry before)
+    down to the ceiling of what is left over the slots left.
+    """
+    rows = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([total])
+    cap = np.array([max_val])
+    for k in range(slots, 0, -1):
+        hi = np.minimum(left, cap)
+        size = np.maximum(hi + 1 + (-left // k), 0)  # hi - ceil(left / k) + 1
+        parent = np.repeat(np.arange(hi.size), size)
+        start = np.repeat(np.cumsum(size) - size, size)
+        cap = hi[parent] - (np.arange(parent.size) - start)
+        rows = np.column_stack([rows[parent], cap])
+        left = left[parent] - cap
+    return rows
 
 
-def worst_case_bruteforce(
-    m: int, eps: float, mesh: int, chunk: int = 200_000
-) -> tuple[Pmf, float]:
+def worst_case_bruteforce(m: int, eps: float, mesh: int) -> tuple[Pmf, float]:
     """Grid minimization of the chi-square functional over the TV-eps shell.
 
     Enumerates the simplex grid of resolution 1/mesh (sorted entries only;
-    both the functional and the constraint are permutation-invariant) and
-    returns the best grid point and its value.  Small m only.
+    both the functional and the constraint are permutation-invariant),
+    one leading entry at a time in descending lexicographic order, and
+    returns the first best grid point and its value.  Small m only.
     """
-    if not 2 <= m <= 6:
-        raise ValueError(f"brute force supports 2 <= m <= 6, got {m}")
+    if not 2 <= m <= BRUTEFORCE_MAX_M:
+        raise ValueError(f"brute force supports 2 <= m <= {BRUTEFORCE_MAX_M}, got {m}")
     if mesh < 1:
         raise ValueError(f"mesh must be >= 1, got {mesh}")
     if not 0.0 <= eps < 1.0:
@@ -335,28 +338,16 @@ def worst_case_bruteforce(
 
     best_val = math.inf
     best_q: np.ndarray | None = None
-    buf: list[list[int]] = []
-
-    def flush() -> None:
-        nonlocal best_val, best_q
-        if not buf:
-            return
-        grid = np.array(buf, dtype=np.float64) / mesh
+    for head in range(mesh, -(-mesh // m) - 1, -1):
+        tail = _partitions(mesh - head, m - 1, head)
+        grid = np.column_stack([np.full(len(tail), head), tail]) / mesh
         tv = 0.5 * np.abs(grid - 1.0 / m).sum(axis=1)
-        feas = tv >= eps - 1e-12
-        if np.any(feas):
-            chi = m * np.einsum("ij,ij->i", grid[feas], grid[feas])
+        feas = grid[tv >= eps - 1e-12]
+        if len(feas):
+            chi = m * np.einsum("ij,ij->i", feas, feas)
             k = int(np.argmin(chi))
             if chi[k] < best_val:
-                best_val = float(chi[k])
-                best_q = grid[feas][k]
-        buf.clear()
-
-    for part in _partitions(mesh, m, mesh):
-        buf.append(part)
-        if len(buf) >= chunk:
-            flush()
-    flush()
+                best_val, best_q = float(chi[k]), feas[k]
 
     if best_q is None:
         raise ValueError(

@@ -8,7 +8,9 @@ checks.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict
+from fractions import Fraction
 
 import numpy as np
 
@@ -119,3 +121,21 @@ def direct_value(stat, counts) -> float:
                 total += 1.0
         return total
     raise ValueError(f"no direct formula for {name}")
+
+
+def sorted_compositions(total: int, slots: int, cap: int) -> list[tuple[int, ...]]:
+    """Non-increasing `slots`-tuples of ints in [0, cap] summing to `total`,
+    in descending lexicographic order, filtered from all such tuples."""
+    rows = itertools.combinations_with_replacement(range(cap, -1, -1), slots)
+    return sorted((row for row in rows if sum(row) == total), reverse=True)
+
+
+def deviation_bounds(core, n: int) -> tuple[int, int]:
+    """(floor, ceil) of n times the smallest and largest ratio
+    (f(c) - f(0)) / c over the rows of an integer table, with 0 included,
+    in exact rational arithmetic."""
+    ratios = [Fraction(0)]
+    for row in core:
+        f0 = int(row[0])
+        ratios += [Fraction(int(row[c]) - f0, c) for c in range(1, len(row))]
+    return math.floor(n * min(ratios)), math.ceil(n * max(ratios))

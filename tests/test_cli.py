@@ -118,6 +118,35 @@ class TestAlphabetSize:
         assert err.value.code == 2
 
 
+class TestUsageErrors:
+    SIM = ["simulate", "--n", "10", "--m", "20", "--eps", "0.3"]
+    SWEEP = ["sweep", "--eps", "0.3", "--trials", "10"]
+
+    @pytest.mark.parametrize("argv", [
+        SIM + ["--tau", "-1"],
+        ["exponents", "--eps", "0.3", "--tau", "-0.1"],
+        SWEEP + ["--n", "10", "--m-rule", "2*n", "--tau", "-0.5"],
+        ["oracle", "--n", "5", "--m", "10", "--eps", "0.3", "--tau", "-1"],
+        SWEEP + ["--n", "1,4", "--m-rule", "n^0.5", "--tau", "0.2"],
+        SWEEP + ["--n", "1,4", "--m-rule", "0*n", "--tau", "0.2"],
+        ["worst-case", "--m", "7", "--eps", "0.3", "--bruteforce"],
+        SIM + ["--tau", "0.1", "--trials", "1.5"],
+        SIM + ["--tau", "0.1", "--streams", "2.5"],
+        ["worst-case", "--m", "3", "--eps", "0.3", "--bruteforce", "--mesh", "1.5"],
+    ])
+    def test_exit_code_two(self, argv, capsys):
+        try:
+            code = main(argv + ["--no-timestamp"])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_float_notation_stays_valid(self, capsys):
+        code, out = run_cli(capsys, *self.SIM, "--tau", "0.1", "--trials", "1e3", "--no-timestamp")
+        assert code == 0 and json.loads(out)["pf"]["trials"] == 1000
+
+
 class TestOracle:
     def test_exact_pf(self, capsys):
         code, out = run_cli(

@@ -10,6 +10,7 @@ from pytest import approx
 from gee.montecarlo import (
     _block_values,
     _event_sampler,
+    _make_sampler,
     _RepeatChain,
     _sampler_path,
     _tally_sampler,
@@ -136,6 +137,15 @@ class TestEstimates:
         )
         pm = estimate_pm(plan)
         assert abs(pm.p_hat - pm_exact) <= 4 * math.sqrt(pm_exact * (1 - pm_exact) / trials)
+
+    @pytest.mark.parametrize("rule", [
+        make_threshold(Coincidence(), 50, 1000, tau=0.2),
+        make_threshold(Coincidence(), 100, 999, tau=0.2),
+        make_threshold(ExtendedCoincidence(weights=(0.0, 1.0)), 100, 1000, tau=0.2),
+    ])
+    def test_plan_rejects_mismatched_rule(self, rule):
+        with pytest.raises(ValueError, match="rule was built for"):
+            SimPlan(n=100, m=1000, eps=0.3, statistic=Coincidence(), rule=rule, trials=100, seed=1)
 
     def test_error_estimate_fields(self):
         est = ErrorEstimate.from_count(250, 1000)
@@ -319,6 +329,43 @@ class TestEventSampler:
         phi1 = np.array([sample_occupancy(uniform(5000), 300, rng).level(1) for _ in range(100)])
         se = phi1.std() / math.sqrt(phi1.size)
         assert abs(phi1.mean() - 300 * (1 - 1 / 5000) ** 299) <= 5 * se
+
+
+class TestSampleOccupancyPaths:
+    """sample_occupancy on every sampler path against the fingerprint of
+    the count vector rebuilt from the same draw."""
+
+    CASES = [
+        ("tally", uniform(12), 60),
+        ("tally", biuniform_worst_case(12, 0.3), 60),
+        ("counts", permuted_worst_case(12, 0.3, set(range(2, 8))), 60),
+        ("sorted", uniform(50), 30),
+        ("sorted", uniform(50), 1),
+        ("sorted", uniform(50), 0),
+        ("sorted", biuniform_worst_case(51, 0.3), 30),
+        ("sorted", biuniform_worst_case(51, 0.3), 0),
+        ("alias", permuted_worst_case(50, 0.3, set(range(2, 27))), 30),
+        ("alias", permuted_worst_case(50, 0.3, set(range(2, 27))), 0),
+        ("event", uniform(5000), 300),
+        ("event", biuniform_worst_case(5000, 0.45), 300),
+    ]
+
+    @pytest.mark.parametrize("path,source,n", CASES)
+    def test_matches_rebuilt_counts(self, path, source, n):
+        m = source.m
+        for seed in range(5):
+            fp = sample_occupancy(source, n, np.random.default_rng(seed))
+            chosen, draw = _make_sampler(source, n, ())
+            assert chosen == path
+            data = draw(np.random.default_rng(seed), 1)
+            if path in ("tally", "counts"):
+                counts = data[0]
+            elif path == "event":
+                counts = event_counts(data, m)[0]
+            else:
+                counts = np.bincount(data[0], minlength=m)
+            # phi runs to the largest count seen, so n = 0 gives [m]
+            assert fp.phi.tolist() == occupancy(counts).phi.tolist()
 
 
 class TestTallySampler:

@@ -7,6 +7,8 @@ import pytest
 from pytest import approx
 
 from gee.oracle import (
+    _deviation_bounds,
+    _partitions,
     OracleBudgetError,
     ScalingError,
     asymptotic_moments,
@@ -26,7 +28,7 @@ from gee.statistics import (
     make_threshold,
 )
 
-from .oracles import enumerate_law
+from .oracles import deviation_bounds, enumerate_law, sorted_compositions
 
 
 def all_statistics(m: int):
@@ -230,3 +232,61 @@ class TestWorstCaseBruteforce:
     def test_m_range(self):
         with pytest.raises(ValueError):
             worst_case_bruteforce(7, 0.2, 10)
+
+    # (m, mesh, eps) -> grid counts of the argmin and its value, as the
+    # recursive enumeration this replaced returned them
+    PINNED = {
+        (2, 100, 0.45): ([95, 5], 1.8099999999999998),
+        (3, 100, 0.45): ([79, 11, 10], 1.9386000000000003),
+        (4, 100, 0.45): ([48, 47, 3, 2], 1.8104),
+        (5, 100, 0.45): ([43, 42, 5, 5, 5], 1.8439999999999999),
+        (6, 100, 0.45): ([32, 32, 31, 2, 2, 1], 1.8108),
+        (2, 37, 0.25): ([28, 9], 1.2636961285609936),
+        (3, 37, 0.25): ([17, 17, 3], 1.2863403944485028),
+        (4, 37, 0.25): ([14, 14, 5, 4], 1.2651570489408328),
+        (5, 37, 0.25): ([11, 11, 10, 3, 2], 1.296566837107378),
+        (6, 37, 0.25): ([10, 9, 9, 3, 3, 3], 1.2666179693206723),
+        # tied minima ([4, 4, 4, 2, 2] and [4, 3, 3, 3, 2, 1] come later):
+        # the first grid point in descending lexicographic order wins
+        (5, 16, 0.1125): ([5, 3, 3, 3, 2], 1.09375),
+        (6, 16, 0.145833): ([4, 4, 2, 2, 2, 2], 1.125),
+    }
+
+    @pytest.mark.parametrize("key", sorted(PINNED))
+    def test_pinned_argmin(self, key):
+        m, mesh, eps = key
+        counts, pinned = self.PINNED[key]
+        argmin, value = worst_case_bruteforce(m, eps, mesh)
+        assert np.rint(argmin.probs * mesh).astype(int).tolist() == counts
+        assert value == approx(pinned, rel=1e-14)
+
+    @pytest.mark.parametrize("total,slots,cap", [
+        (0, 1, 0), (5, 1, 5), (5, 1, 4), (0, 3, 0), (7, 3, 7), (7, 3, 3),
+        (7, 3, 2),  # cap below total / slots: no row
+        (12, 4, 5), (10, 5, 10), (9, 2, 6),
+    ])
+    def test_partitions_match_enumeration(self, total, slots, cap):
+        rows = _partitions(total, slots, cap)
+        assert rows.shape == (len(sorted_compositions(total, slots, cap)), slots)
+        assert [tuple(row) for row in rows.tolist()] == sorted_compositions(total, slots, cap)
+
+
+class TestDeviationBounds:
+    def test_random_tables_match_fractions(self, rng):
+        for _ in range(300):
+            n = int(rng.integers(0, 30))
+            hi = 10 ** int(rng.integers(1, 6))
+            core = rng.integers(-hi, hi, size=(int(rng.integers(1, 4)), n + 1))
+            assert _deviation_bounds(core, n) == deviation_bounds(core, n)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 40])
+    def test_truncated_pearson_has_negative_excess(self, n):
+        core = np.array([[0, 1, 4, 0][min(c, 3)] for c in range(n + 1)])[None, :]
+        assert _deviation_bounds(core, n) == deviation_bounds(core, n)
+
+    def test_wide_values_do_not_overflow(self):
+        # n * (f(c) - f(0)) exceeds the int64 range
+        n = 1000
+        core = np.array([[0, 2**61, -(2**62), 3], [2**62, 5, 0, -(2**61)]])
+        core = np.pad(core, ((0, 0), (0, n - 3)), mode="edge")
+        assert _deviation_bounds(core, n) == deviation_bounds(core, n)
