@@ -50,6 +50,7 @@ from .statistics import (
     ExtendedCoincidence,
     Pearson,
     PearsonTruncated,
+    SeparableStatistic,
     WeightedCoincidence,
     absolute_threshold,
     make_threshold,
@@ -85,13 +86,6 @@ def _eps_arg(s: str) -> float:
     return v
 
 
-def _points_arg(s: str) -> int:
-    v = int(s)
-    if v < 2:
-        raise argparse.ArgumentTypeError(f"need at least 2 points, got {s}")
-    return v
-
-
 def _whole(s: str) -> int:
     """An integer flag value, also in float notation such as 1e6; 1.5 is an error."""
     v = float(s)
@@ -100,11 +94,15 @@ def _whole(s: str) -> int:
     return int(v)
 
 
-def _positive_int(s: str) -> int:
-    v = _whole(s)
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {s}")
-    return v
+def _at_least(k: int) -> Callable[[str], int]:
+    """Parser of an integer flag value >= k, in `_whole`'s notation."""
+    def parse(s: str) -> int:
+        v = _whole(s)
+        if v < k:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {k}, got {s}")
+        return v
+
+    return parse
 
 
 def _tau_arg(s: str) -> float:
@@ -114,11 +112,18 @@ def _tau_arg(s: str) -> float:
     return v
 
 
-def _alphabet_arg(s: str) -> int:
-    v = _whole(s)
-    if v < 2:
-        raise argparse.ArgumentTypeError(f"the alphabet needs at least 2 symbols, got {s}")
+def _xmax_arg(s: str) -> float:
+    v = float(s)
+    if not 0.0 < v < math.inf:
+        raise argparse.ArgumentTypeError(f"xmax must be finite and > 0, got {s}")
     return v
+
+
+def _weights_arg(s: str) -> tuple[float, ...]:
+    weights = tuple(float(tok) for tok in s.split(","))
+    if not all(map(math.isfinite, weights)):
+        raise argparse.ArgumentTypeError(f"weights must be finite, got {s}")
+    return weights
 
 
 def _n_list_arg(s: str) -> list[int]:
@@ -160,22 +165,20 @@ def _default_seed() -> int:
     return int(os.environ.get("GEE_SEED", "0"))
 
 
-def _make_statistic(args, m: int):
-    name = args.stat
-    if name == "coincidence":
-        return Coincidence()
-    if name == "pearson":
-        return Pearson()
-    if name == "pearson-truncated":
-        return PearsonTruncated()
-    if name == "weighted":
-        return WeightedCoincidence(uniform(m))
-    if name == "extended":
-        if not args.weights:
-            raise _UsageError("--weights is required for the extended statistic")
-        weights = tuple(float(tok) for tok in args.weights.split(","))
-        return ExtendedCoincidence(weights)
-    raise _UsageError(f"unknown statistic {name!r}")
+def _extended(args, m: int) -> ExtendedCoincidence:
+    if args.weights is None:
+        raise _UsageError("--weights is required for the extended statistic")
+    return ExtendedCoincidence(args.weights)
+
+
+# --stat name -> the statistic built from (args, m)
+_STATISTICS: dict[str, Callable[[argparse.Namespace, int], SeparableStatistic]] = {
+    "coincidence": lambda args, m: Coincidence(),
+    "pearson": lambda args, m: Pearson(),
+    "pearson-truncated": lambda args, m: PearsonTruncated(),
+    "extended": _extended,
+    "weighted": lambda args, m: WeightedCoincidence(uniform(m)),
+}
 
 
 def _resolve_tau(args, statistic) -> float | None:
@@ -316,7 +319,7 @@ def _estimate_payload(est) -> dict:
 
 
 def _cmd_simulate(args) -> int:
-    statistic = _make_statistic(args, args.m)
+    statistic = _STATISTICS[args.stat](args, args.m)
     rule = _rule(args, statistic)
     plan = SimPlan(
         n=args.n, m=args.m, eps=args.eps, statistic=statistic, rule=rule,
@@ -340,7 +343,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    statistic = _make_statistic(args, 0)  # sweep statistics carry no reference pmf
+    statistic = _STATISTICS[args.stat](args, 0)  # sweep statistics carry no reference pmf
     tau = _resolve_tau(args, statistic)
     small = [n for n in args.n if args.m_rule(n) < 2]
     if small:
@@ -380,7 +383,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    statistic = _make_statistic(args, args.m)
+    statistic = _STATISTICS[args.stat](args, args.m)
     if args.tau_abs is not None:
         rule = absolute_threshold(statistic, args.n, args.m, args.tau_abs)
     else:
@@ -442,9 +445,6 @@ def _add_tau_group(sub) -> None:
     )
 
 
-_STAT_NAMES = ["coincidence", "pearson", "pearson-truncated", "extended", "weighted"]
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gee",
@@ -455,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     region = subs.add_parser("region", help="achievable-region boundary as CSV")
     region.add_argument("--eps", type=_eps_arg, required=True)
-    region.add_argument("--points", type=_points_arg, required=True)
+    region.add_argument("--points", type=_at_least(2), required=True)
     _add_common(region)
     region.set_defaults(func=_cmd_region)
 
@@ -468,63 +468,63 @@ def build_parser() -> argparse.ArgumentParser:
     expo.set_defaults(func=_cmd_exponents)
 
     worst = subs.add_parser("worst-case", help="worst-case bi-uniform alternative")
-    worst.add_argument("--m", type=_alphabet_arg, required=True)
+    worst.add_argument("--m", type=_at_least(2), required=True)
     worst.add_argument("--eps", type=_eps_arg, required=True)
     worst.add_argument("--bruteforce", action="store_true")
-    worst.add_argument("--mesh", type=_positive_int, default=200)
+    worst.add_argument("--mesh", type=_at_least(1), default=200)
     _add_common(worst)
     worst.set_defaults(func=_cmd_worst_case)
 
     sim = subs.add_parser("simulate", help="Monte Carlo error probabilities")
-    sim.add_argument("--stat", choices=_STAT_NAMES, default="coincidence")
-    sim.add_argument("--weights", help="extended-statistic weights v2,v3,...")
-    sim.add_argument("--n", type=_positive_int, required=True)
-    sim.add_argument("--m", type=_alphabet_arg, required=True)
+    sim.add_argument("--stat", choices=list(_STATISTICS), default="coincidence")
+    sim.add_argument("--weights", type=_weights_arg, help="extended-statistic weights v2,v3,...")
+    sim.add_argument("--n", type=_at_least(1), required=True)
+    sim.add_argument("--m", type=_at_least(2), required=True)
     sim.add_argument("--eps", type=_eps_arg, required=True)
     _add_tau_group(sim)
-    sim.add_argument("--trials", type=_positive_int, default=100000)
+    sim.add_argument("--trials", type=_at_least(1), default=100000)
     sim.add_argument("--seed", type=int, default=_default_seed())
-    sim.add_argument("--streams", type=_positive_int, default=1)
+    sim.add_argument("--streams", type=_at_least(1), default=1)
     _add_common(sim)
     sim.set_defaults(func=_cmd_simulate)
 
     swp = subs.add_parser("sweep", help="(P_F, P_M) along an (n, m) schedule")
     swp.add_argument(
-        "--stat", choices=["coincidence", "pearson", "pearson-truncated", "extended"],
+        "--stat", choices=[name for name in _STATISTICS if name != "weighted"],
         default="coincidence",
     )
-    swp.add_argument("--weights", help="extended-statistic weights v2,v3,...")
+    swp.add_argument("--weights", type=_weights_arg, help="extended-statistic weights v2,v3,...")
     swp.add_argument("--eps", type=_eps_arg, required=True)
     _add_tau_group(swp)
     swp.add_argument("--n", type=_n_list_arg, required=True,
                      help="comma-separated sample sizes")
     swp.add_argument("--m-rule", dest="m_rule", type=_MRule, required=True,
                      help="alphabet growth rule, e.g. n^1.5 or 3*n")
-    swp.add_argument("--trials", type=_positive_int, required=True)
+    swp.add_argument("--trials", type=_at_least(1), required=True)
     swp.add_argument("--seed", type=int, default=_default_seed())
-    swp.add_argument("--streams", type=_positive_int, default=1)
+    swp.add_argument("--streams", type=_at_least(1), default=1)
     _add_common(swp)
     swp.set_defaults(func=_cmd_sweep)
 
     orc = subs.add_parser("oracle", help="exact error probabilities (small n, m)")
-    orc.add_argument("--stat", choices=_STAT_NAMES, default="coincidence")
-    orc.add_argument("--weights", help="extended-statistic weights v2,v3,...")
-    orc.add_argument("--n", type=_positive_int, required=True)
-    orc.add_argument("--m", type=_alphabet_arg, required=True)
+    orc.add_argument("--stat", choices=list(_STATISTICS), default="coincidence")
+    orc.add_argument("--weights", type=_weights_arg, help="extended-statistic weights v2,v3,...")
+    orc.add_argument("--n", type=_at_least(1), required=True)
+    orc.add_argument("--m", type=_at_least(2), required=True)
     orc.add_argument("--eps", type=_eps_arg)
     rule_group = orc.add_mutually_exclusive_group()
     rule_group.add_argument("--tau", type=_tau_arg, help="normalized threshold")
     rule_group.add_argument("--tau-abs", dest="tau_abs", type=float,
                             help="absolute cut in statistic units")
-    orc.add_argument("--budget", type=_positive_int, default=10**8,
+    orc.add_argument("--budget", type=_at_least(1), default=10**8,
                      help="dynamic-program cell budget")
     _add_common(orc)
     orc.set_defaults(func=_cmd_oracle)
 
     fdiv = subs.add_parser("fdiv-check", help="grid certificates for an f-divergence")
     fdiv.add_argument("--f", choices=sorted(_F_BUILTINS), required=True)
-    fdiv.add_argument("--xmax", type=float, default=100.0)
-    fdiv.add_argument("--points", type=_points_arg, default=4001)
+    fdiv.add_argument("--xmax", type=_xmax_arg, default=100.0)
+    fdiv.add_argument("--points", type=_at_least(2), default=4001)
     _add_common(fdiv)
     fdiv.set_defaults(func=_cmd_fdiv_check)
 

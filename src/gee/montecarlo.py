@@ -98,43 +98,13 @@ def _sampler_path(source: Pmf, n: int, tables: Sequence[FTable]) -> str:
     The event kernel needs every table to be shared by all symbols.
     """
     m = source.m
-    direct = source.is_uniform() or source.two_band is not None
     if 4 * m <= n:
-        return "tally" if direct else "counts"
-    if not direct:
+        return "counts" if source.bands is None else "tally"
+    if source.bands is None:
         return "alias"
     if n >= 256 and m >= 16 * n and all(t.group is None for t in tables):
         return "event"
     return "sorted"
-
-
-class _AliasTable:
-    """Vose alias table for arbitrary finite distributions."""
-
-    def __init__(self, probs: np.ndarray) -> None:
-        m = probs.size
-        scaled = probs * m
-        alias = np.arange(m, dtype=np.int64)
-        accept = np.ones(m)
-        small = [j for j in range(m) if scaled[j] < 1.0]
-        large = [j for j in range(m) if scaled[j] >= 1.0]
-        scaled = scaled.copy()
-        while small and large:
-            s, l = small.pop(), large.pop()
-            accept[s] = scaled[s]
-            alias[s] = l
-            scaled[l] -= 1.0 - scaled[s]
-            (small if scaled[l] < 1.0 else large).append(l)
-        for j in small + large:
-            accept[j] = 1.0
-        self.accept = accept
-        self.alias = alias
-        self.m = m
-
-    def draw(self, rng: Generator, shape) -> np.ndarray:
-        idx = rng.integers(0, self.m, size=shape, dtype=np.int64)
-        keep = rng.random(shape) < self.accept[idx]
-        return np.where(keep, idx, self.alias[idx])
 
 
 class _Repeats(NamedTuple):
@@ -201,26 +171,22 @@ class _RepeatChain:
         return np.stack(cols, axis=1) if cols else np.zeros((b, 0), dtype=np.int64)
 
 
-def _band_draws(
-    rng: Generator, n: int, band: tuple[int, float] | None, b: int
-) -> list[np.ndarray]:
-    """Per band, the draws of each of b rows: n for a uniform source, else
-    k ~ Binomial(n, w1) in the first band and n - k in the second."""
-    if band is None:
+def _band_draws(rng: Generator, source: Pmf, n: int, b: int) -> list[np.ndarray]:
+    """Per band of source.bands, the draws of each of b rows: n for a
+    uniform source, else k ~ Binomial(n, w1) in the first band and n - k
+    in the second."""
+    if len(source.bands) == 1:
         return [np.full(b, n)]
-    k = rng.binomial(n, band[1], size=b)
+    k = rng.binomial(n, source.two_band[1], size=b)
     return [k, n - k]
 
 
 def _event_sampler(source: Pmf, n: int) -> Callable[[Generator, int], _Repeats]:
     """Event-path draws of n symbols from a uniform or two-band source."""
-    m = source.m
-    band = source.two_band
-    sizes = [m] if band is None else [band[0], m - band[0]]
-    chains = [_RepeatChain(size, n) for size in sizes]
+    chains = [_RepeatChain(hi - lo, n) for lo, hi in source.bands]
 
     def draw_event(rng: Generator, b: int) -> _Repeats:
-        split = _band_draws(rng, n, band, b)
+        split = _band_draws(rng, source, n, b)
         parts = [chain.distinct(rng, k) for chain, k in zip(chains, split)]
         seen = np.hstack(parts)
         # band i labels its symbols i*n + (order of first appearance)
@@ -244,18 +210,16 @@ def _tally_sampler(source: Pmf, n: int) -> Callable[[Generator, int], np.ndarray
     """
     m = source.m
     dtype = np.uint16 if m <= 0xFFFF else np.uint32
-    band = source.two_band
-    ranges = [(0, m)] if band is None else [(0, band[0]), (band[0], m)]
 
     def draw_tally(rng: Generator, b: int) -> np.ndarray:
-        split = _band_draws(rng, n, band, b)
+        split = _band_draws(rng, source, n, b)
         counts = np.empty((b, m), dtype=np.int64)
         for lo in range(0, b, _TALLY_ROWS):
             rows = slice(lo, lo + _TALLY_ROWS)
             c = min(_TALLY_ROWS, b - lo)
             offset = np.arange(c) * m
             tally = 0
-            for (low, high), draws in zip(ranges, split):
+            for (low, high), draws in zip(source.bands, split):
                 d = draws[rows]
                 at = np.repeat(offset, d)
                 at += rng.integers(low, high, size=at.size, dtype=dtype)
@@ -285,36 +249,22 @@ def _make_sampler(
         return path, _event_sampler(source, n)
 
     dtype = np.uint32 if m <= 0xFFFFFFFF else np.uint64
-    if source.is_uniform():
-        def draw_uniform(rng: Generator, b: int) -> np.ndarray:
-            x = rng.integers(0, m, size=(b, n), dtype=dtype)
-            x.sort(axis=1)
-            return x
+    bands = source.bands
 
-        return path, draw_uniform
-
-    band = source.two_band
-    if band is not None:
-        s, w1 = band
-        def draw_two_band(rng: Generator, b: int) -> np.ndarray:
-            # symbol order is irrelevant after sorting, so put the
-            # Binomial(n, w1) band-1 draws first
-            k = rng.binomial(n, w1, size=b)
-            x1 = rng.integers(0, s, size=(b, n), dtype=dtype)
-            x2 = rng.integers(s, m, size=(b, n), dtype=dtype)
-            x = np.where(np.arange(n, dtype=dtype)[None, :] < k[:, None], x1, x2)
-            x.sort(axis=1)
-            return x
-
-        return path, draw_two_band
-
-    table = _AliasTable(probs)
-    def draw_alias(rng: Generator, b: int) -> np.ndarray:
-        x = table.draw(rng, (b, n))
+    def draw_sorted(rng: Generator, b: int) -> np.ndarray:
+        if bands is None:
+            x = source.alias.draw(rng, (b, n))
+        else:
+            # symbol order is irrelevant after sorting, so the first k
+            # draws of a row come from the first band
+            k = _band_draws(rng, source, n, b)[0]
+            x, *rest = [rng.integers(lo, hi, size=(b, n), dtype=dtype) for lo, hi in bands]
+            if rest:
+                x = np.where(np.arange(n, dtype=dtype)[None, :] < k[:, None], x, rest[0])
         x.sort(axis=1)
         return x
 
-    return path, draw_alias
+    return path, draw_sorted
 
 
 # ---------------------------------------------------------------------------

@@ -78,31 +78,9 @@ class ExactDistribution:
     def mean(self) -> float:
         return float(np.dot(self.support, self.probs))
 
-    def variance(self) -> float:
-        mu = self.mean()
-        return float(np.dot((self.support - mu) ** 2, self.probs))
-
-    def prob_geq(self, cut: float) -> float:
-        """P(value >= cut)."""
-        return float(self.probs[self.support >= cut].sum())
-
 
 # ---------------------------------------------------------------------------
 # per-symbol f tables
-
-
-def _table(stat, m: int, n: int) -> FTable:
-    """The table of a statistic object, or of a raw per-symbol table of
-    shape (c,) or (m, c), read as constant beyond its last column."""
-    if isinstance(stat, SeparableStatistic):
-        return stat.table(n, m)
-    table = np.asarray(stat, dtype=np.float64)
-    if table.ndim == 1 and table.size:
-        return FTable(table[None, :], 1, 0.0)
-    if table.ndim != 2 or table.shape[0] != m or not table.shape[1]:
-        raise ValueError(f"f table must have shape (c,) or (m, c) = ({m}, c), got {table.shape}")
-    rows, group = np.unique(table, axis=0, return_inverse=True)
-    return FTable(rows, 1, 0.0, group.ravel())
 
 
 def _symbol_groups(t: FTable, p: Pmf) -> Counter[tuple[float, int]]:
@@ -150,19 +128,18 @@ def _poisson_weights(lam: float, n: int) -> np.ndarray:
 
 
 def _core_distribution(
-    stat, p: Pmf, n: int, budget: int
+    stat: SeparableStatistic, p: Pmf, n: int, budget: int
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Exact law in core units: (core values, probs, scale, shift)."""
     if n < 0:
         raise ValueError(f"sample size must be >= 0, got {n}")
     m = p.m
-    t = _table(stat, m, n)
+    t = stat.table(n, m)
     levels = _levels(t, n)
     core = np.rint(levels)
     if np.max(np.abs(levels - core)) > 1e-9:
         raise ScalingError(
-            f"{getattr(stat, 'name', 'f table')}: the exact law needs an "
-            f"integer-valued f table (scale {t.scale})"
+            f"{stat.name}: the exact law needs an integer-valued f table (scale {t.scale})"
         )
     core = core.astype(np.int64)
     dev = core - core[:, :1]
@@ -209,19 +186,15 @@ def _core_distribution(
 
 
 def exact_distribution(
-    stat, p: Pmf, n: int, budget: int = DEFAULT_CELL_BUDGET
+    stat: SeparableStatistic, p: Pmf, n: int, budget: int = DEFAULT_CELL_BUDGET
 ) -> ExactDistribution:
-    """Exact law of a separable statistic under n i.i.d. draws from p.
-
-    `stat` is a statistic object or a per-symbol integer f table of shape
-    (c,) or (m, c), read as constant beyond its last column.
-    """
+    """Exact law of a separable statistic under n i.i.d. draws from p."""
     values, probs, scale, shift = _core_distribution(stat, p, n, budget)
     return ExactDistribution(values / scale + shift, probs)
 
 
 def exact_error_probs(
-    stat,
+    stat: SeparableStatistic,
     rule: ThresholdRule,
     p_null: Pmf,
     p_alt: Pmf,
@@ -248,7 +221,7 @@ def exact_error_probs(
     return pf, pm
 
 
-def exact_expectation(stat, p: Pmf, n: int) -> float:
+def exact_expectation(stat: SeparableStatistic, p: Pmf, n: int) -> float:
     """Exact E[stat] via binomial marginals: E sum_j f_j(B_j), B_j ~ Bin(n, p_j).
 
     Valid because expectation is linear across the multinomial marginals;
@@ -257,7 +230,7 @@ def exact_expectation(stat, p: Pmf, n: int) -> float:
     """
     if n < 0:
         raise ValueError(f"sample size must be >= 0, got {n}")
-    t = _table(stat, p.m, n)
+    t = stat.table(n, p.m)
     levels = _levels(t, n)
     total = 0.0
     for (pj, g), count in _symbol_groups(t, p).items():
@@ -267,7 +240,7 @@ def exact_expectation(stat, p: Pmf, n: int) -> float:
 
 
 def asymptotic_moments(
-    stat, nu: Pmf, n: int
+    stat: SeparableStatistic, nu: Pmf, n: int
 ) -> tuple[float, float | None]:
     """Second-order mean expansion and leading-order variance.
 
@@ -282,7 +255,7 @@ def asymptotic_moments(
     of the statistics carries an extra -n shift.
     """
     m = nu.m
-    t = _table(stat, m, n)
+    t = stat.table(n, m)
     rows = _levels(t, 2) / t.scale + t.shift / m
     table = np.broadcast_to(rows if t.group is None else rows[t.group], (m, 3))
     f0, f1, f2 = table[:, 0], table[:, 1], table[:, 2]

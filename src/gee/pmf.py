@@ -105,8 +105,52 @@ class Pmf:
             return None
         return s, float(probs[:s].sum())
 
+    @cached_property
+    def bands(self) -> list[tuple[int, int]] | None:
+        """Symbol ranges [lo, hi) of equal probability a sampler can draw
+        from directly: [(0, m)] when uniform, [(0, s), (s, m)] when
+        two-band, else None; computed once per instance."""
+        if self.is_uniform():
+            return [(0, self.m)]
+        band = self.two_band
+        return None if band is None else [(0, band[0]), (band[0], self.m)]
+
+    @cached_property
+    def alias(self) -> _AliasTable:
+        """Vose alias table of probs, built once per instance."""
+        return _AliasTable(self.probs)
+
     def __repr__(self) -> str:
         return f"Pmf({np.array2string(self.probs, threshold=8)})"
+
+
+class _AliasTable:
+    """Vose alias table for arbitrary finite distributions."""
+
+    def __init__(self, probs: np.ndarray) -> None:
+        m = probs.size
+        scaled = probs * m
+        alias = np.arange(m, dtype=np.int64)
+        accept = np.ones(m)
+        small = [j for j in range(m) if scaled[j] < 1.0]
+        large = [j for j in range(m) if scaled[j] >= 1.0]
+        scaled = scaled.copy()
+        while small and large:
+            s, l = small.pop(), large.pop()
+            accept[s] = scaled[s]
+            alias[s] = l
+            scaled[l] -= 1.0 - scaled[s]
+            (small if scaled[l] < 1.0 else large).append(l)
+        for j in small + large:
+            accept[j] = 1.0
+        self.accept = accept
+        self.alias = alias
+        self.m = m
+
+    def draw(self, rng: np.random.Generator, shape) -> np.ndarray:
+        idx = rng.integers(0, self.m, size=shape, dtype=np.int64)
+        keep = rng.random(shape) < self.accept[idx]
+        return np.where(keep, idx, self.alias[idx])
 
 
 def uniform(m: int) -> Pmf:

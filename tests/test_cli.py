@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 from pytest import approx
@@ -133,6 +134,14 @@ class TestUsageErrors:
         SIM + ["--tau", "0.1", "--trials", "1.5"],
         SIM + ["--tau", "0.1", "--streams", "2.5"],
         ["worst-case", "--m", "3", "--eps", "0.3", "--bruteforce", "--mesh", "1.5"],
+        ["region", "--eps", "0.3", "--points", "1.5"],
+        SIM + ["--stat", "extended", "--weights", "a,b", "--tau", "0.1"],
+        SIM + ["--stat", "extended", "--weights", "0,nan", "--tau", "0.1"],
+        ["oracle", "--stat", "extended", "--weights", "0,inf", "--n", "5", "--m", "10",
+         "--tau-abs", "0"],
+        ["fdiv-check", "--f", "kl", "--xmax", "-5"],
+        ["fdiv-check", "--f", "kl", "--xmax", "nan"],
+        SWEEP + ["--stat", "weighted", "--n", "10", "--m-rule", "2*n", "--tau", "0.2"],
     ])
     def test_exit_code_two(self, argv, capsys):
         try:
@@ -145,6 +154,21 @@ class TestUsageErrors:
     def test_float_notation_stays_valid(self, capsys):
         code, out = run_cli(capsys, *self.SIM, "--tau", "0.1", "--trials", "1e3", "--no-timestamp")
         assert code == 0 and json.loads(out)["pf"]["trials"] == 1000
+        code, out = run_cli(capsys, "region", "--eps", "0.3", "--points", "1e1", "--no-timestamp")
+        assert code == 0 and len(parse_csv(out)[2]) == 10
+
+
+class TestPinnedStdout:
+    """The stdout of each RNG-free command in pinned_stdout.json (as the
+    list of its lines), byte for byte: any change to a printed digit
+    fails here."""
+
+    PINNED = json.loads((Path(__file__).parent / "pinned_stdout.json").read_text())
+
+    @pytest.mark.parametrize("command", sorted(PINNED))
+    def test_stdout_unchanged(self, command, capsys):
+        code, out = run_cli(capsys, *command.split(), "--no-timestamp")
+        assert code == 0 and out.split("\n") == self.PINNED[command]
 
 
 class TestOracle:

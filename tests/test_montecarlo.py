@@ -7,6 +7,7 @@ import pytest
 from numpy.random import Generator, Philox
 from pytest import approx
 
+from gee import pmf
 from gee.montecarlo import (
     _block_values,
     _event_sampler,
@@ -55,6 +56,22 @@ class TestSampleOccupancy:
         for _ in range(5):
             fp = sample_occupancy(p, 5, rng)
             assert fp.level(5) == 1 and fp.level(0) == 1
+
+    def test_alias_table_built_once(self, monkeypatch):
+        built = []
+
+        class CountingTable(pmf._AliasTable):
+            def __init__(self, probs):
+                built.append(probs.size)
+                super().__init__(probs)
+
+        monkeypatch.setattr(pmf, "_AliasTable", CountingTable)
+        source = permuted_worst_case(50, 0.3, set(range(2, 27)))
+        rng = np.random.default_rng(11)
+        rows = [sample_occupancy(source, 30, rng).phi.tolist() for _ in range(3)]
+        assert built == [50]
+        # the rows drawn when each call built its own table
+        assert rows == [[27, 19, 2, 1, 1], [29, 14, 5, 2], [24, 23, 2, 1]]
 
     def test_fixed_seed_reproducible(self):
         a = [sample_occupancy(uniform(50), 10, np.random.default_rng(42)).phi for _ in range(1)]

@@ -1,6 +1,7 @@
 """Unit tests for gee.oracle against full-enumeration references."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from gee.statistics import (
     ExtendedCoincidence,
     Pearson,
     PearsonTruncated,
+    SeparableStatistic,
     WeightedCoincidence,
     absolute_threshold,
     make_threshold,
@@ -39,6 +41,17 @@ def all_statistics(m: int):
         ExtendedCoincidence(weights=(0.0, 2.0)),
         WeightedCoincidence(uniform(m)),
     ]
+
+
+@dataclass(frozen=True)
+class ZeroTable(SeparableStatistic):
+    """A bare f table of K + 1 zeros: the statistic is identically zero."""
+
+    K: int
+    name: str = "zero"
+
+    def core(self, n, m, q):
+        return np.zeros(self.K + 1, dtype=int), 1, 0.0
 
 
 def assert_law_matches(dist, law, tol=1e-12):
@@ -86,8 +99,7 @@ class TestExactDistribution:
         assert dist.probs.sum() == approx(1.0, abs=1e-10)
 
     def test_raw_f_table(self):
-        # all-zero table: statistic is identically zero
-        dist = exact_distribution(np.zeros(6, dtype=int), uniform(3), 5)
+        dist = exact_distribution(ZeroTable(5), uniform(3), 5)
         assert_law_matches(dist, {0.0: 1.0})
 
     def test_budget_error_mentions_figure(self):
@@ -166,7 +178,7 @@ class TestExactExpectation:
                 assert exact_expectation(stat, p, 5) == approx(dist.mean(), abs=1e-10)
 
     def test_zero_table(self):
-        assert exact_expectation(np.zeros(4), uniform(2), 3) == 0.0
+        assert exact_expectation(ZeroTable(3), uniform(2), 3) == 0.0
 
     def test_alternative_sampling(self):
         q = biuniform_worst_case(4, 0.25)

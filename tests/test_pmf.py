@@ -70,9 +70,11 @@ class TestPmfType:
         vals = np.unique(p.probs)
         if vals.size != 2 or np.any(np.diff(p.probs) > 0.0):
             assert p.two_band is None
+            assert p.bands == ([(0, p.m)] if vals.size == 1 else None)
         else:
             s = int(np.count_nonzero(p.probs == vals[1]))
             assert p.two_band == (s, float(p.probs[:s].sum()))
+            assert p.bands == [(0, s), (s, p.m)]
 
 
 class TestConstructors:
