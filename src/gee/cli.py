@@ -16,6 +16,7 @@ import math
 import os
 import re
 import sys
+import warnings
 from typing import Callable
 
 import numpy as np
@@ -79,11 +80,19 @@ def _round12(obj):
     return obj
 
 
-def _eps_arg(s: str) -> float:
-    v = float(s)
-    if not 0.0 < v < 1.0:
-        raise argparse.ArgumentTypeError(f"eps must lie in (0, 1), got {s}")
-    return v
+def _checked(parse: Callable[[str], object], ok: Callable, want: str) -> Callable:
+    """Argparse type: parse(s), refused with "<want>, got <s>" unless it
+    parses and ok(value) holds."""
+    def check(s: str):
+        try:
+            v = parse(s)
+            if ok(v):
+                return v
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{want}, got {s}")
+
+    return check
 
 
 def _whole(s: str) -> int:
@@ -96,44 +105,21 @@ def _whole(s: str) -> int:
 
 def _at_least(k: int) -> Callable[[str], int]:
     """Parser of an integer flag value >= k, in `_whole`'s notation."""
-    def parse(s: str) -> int:
-        v = _whole(s)
-        if v < k:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {k}, got {s}")
-        return v
-
-    return parse
+    return _checked(_whole, lambda v: v >= k, f"expected an integer >= {k}")
 
 
-def _tau_arg(s: str) -> float:
-    v = float(s)
-    if not v >= 0.0:
-        raise argparse.ArgumentTypeError(f"tau must be >= 0, got {s}")
-    return v
+_eps_arg = _checked(float, lambda v: 0.0 < v < 1.0, "eps must lie in (0, 1)")
+_xmax_arg = _checked(float, lambda v: 0.0 < v < math.inf, "xmax must be finite and > 0")
 
 
-def _xmax_arg(s: str) -> float:
-    v = float(s)
-    if not 0.0 < v < math.inf:
-        raise argparse.ArgumentTypeError(f"xmax must be finite and > 0, got {s}")
-    return v
-
-
-def _weights_arg(s: str) -> tuple[float, ...]:
-    weights = tuple(float(tok) for tok in s.split(","))
-    if not all(map(math.isfinite, weights)):
-        raise argparse.ArgumentTypeError(f"weights must be finite, got {s}")
-    return weights
-
-
-def _n_list_arg(s: str) -> list[int]:
-    try:
-        values = [_whole(tok) for tok in s.split(",") if tok]
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        raise argparse.ArgumentTypeError(f"bad n list {s!r}") from exc
-    if not values or any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError(f"bad n list {s!r}")
-    return values
+_weights_arg = _checked(
+    lambda s: tuple(float(tok) for tok in s.split(",")),
+    lambda weights: all(map(math.isfinite, weights)), "weights must be finite numbers",
+)
+_n_list_arg = _checked(
+    lambda s: [_whole(tok) for tok in s.split(",") if tok],
+    lambda values: values and min(values) >= 1, "expected integers >= 1, comma-separated",
+)
 
 
 class _MRule:
@@ -181,30 +167,20 @@ _STATISTICS: dict[str, Callable[[argparse.Namespace, int], SeparableStatistic]] 
 }
 
 
-def _resolve_tau(args, statistic) -> float | None:
-    """The tau of the statistic's canonical rule, from --tau or --equalize;
-    the Pearson-family rule takes --eps and no tau."""
-    equalize = getattr(args, "equalize", False)
-    if statistic.rule_kind == "pearson":
-        if args.tau is not None or equalize:
-            raise _UsageError(
-                f"the {statistic.name} rule is set by --eps alone; drop --tau/--equalize"
-            )
-        if args.eps is None:
-            raise _UsageError("the Pearson-family rule needs --eps")
-        return None
-    if equalize:
-        return equalizing_tau(args.eps)
-    if args.tau is None:
-        other = "--equalize" if hasattr(args, "equalize") else "--tau-abs"
-        raise _UsageError(f"need --tau or {other} for this statistic")
-    return args.tau
+def _tau(args) -> float | None:
+    """The normalized threshold from --tau or --equalize."""
+    return equalizing_tau(args.eps) if args.equalize else args.tau
 
 
-def _rule(args, statistic):
-    """The canonical rule at (--n, --m); simulate and oracle share it."""
-    tau = _resolve_tau(args, statistic)
-    return make_threshold(statistic, args.n, args.m, tau=tau, eps=args.eps)
+def _rule(args, statistic, n: int, m: int):
+    """The rule at (n, m) from --tau-abs, --tau or --equalize.  The library
+    judges the threshold; its refusal is a usage error."""
+    try:
+        if args.tau_abs is not None:
+            return absolute_threshold(statistic, n, m, args.tau_abs)
+        return make_threshold(statistic, n, m, tau=_tau(args), eps=args.eps)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
 
 
 def _metadata(args, command: str, params: dict) -> dict:
@@ -234,24 +210,14 @@ def _emit_json(args, payload: dict) -> None:
 
 
 def _csv_text(meta: dict, header: str, rows: list[str]) -> str:
-    lines = [f"# {k}: {v}" for k, v in _flatten_meta(meta)]
-    lines.append(header)
-    lines.extend(rows)
-    return "\n".join(lines) + "\n"
-
-
-def _flatten_meta(meta: dict) -> list[tuple[str, str]]:
-    out: list[tuple[str, str]] = []
+    lines = []
     for k, v in meta.items():
         if k == "params":
-            echo = " ".join(
-                f"{pk}={_fmt(pv) if isinstance(pv, float) else pv}"
-                for pk, pv in v.items()
+            v = " ".join(
+                f"{pk}={_fmt(pv) if isinstance(pv, float) else pv}" for pk, pv in v.items()
             )
-            out.append(("params", echo))
-        else:
-            out.append((k, str(v)))
-    return out
+        lines.append(f"# {k}: {v}")
+    return "\n".join([*lines, header, *rows]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -267,19 +233,20 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_exponents(args) -> int:
-    kb = kappa_bar(args.eps)
-    tau = equalizing_tau(args.eps) if args.equalize else args.tau
-    if not 0.0 <= tau <= kb - 1.0:
-        raise _UsageError(f"tau must lie in [0, {kb - 1.0}], got {tau}")
+    tau = _tau(args)
+    try:
+        jf, jm = jf_star(tau), jm_star(tau, args.eps)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     payload = {
         "meta": _metadata(
             args, "exponents", {"eps": args.eps, "tau": tau, "equalize": args.equalize}
         ),
         "eps": args.eps,
-        "kappa_bar": kb,
+        "kappa_bar": kappa_bar(args.eps),
         "tau": tau,
-        "jf": jf_star(tau),
-        "jm": jm_star(tau, args.eps),
+        "jf": jf,
+        "jm": jm,
     }
     _emit_json(args, payload)
     return 0
@@ -320,7 +287,7 @@ def _estimate_payload(est) -> dict:
 
 def _cmd_simulate(args) -> int:
     statistic = _STATISTICS[args.stat](args, args.m)
-    rule = _rule(args, statistic)
+    rule = _rule(args, statistic, args.n, args.m)
     plan = SimPlan(
         n=args.n, m=args.m, eps=args.eps, statistic=statistic, rule=rule,
         trials=args.trials, seed=args.seed, streams=args.streams,
@@ -344,16 +311,15 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     statistic = _STATISTICS[args.stat](args, 0)  # sweep statistics carry no reference pmf
-    tau = _resolve_tau(args, statistic)
-    small = [n for n in args.n if args.m_rule(n) < 2]
-    if small:
-        raise _UsageError(
-            f"--m-rule {args.m_rule.text} gives m < 2 at n = {min(small)}; need m >= 2"
-        )
+    # m grows with n, so the rule at the smallest n meets a bad m first;
+    # sweep itself warns of a clamped tau, once
+    n = min(args.n)
+    with warnings.catch_warnings(action="ignore"):
+        _rule(args, statistic, n, args.m_rule(n))
     rows = sweep(
         eps=args.eps,
         statistic=statistic,
-        tau=tau,
+        tau=_tau(args),
         n_list=args.n,
         m_rule=args.m_rule,
         trials=args.trials,
@@ -362,7 +328,7 @@ def _cmd_sweep(args) -> int:
     )
     params = {
         "stat": args.stat, "eps": args.eps,
-        "tau": "equalize" if args.equalize else tau,
+        "tau": "equalize" if args.equalize else args.tau,
         "n": ",".join(str(v) for v in sorted(args.n)),
         "m_rule": args.m_rule.text, "trials": args.trials,
         "seed": args.seed, "streams": args.streams, "rng": RNG_ALGORITHM,
@@ -384,10 +350,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_oracle(args) -> int:
     statistic = _STATISTICS[args.stat](args, args.m)
-    if args.tau_abs is not None:
-        rule = absolute_threshold(statistic, args.n, args.m, args.tau_abs)
-    else:
-        rule = _rule(args, statistic)
+    rule = _rule(args, statistic, args.n, args.m)
     null = uniform(args.m)
     alt = biuniform_worst_case(args.m, args.eps) if args.eps is not None else null
     pf, pm = exact_error_probs(statistic, rule, null, alt, args.n, budget=args.budget)
@@ -436,13 +399,19 @@ def _add_common(sub) -> None:
     )
 
 
+def _add_statistic(sub, names: list[str]) -> None:
+    sub.add_argument("--stat", choices=names, default="coincidence")
+    sub.add_argument("--weights", type=_weights_arg, help="extended-statistic weights v2,v3,...")
+
+
 def _add_tau_group(sub) -> None:
     group = sub.add_mutually_exclusive_group()
-    group.add_argument("--tau", type=_tau_arg, help="normalized threshold")
+    group.add_argument("--tau", type=float, help="normalized threshold")
     group.add_argument(
         "--equalize", action="store_true",
         help="use the threshold equalizing the two exponents",
     )
+    sub.set_defaults(tau_abs=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -476,8 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     worst.set_defaults(func=_cmd_worst_case)
 
     sim = subs.add_parser("simulate", help="Monte Carlo error probabilities")
-    sim.add_argument("--stat", choices=list(_STATISTICS), default="coincidence")
-    sim.add_argument("--weights", type=_weights_arg, help="extended-statistic weights v2,v3,...")
+    _add_statistic(sim, list(_STATISTICS))
     sim.add_argument("--n", type=_at_least(1), required=True)
     sim.add_argument("--m", type=_at_least(2), required=True)
     sim.add_argument("--eps", type=_eps_arg, required=True)
@@ -489,11 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=_cmd_simulate)
 
     swp = subs.add_parser("sweep", help="(P_F, P_M) along an (n, m) schedule")
-    swp.add_argument(
-        "--stat", choices=[name for name in _STATISTICS if name != "weighted"],
-        default="coincidence",
-    )
-    swp.add_argument("--weights", type=_weights_arg, help="extended-statistic weights v2,v3,...")
+    _add_statistic(swp, [name for name in _STATISTICS if name != "weighted"])
     swp.add_argument("--eps", type=_eps_arg, required=True)
     _add_tau_group(swp)
     swp.add_argument("--n", type=_n_list_arg, required=True,
@@ -507,19 +471,18 @@ def build_parser() -> argparse.ArgumentParser:
     swp.set_defaults(func=_cmd_sweep)
 
     orc = subs.add_parser("oracle", help="exact error probabilities (small n, m)")
-    orc.add_argument("--stat", choices=list(_STATISTICS), default="coincidence")
-    orc.add_argument("--weights", type=_weights_arg, help="extended-statistic weights v2,v3,...")
+    _add_statistic(orc, list(_STATISTICS))
     orc.add_argument("--n", type=_at_least(1), required=True)
     orc.add_argument("--m", type=_at_least(2), required=True)
     orc.add_argument("--eps", type=_eps_arg)
     rule_group = orc.add_mutually_exclusive_group()
-    rule_group.add_argument("--tau", type=_tau_arg, help="normalized threshold")
+    rule_group.add_argument("--tau", type=float, help="normalized threshold")
     rule_group.add_argument("--tau-abs", dest="tau_abs", type=float,
                             help="absolute cut in statistic units")
     orc.add_argument("--budget", type=_at_least(1), default=10**8,
                      help="dynamic-program cell budget")
     _add_common(orc)
-    orc.set_defaults(func=_cmd_oracle)
+    orc.set_defaults(func=_cmd_oracle, equalize=False)
 
     fdiv = subs.add_parser("fdiv-check", help="grid certificates for an f-divergence")
     fdiv.add_argument("--f", choices=sorted(_F_BUILTINS), required=True)

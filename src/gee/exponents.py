@@ -50,7 +50,7 @@ def jf_star(tau: float) -> float:
 
         J_F*(tau) = [-tau + (1 + tau) log(1 + tau)] / 2
     """
-    if tau < 0.0:
+    if not tau >= 0.0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     return 0.5 * (-tau + (1.0 + tau) * math.log1p(tau))
 
@@ -63,7 +63,7 @@ def rate_function(tau: float, kappa: float) -> float:
     The supremum sits at theta = log(kappa / (1 + tau))/2 when
     kappa >= 1 + tau and at theta = 0 (value 0) otherwise.
     """
-    if tau < 0.0:
+    if not tau >= 0.0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     if kappa < 1.0 - _EDGE_TOL:
         raise ValueError(f"kappa must be >= 1 (Cauchy-Schwarz floor), got {kappa}")
@@ -80,7 +80,7 @@ def jm_star(tau: float, eps: float) -> float:
     0 <= tau <= kappa_bar(eps) - 1.
     """
     kb = kappa_bar(eps)
-    if tau < -_EDGE_TOL or tau > kb - 1.0 + _EDGE_TOL:
+    if not -_EDGE_TOL <= tau <= kb - 1.0 + _EDGE_TOL:
         raise ValueError(f"tau must lie in [0, {kb - 1.0}], got {tau}")
     tau = min(max(tau, 0.0), kb - 1.0)
     return rate_function(tau, kb)

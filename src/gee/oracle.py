@@ -204,17 +204,21 @@ def exact_error_probs(
     """Exact (P_F, P_M) of `reject iff stat >= rule.cut` at sample size n.
 
     Threshold comparisons happen in the statistic's integer core units,
-    so fractional shifts like n^2/m never blur a tie.
+    so fractional shifts like n^2/m never blur a tie.  When p_alt is
+    p_null the null law serves both.
     """
     if p_null.m != p_alt.m:
         raise ValueError(f"alphabet sizes differ: {p_null.m} vs {p_alt.m}")
-    if rule.n != n or rule.m != p_null.m:
+    if (rule.n, rule.m, rule.statistic) != (n, p_null.m, stat):
         raise ValueError(
-            f"rule was built for (n={rule.n}, m={rule.m}), "
-            f"got (n={n}, m={p_null.m})"
+            f"rule was built for {rule.statistic.name} at n={rule.n}, m={rule.m}; "
+            f"got {stat.name} at n={n}, m={p_null.m}"
         )
     values0, probs0, scale, shift = _core_distribution(stat, p_null, n, budget)
-    values1, probs1, _, _ = _core_distribution(stat, p_alt, n, budget)
+    if p_alt is p_null:
+        values1, probs1 = values0, probs0
+    else:
+        values1, probs1, _, _ = _core_distribution(stat, p_alt, n, budget)
     core_cut = (rule.cut - shift) * scale
     pf = min(1.0, float(probs0[values0 >= core_cut].sum()))
     pm = min(1.0, float(probs1[values1 < core_cut].sum()))

@@ -319,7 +319,10 @@ class ThresholdRule:
     m: int
     cut: float
     tau: float | None = None
-    tau_n: float | None = None
+
+    @property
+    def tau_n(self) -> float | None:
+        return None if self.tau is None else self.n * self.n / self.m * self.tau
 
     def rejects(self, values) -> np.ndarray | bool:
         """Vectorized decision: True where the test rejects the null."""
@@ -330,7 +333,9 @@ class ThresholdRule:
 def absolute_threshold(
     statistic: SeparableStatistic, n: int, m: int, cut: float
 ) -> ThresholdRule:
-    """Rule rejecting iff the statistic is >= an absolute cut value."""
+    """Rule rejecting iff the statistic is >= an absolute, finite cut value."""
+    if not math.isfinite(cut):
+        raise ValueError(f"cut must be finite, got {cut}")
     return ThresholdRule(statistic, n, m, float(cut))
 
 
@@ -352,7 +357,7 @@ def make_threshold(
     S >= n + (n^2/m)(kappa_bar(eps) - 1)/2, which needs eps and takes no tau.
 
     For the tau rules, tau above kappa_bar(eps) - 1 is clamped (with a
-    warning) when eps is supplied; negative tau is an error.
+    warning) when eps is supplied; a negative or non-finite tau is an error.
     """
     if n < 1 or m < 2:
         raise ValueError(f"need n >= 1 and m >= 2, got n={n}, m={m}")
@@ -360,21 +365,16 @@ def make_threshold(
 
     if statistic.rule_kind == "pearson":
         if tau is not None:
-            raise ValueError(
-                "the Pearson-family rule is set by eps alone; use "
-                "absolute_threshold for a custom cut"
-            )
+            raise ValueError(f"the {statistic.name} rule is set by eps alone and takes no tau")
         if eps is None:
-            raise ValueError("the Pearson-family rule needs eps")
+            raise ValueError(f"the {statistic.name} rule needs eps")
         tau_eff = 0.5 * (kappa_bar(eps) - 1.0)
-        return ThresholdRule(
-            statistic, n, m, cut=n + scale * tau_eff, tau=tau_eff, tau_n=scale * tau_eff
-        )
+        return ThresholdRule(statistic, n, m, cut=n + scale * tau_eff, tau=tau_eff)
 
     if tau is None:
         raise ValueError(f"{statistic.name} needs a normalized threshold tau")
-    if tau < 0.0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
+    if not 0.0 <= tau < math.inf:
+        raise ValueError(f"tau must be finite and >= 0, got {tau}")
     if eps is not None:
         hi = kappa_bar(eps) - 1.0
         if tau > hi:
@@ -382,7 +382,6 @@ def make_threshold(
                 f"tau={tau} exceeds kappa_bar(eps)-1={hi}; clamping", stacklevel=2
             )
             tau = hi
-    tau_n = scale * tau
 
     base = 0.0
     if statistic.rule_kind == "centred":
@@ -394,4 +393,4 @@ def make_threshold(
             )
             base += f[l] * level
         base = float(base / t.scale + t.shift)
-    return ThresholdRule(statistic, n, m, cut=base + tau_n, tau=tau, tau_n=tau_n)
+    return ThresholdRule(statistic, n, m, cut=base + scale * tau, tau=tau)

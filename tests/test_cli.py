@@ -142,6 +142,11 @@ class TestUsageErrors:
         ["fdiv-check", "--f", "kl", "--xmax", "-5"],
         ["fdiv-check", "--f", "kl", "--xmax", "nan"],
         SWEEP + ["--stat", "weighted", "--n", "10", "--m-rule", "2*n", "--tau", "0.2"],
+        ["oracle", "--n", "5", "--m", "10", "--eps", "0.3", "--tau-abs", "nan"],
+        ["oracle", "--n", "5", "--m", "10", "--eps", "0.3", "--tau-abs", "inf"],
+        ["oracle", "--n", "5", "--m", "10", "--tau", "inf"],
+        ["exponents", "--eps", "0.3", "--tau", "nan"],
+        SIM + ["--tau", "inf"],
     ])
     def test_exit_code_two(self, argv, capsys):
         try:
@@ -158,10 +163,18 @@ class TestUsageErrors:
         assert code == 0 and len(parse_csv(out)[2]) == 10
 
 
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not valid JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestPinnedStdout:
     """The stdout of each RNG-free command in pinned_stdout.json (as the
     list of its lines), byte for byte: any change to a printed digit
-    fails here."""
+    fails here.  JSON outputs must also be valid JSON."""
 
     PINNED = json.loads((Path(__file__).parent / "pinned_stdout.json").read_text())
 
@@ -169,6 +182,8 @@ class TestPinnedStdout:
     def test_stdout_unchanged(self, command, capsys):
         code, out = run_cli(capsys, *command.split(), "--no-timestamp")
         assert code == 0 and out.split("\n") == self.PINNED[command]
+        if out.startswith("{"):
+            strict_json(out)
 
 
 class TestOracle:

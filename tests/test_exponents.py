@@ -94,6 +94,13 @@ class TestClosedForms:
                     jm_star(float(tau), eps), abs=1e-12
                 )
 
+    @pytest.mark.parametrize("fn", [
+        jf_star, lambda t: jm_star(t, 0.35), lambda t: rate_function(t, 1.49),
+    ], ids=["jf_star", "jm_star", "rate_function"])
+    def test_nan_tau_rejected(self, fn):
+        with pytest.raises(ValueError):
+            fn(math.nan)
+
     def test_rate_function_degenerate(self):
         assert rate_function(0.2, 1.2) == 0.0  # kappa = 1 + tau
         assert rate_function(0.0, 1.0) == 0.0

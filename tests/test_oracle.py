@@ -164,6 +164,25 @@ class TestExactErrorProbs:
         with pytest.raises(ValueError):
             exact_error_probs(stat, rule, uniform(4), uniform(4), 3)
 
+    def test_rule_for_another_statistic_rejected(self):
+        rule = make_threshold(Pearson(), 4, 8, eps=0.3)
+        with pytest.raises(ValueError, match="rule was built for pearson"):
+            exact_error_probs(Coincidence(), rule, uniform(8), uniform(8), 4)
+
+    def test_same_alternative_reuses_the_null_law(self, monkeypatch):
+        import gee.oracle
+
+        stat, p = Coincidence(), uniform(6)
+        rule = absolute_threshold(stat, 5, 6, cut=-2.0)
+        pf_two, _ = exact_error_probs(stat, rule, p, uniform(6), 5)
+        calls = []
+        core = gee.oracle._core_distribution
+        monkeypatch.setattr(gee.oracle, "_core_distribution",
+                            lambda *a: calls.append(a) or core(*a))
+        pf_one, pm = exact_error_probs(stat, rule, p, p, 5)
+        assert len(calls) == 1
+        assert pf_one == pf_two and pm == approx(1.0 - pf_one, abs=1e-15)
+
 
 class TestExactExpectation:
     def test_coincidence_closed_form_small(self):

@@ -1,5 +1,7 @@
 """Unit tests for gee.statistics."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -195,6 +197,16 @@ class TestThresholds:
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
             make_threshold(Coincidence(), n=10, m=20, tau=-0.1)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf])
+    def test_non_finite_tau_rejected(self, tau):
+        with pytest.raises(ValueError, match="finite"):
+            make_threshold(Coincidence(), n=10, m=20, tau=tau, eps=0.35)
+
+    @pytest.mark.parametrize("cut", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cut_rejected(self, cut):
+        with pytest.raises(ValueError, match="finite"):
+            absolute_threshold(Coincidence(), n=3, m=3, cut=cut)
 
     def test_clamp_warns(self):
         with pytest.warns(UserWarning):
