@@ -314,7 +314,8 @@ def _cmd_sweep(args) -> int:
     # m grows with n, so the rule at the smallest n meets a bad m first;
     # sweep itself warns of a clamped tau, once
     n = min(args.n)
-    with warnings.catch_warnings(action="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
         _rule(args, statistic, n, args.m_rule(n))
     rows = sweep(
         eps=args.eps,

@@ -50,8 +50,8 @@ def jf_star(tau: float) -> float:
 
         J_F*(tau) = [-tau + (1 + tau) log(1 + tau)] / 2
     """
-    if not tau >= 0.0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
+    if not 0.0 <= tau < math.inf:
+        raise ValueError(f"tau must be finite and >= 0, got {tau}")
     return 0.5 * (-tau + (1.0 + tau) * math.log1p(tau))
 
 

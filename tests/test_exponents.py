@@ -101,6 +101,10 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             fn(math.nan)
 
+    def test_infinite_tau_rejected(self):
+        with pytest.raises(ValueError):
+            jf_star(math.inf)
+
     def test_rate_function_degenerate(self):
         assert rate_function(0.2, 1.2) == 0.0  # kappa = 1 + tau
         assert rate_function(0.0, 1.0) == 0.0
