@@ -4,8 +4,8 @@
 Every test here is a separable statistic: a sum over symbols of a
 function of that symbol's occurrence count, hence a function of the
 occupancy fingerprint (Phi_l = number of symbols seen exactly l times).
-The oracle computes exact laws by dynamic programming over
-(count used, statistic value) with Poissonized per-symbol weights.
+The oracle computes exact laws by raising each symbol group's Poisson
+(count, statistic value) array to its multiplicity with FFT products.
 """
 
 import numpy as np

@@ -139,3 +139,46 @@ def deviation_bounds(core, n: int) -> tuple[int, int]:
         f0 = int(row[0])
         ratios += [Fraction(int(row[c]) - f0, c) for c in range(1, len(row))]
     return math.floor(n * min(ratios)), math.ceil(n * max(ratios))
+
+
+def shift_add_law(stat, p, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact law (support, probs) of an integer-valued separable statistic
+    by the symbol-by-symbol shift-add dynamic program.
+
+    One pass per symbol over an (count used, core value) array, with
+    Poisson(n p_j) count weights from the pmf recursion, then one division
+    by P(Poisson(n) = n); values run on the plain axis f(c) - f(0),
+    reduced by the gcd of its steps.  Cost n^2 m (value range).
+    """
+    m = p.m
+    t = stat.table(n, m)
+    core = np.rint(t.f[:, np.minimum(np.arange(n + 1), t.K)]).astype(np.int64)
+    rows = np.zeros(m, dtype=np.int64) if t.group is None else t.group
+    dev = core - core[:, :1]
+    step = max(int(np.gcd.reduce(dev, axis=None)), 1)
+    dev //= step
+    lo, up = deviation_bounds(dev, n)
+    width = up - lo + 1
+    W = np.zeros((n + 1, width))
+    W[0, -lo] = 1.0
+    for pj, g in zip(p.probs.tolist(), rows.tolist()):
+        w = np.zeros(n + 1)
+        w[0] = math.exp(-n * pj)
+        for c in range(1, n + 1):
+            w[c] = w[c - 1] * n * pj / c
+        nxt = np.zeros_like(W)
+        for c in range(n + 1):
+            if w[c] == 0.0:
+                continue
+            d = int(dev[g, c])
+            src = W[: n + 1 - c]
+            if d >= 0:
+                nxt[c:, d:] += src[:, : width - d] * w[c]
+            else:
+                nxt[c:, :d] += src[:, -d:] * w[c]
+        W = nxt
+    cond = math.exp(-n + n * math.log(n) - math.lgamma(n + 1)) if n > 0 else 1.0
+    vec = W[n] / cond
+    mask = vec > 0.0
+    values = int(core[rows, 0].sum()) + step * (lo + np.flatnonzero(mask))
+    return values / t.scale + t.shift, vec[mask] / vec[mask].sum()

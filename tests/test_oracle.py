@@ -1,4 +1,4 @@
-"""Unit tests for gee.oracle against full-enumeration references."""
+"""Unit tests for gee.oracle against full-enumeration and shift-add references."""
 
 import math
 from dataclasses import dataclass
@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 from pytest import approx
 
+import gee.oracle
+from gee.exponents import equalizing_tau
+from gee.montecarlo import SimPlan, estimate_pf, estimate_pm
 from gee.oracle import (
     _deviation_bounds,
     _partitions,
@@ -30,7 +33,7 @@ from gee.statistics import (
     make_threshold,
 )
 
-from .oracles import deviation_bounds, enumerate_law, sorted_compositions
+from .oracles import deviation_bounds, enumerate_law, shift_add_law, sorted_compositions
 
 
 def all_statistics(m: int):
@@ -54,12 +57,63 @@ class ZeroTable(SeparableStatistic):
         return np.zeros(self.K + 1, dtype=int), 1, 0.0
 
 
+@dataclass(frozen=True)
+class IntegerPearson(Pearson):
+    """Pearson with its core multiplied by `mult`: the same statistic, whose
+    rows stay integer under a reference with m p_j not of the form 1/k."""
+
+    mult: int = 1
+
+    def core(self, n, m, q):
+        f, scale, shift = super().core(n, m, q)
+        return f * self.mult, scale * self.mult, shift
+
+
+LAW_M = 6
+LAW_STATISTICS = {
+    "coincidence": Coincidence(),
+    "pearson": Pearson(),
+    "pearson-truncated": PearsonTruncated(),  # rows 0, 1, 4, 0: negative excess
+    "extended-013": ExtendedCoincidence(weights=(0.0, 1.0, 3.0)),
+    "extended-02": ExtendedCoincidence(weights=(0.0, 2.0)),
+    # excess 0, 0, -8, 3, 4, ...: the window reaches 4n below 0 and n above,
+    # so discarded values above it alias onto those below
+    "extended-neg10": ExtendedCoincidence(weights=(-10.0,)),
+    "weighted": WeightedCoincidence(uniform(LAW_M)),
+}
+LAW_SOURCES = {
+    "uniform": uniform(LAW_M),
+    "biuniform-0.45": biuniform_worst_case(LAW_M, 0.45),
+    "restricted-0.6": biuniform_worst_case(LAW_M, 0.6),  # half the symbols never drawn
+}
+# rows 2c^2 and 4c^2 (reference 1/2, 1/4, 1/4, core times 3): their slopes
+# differ, so the law runs on the plain value axis
+REFERENCED_PEARSON = IntegerPearson(reference=Pmf([0.5, 0.25, 0.25]), mult=3)
+REFERENCED_SOURCES = {
+    "uniform": uniform(3),
+    "biuniform-0.45": biuniform_worst_case(3, 0.45),
+    "restricted-0.6": biuniform_worst_case(3, 0.6),  # one symbol, one row drawn
+}
+LAW_NS = [0, 1, 2, 7, 40, 100]
+
+
 def assert_law_matches(dist, law, tol=1e-12):
     expected = sorted(law.items())
     assert len(dist.support) == len(expected)
     for (v, p), sv, sp in zip(expected, dist.support, dist.probs):
         assert sv == approx(v, abs=1e-9)
         assert sp == approx(p, abs=tol)
+
+
+def assert_matches_shift_add(stat, p, n, tol=1e-12):
+    """The law has no value outside the shift-add reference support, and
+    every reference probability within tol."""
+    support, probs = shift_add_law(stat, p, n)
+    reference = dict(zip(support.tolist(), probs.tolist()))
+    dist = exact_distribution(stat, p, n)
+    law = dict(zip(dist.support.tolist(), dist.probs.tolist()))
+    assert set(law) <= set(reference)
+    assert max(abs(law.get(v, 0.0) - pr) for v, pr in reference.items()) <= tol
 
 
 class TestExactDistribution:
@@ -101,6 +155,80 @@ class TestExactDistribution:
     def test_raw_f_table(self):
         dist = exact_distribution(ZeroTable(5), uniform(3), 5)
         assert_law_matches(dist, {0.0: 1.0})
+
+    # weighted coincidence at n = 100 spans ~140k core values: the reference
+    # takes ~20 s per law and the powering a ~60M-cell grid, so it stops at 40
+    @pytest.mark.parametrize("stat,source,n", [
+        (stat, source, n) for stat in sorted(LAW_STATISTICS) for source in sorted(LAW_SOURCES)
+        for n in LAW_NS if (stat, n) != ("weighted", 100)
+    ])
+    def test_matches_shift_add_reference(self, stat, source, n):
+        assert_matches_shift_add(LAW_STATISTICS[stat], LAW_SOURCES[source], n)
+
+    @pytest.mark.parametrize("n", LAW_NS)
+    @pytest.mark.parametrize("source", sorted(REFERENCED_SOURCES))
+    def test_rows_with_different_slopes_match_shift_add(self, source, n):
+        assert_matches_shift_add(REFERENCED_PEARSON, REFERENCED_SOURCES[source], n)
+
+    def test_referenced_pearson_is_pearson(self):
+        q = biuniform_worst_case(3, 0.45)
+        law = enumerate_law(Pearson(reference=Pmf([0.5, 0.25, 0.25])).from_counts, q.probs, 4)
+        assert_law_matches(exact_distribution(REFERENCED_PEARSON, q, 4), law)
+
+    @pytest.mark.parametrize("source", [uniform(2000), biuniform_worst_case(2000, 0.45)],
+                             ids=["null", "alternative"])
+    def test_mass_before_normalising(self, source, monkeypatch):
+        laws = []
+        power = gee.oracle._convolution_power
+        monkeypatch.setattr(gee.oracle, "_convolution_power",
+                            lambda *args: laws.append(power(*args)) or laws[-1])
+        n = 200
+        exact_distribution(Coincidence(), source, n)
+        mass = laws[0][n].sum() / math.exp(n * math.log(n) - n - math.lgamma(n + 1))
+        assert len(laws) == 1 and abs(mass - 1.0) <= 1e-12
+
+    def test_repeated_calls_are_bit_identical(self):
+        q = biuniform_worst_case(2000, 0.45)
+        for stat in (Coincidence(), PearsonTruncated()):
+            first, second = (exact_distribution(stat, q, 200) for _ in range(2))
+            assert first.support.tobytes() == second.support.tobytes()
+            assert first.probs.tobytes() == second.probs.tobytes()
+
+    # coincidence at n = 100 on a 216 x 216 grid, three grids per product:
+    # uniform(1000) is one group of 1000 (9 squarings, 5 multiplies), the
+    # bi-uniform source two groups of 500 (2 x 13 and one group product)
+    @pytest.mark.parametrize("source,products", [
+        (uniform(1000), 14), (biuniform_worst_case(1000, 0.45), 27),
+    ], ids=["one-group", "two-groups"])
+    def test_budget_counts_transform_cells_before_any_transform(
+        self, source, products, monkeypatch
+    ):
+        cells = 3 * products * 216 * 216
+        exact_distribution(Coincidence(), source, 100, budget=cells)
+        monkeypatch.setattr(gee.oracle, "_convolution_power", None)  # any call fails
+        with pytest.raises(OracleBudgetError, match=str(cells)):
+            exact_distribution(Coincidence(), source, 100, budget=cells - 1)
+
+    def test_budget_bounds_one_wide_grid(self, monkeypatch):
+        # weighted coincidence at n = 100 on a restricted source: one product,
+        # but on a 216 x ~280,000 grid, several hundred MB per array
+        monkeypatch.setattr(gee.oracle, "_convolution_power", None)  # any call fails
+        with pytest.raises(OracleBudgetError, match="1 products x 3 grids of 216x"):
+            exact_distribution(WeightedCoincidence(uniform(LAW_M)),
+                               biuniform_worst_case(LAW_M, 0.6), 100)
+
+    def test_tail_below_round_off_reads_zero(self):
+        # FFT products carry round-off of ~1e-16 of the law's peak, and
+        # entries below ~1e-15 of it are clipped: Pearson's top value at
+        # (20, 20), every draw on one symbol, has probability 20^-19, which
+        # the shift-add reference resolves and the powering reads as 0
+        stat, p, n = Pearson(), uniform(20), 20
+        support, probs = shift_add_law(stat, p, n)
+        assert probs[-1] == approx(20.0**-19, rel=1e-9)
+        rule = absolute_threshold(stat, n, p.m, cut=float(support[-1]))
+        assert exact_error_probs(stat, rule, p, p, n)[0] == 0.0
+        dist = exact_distribution(stat, p, n)
+        assert dist.probs.min() > 1e-15 * dist.probs.max()
 
     def test_budget_error_mentions_figure(self):
         with pytest.raises(OracleBudgetError, match="1000"):
@@ -321,3 +449,35 @@ class TestDeviationBounds:
         core = np.array([[0, 2**61, -(2**62), 3], [2**62, 5, 0, -(2**61)]])
         core = np.pad(core, ((0, 0), (0, n - 3)), mode="edge")
         assert _deviation_bounds(core, n) == deviation_bounds(core, n)
+
+
+@pytest.mark.slow
+class TestSweepScaleReference:
+    """Exact error probabilities at the first criterion-8 point,
+    n = 1000 and m = ceil(n^1.5), for the sweep estimates to be held to."""
+
+    N, M, EPS = 1000, math.ceil(1000**1.5), 0.45
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        stat = Coincidence()
+        rule = make_threshold(stat, self.N, self.M, tau=equalizing_tau(self.EPS), eps=self.EPS)
+        # the laws need 2.8e8 (null) and 5.2e8 (bi-uniform) cells, above the default
+        pf, pm = exact_error_probs(stat, rule, uniform(self.M),
+                                   biuniform_worst_case(self.M, self.EPS), self.N,
+                                   budget=6 * 10**8)
+        return stat, rule, pf, pm
+
+    def test_exact_values(self, setting):
+        _, _, pf, pm = setting
+        assert pf == approx(0.069197, abs=5e-7)
+        assert pm == approx(0.098222, abs=5e-7)
+
+    def test_monte_carlo_within_five_standard_errors(self, setting):
+        stat, rule, pf, pm = setting
+        trials = 2**16
+        plan = SimPlan(n=self.N, m=self.M, eps=self.EPS, statistic=stat, rule=rule,
+                       trials=trials, seed=20261018)
+        for exact, estimate in ((pf, estimate_pf(plan)), (pm, estimate_pm(plan))):
+            se = math.sqrt(exact * (1.0 - exact) / trials)
+            assert abs(estimate.p_hat - exact) <= 5.0 * se
