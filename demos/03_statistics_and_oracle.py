@@ -4,8 +4,9 @@
 Every test here is a separable statistic: a sum over symbols of a
 function of that symbol's occurrence count, hence a function of the
 occupancy fingerprint (Phi_l = number of symbols seen exactly l times).
-The oracle computes exact laws by raising each symbol group's Poisson
-(count, statistic value) array to its multiplicity with FFT products.
+The oracle computes exact laws by transforming each symbol group's
+Poisson (count, statistic value) array once, summing multiplicity times
+the log of each spectrum, and reading count n off one exp of the sum.
 """
 
 import numpy as np

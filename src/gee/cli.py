@@ -481,8 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     rule_group.add_argument("--tau-abs", dest="tau_abs", type=float,
                             help="absolute cut in statistic units")
     orc.add_argument("--budget", type=_at_least(1), default=10**8,
-                     help="transform-cell budget: refuse a law whose FFT products "
-                          "need more cells in total, three grids per product")
+                     help="transform-cell budget: refuse a law whose transform grid, "
+                          "charged max(4, symbol groups) times, has more cells")
     _add_common(orc)
     orc.set_defaults(func=_cmd_oracle, equalize=False)
 

@@ -1,23 +1,23 @@
 """Exact small-instance ground truth for separable statistics.
 
 The exact law of an integer-valued separable statistic under i.i.d.
-multinomial sampling comes from group powering.  With independent
+multinomial sampling is one log-spectrum sum.  With independent
 Poisson(n p_j) counts, symbols sharing (p_j, table row) share one
-(count, value) array of Poisson weights.  Each group's array is raised
-to its multiplicity by binary repeated squaring with FFT products, the
-group results are convolved, and count n is read off; one division by
-its mass, P(Poisson(n) = n), makes that the conditional multinomial
-law.  Values run on the excess axis f(c) - f(0) - c (f(1) - f(0)) when
-every drawn row has the same slope f(1) - f(0) (the counts sum to n, so
-the linear part is n times that slope), else on the plain axis.
+(count, value) array of Poisson weights.  Each group's array is
+transformed once, k log s of its spectrum s (k symbols) is summed over
+the groups, and count n of the sum's exp, divided by its mass
+P(Poisson(n) = n), is the conditional multinomial law.  Values run on
+the excess axis f(c) - f(0) - c (f(1) - f(0)) when every drawn row has
+the same slope f(1) - f(0) (the counts sum to n, so the linear part is
+n times that slope), else on the plain axis.  The budget charges
+max(4, groups) grids before any transform; four are live at most.
 
-FFT round-off is absolute: from ~1e-16 of the largest entry up to
-~1e-12 at 1e5 symbols.  Entries within 8 times it are clipped, so a
-probability below ~1e-15 of the law's peak reads 0, and one a little
-above carries a relative error of that order.
-The program runs single-threaded with a fixed group order, so a given
-input always produces bit-identical output regardless of how callers
-thread around it.
+Round-off is absolute, ~1e-16 of the law's peak (log s is taken from
+s - 1, the transform of the array less its unit mass, so it keeps its
+digits near s = 1).  Entries within 8 times the measured round-off are
+clipped: a probability below ~1e-15 of the peak reads 0, one a little
+above carries a relative error of that order.  One thread (no BLAS) and
+a fixed group order make a given input's output bit-identical.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ BRUTEFORCE_MAX_M = 6  # the sorted grid at m = 6, mesh 200 already has 4.8M poin
 
 
 class OracleBudgetError(RuntimeError):
-    """The group powering would exceed the configured transform-cell budget."""
+    """The exact law would exceed the configured transform-cell budget."""
 
 
 class ScalingError(ValueError):
@@ -101,7 +101,7 @@ def _levels(t: FTable, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# integer cores and group powering
+# integer cores and the log-spectrum law
 
 
 def _deviation_bounds(core: np.ndarray, n: int) -> tuple[int, int]:
@@ -120,55 +120,56 @@ def _deviation_bounds(core: np.ndarray, n: int) -> tuple[int, int]:
     return int((dev // c).min(initial=0)), int((-(-dev // c)).max(initial=0))
 
 
-def _poisson_weights(lam: float, n: int) -> np.ndarray:
-    """Poisson(lam) pmf at 0..n."""
-    if lam == 0.0:
-        w = np.zeros(n + 1)
-        w[0] = 1.0
-        return w
-    cs = np.arange(n + 1, dtype=np.float64)
-    logs = -lam + cs * math.log(lam) - np.array(
-        [math.lgamma(c + 1) for c in range(n + 1)]
-    )
-    return np.exp(logs)
-
-
 def _fast_len(size: int) -> int:
     """Smallest 2^a 3^b 5^c >= size, a length the FFT transforms fast."""
     odd = [3**b * 5**c for b in range(size.bit_length() + 1) for c in range(size.bit_length() + 1)]
     return min(q << ((size - 1) // q).bit_length() for q in odd)
 
 
-def _powering_steps(k: int) -> list[bool]:
-    """Left-to-right binary powering to k >= 1: True squares, False
-    multiplies by the base."""
-    return [square for bit in bin(k)[3:] for square in ((True, False) if bit == "1" else (True,))]
+def _count_len(n: int) -> int:
+    """Smallest fast length L > n with P(Poisson(n) >= n + L), the mass that
+    wraps onto count n, below e^-46 by the bound exp(-n h(1 + L/n)),
+    h(x) = x log x - x + 1."""
+    size = _fast_len(n + 1)
+    while n and n * ((1 + size / n) * math.log1p(size / n) - size / n) < 46.0:
+        size = _fast_len(size + 1)
+    return size
 
 
-def _convolution_power(bases, n: int, width: int, shape: tuple[int, int], window) -> np.ndarray:
-    """Convolution of every base array raised to its power k, by binary
-    powering with real 2-D FFT products on `shape`.
+def _add_log1p(total: np.ndarray, z: np.ndarray, k: int) -> None:
+    """total += k log(1 + z), the real part's digits kept near z = 0 (which
+    numpy's complex log1p loses) and where |1 + z| is small."""
+    x, y = z.real, z.imag
+    sq = y * y
+    near = x * x + sq < 0.25
+    mag = (2.0 + x) * x + sq
+    np.log1p(mag, out=mag, where=near)
+    with np.errstate(divide="ignore"):  # 1 + z = 0: log 0 = -inf, and exp(-inf) = 0
+        np.log((1.0 + x) ** 2 + sq, out=mag, where=~near)
+    del sq, near
+    total.real += (0.5 * k) * mag  # parts apart: -inf times a complex k is nan
+    total.imag += k * np.arctan2(y, 1.0 + x, out=y)
 
-    `bases` yields (weights at counts 0..n, their value columns, k).  Every
-    product is cropped to counts 0..n and the value `window`: counts never
-    decrease, and every state of total count <= n lies in the window, so
-    the crop is exact.
-    """
-    def convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        spectrum = np.fft.rfft2(x, shape)
-        spectrum *= spectrum if y is x else np.fft.rfft2(y, shape)
-        spectrum = np.fft.ifft(spectrum, axis=0)[: n + 1]  # counts 0..n only
-        return np.fft.irfft(spectrum, shape[1])[:, window].copy()
 
-    law = None
-    for weights, columns, k in bases:
-        base = np.zeros((n + 1, width))
-        base[np.arange(n + 1), columns] = weights
-        power = base
-        for square in _powering_steps(k):
-            power = convolve(power, power if square else base)
-        law = power if law is None else convolve(law, power)
-    return law
+def _row_n(bases, n: int, shape: tuple[int, int]) -> np.ndarray:
+    """Row n of the convolution of each base (lam, value columns of counts
+    0..n, k) of Poisson(lam) weights raised to its power k, value v at
+    column v mod shape[1]: the exp of the sum of k log s over the bases'
+    spectra s on the `shape` grid, read at count n by one twiddle sum."""
+    size, width = shape
+    total = np.zeros((size, width // 2 + 1), dtype=complex)
+    counts = np.arange(n + 1)
+    lgammas = np.array([math.lgamma(c + 1) for c in range(n + 1)])
+    for lam, columns, k in bases:
+        z = np.zeros((n + 1, width))  # lam is 0 only at n = 0, where z is z[0, 0]
+        z[counts, columns] = np.exp(-lam + counts * math.log(lam or 1.0) - lgammas)
+        z[0, 0] = math.expm1(-lam)  # less the unit mass at count 0, value 0: s - 1
+        z = np.fft.rfft(z)  # rfft2 in two steps frees the base before the second
+        z = np.fft.fft(z, size, axis=0)
+        _add_log1p(total, z, k)
+    np.exp(total, out=total)
+    twiddle = np.exp(2j * np.pi * (np.arange(size) * n % size) / size) / size
+    return np.fft.irfft(np.einsum("i,ij->j", twiddle, total), width)  # no BLAS threads
 
 
 def _core_distribution(
@@ -194,29 +195,27 @@ def _core_distribution(
     slopes = np.unique(core[rows, min(n, 1)] - core[rows, 0])
     slope = int(slopes[0]) if slopes.size == 1 else 0
     excess = core - core[:, :1] - slope * np.arange(n + 1)
-    # excess steps are multiples of the gcd, so the powering runs on excess / gcd
+    # excess steps are multiples of the gcd, so the transforms run on excess / gcd
     step = max(int(np.gcd.reduce(excess[rows], axis=None)), 1)
     excess //= step
     lo, up = _deviation_bounds(excess[rows], n)
-    width = up - lo + 1
-    # a product spans counts 0..2n and values 2lo..2up, at offset 2lo; only
-    # counts 0..n and values lo..up are kept, so the rest may alias unseen
-    shape = (_fast_len(2 * n + 1), _fast_len(width + max(up, -lo)))
-    # a product holds up to three grid-sized float arrays at once (two
-    # operand spectra and an inverse), so this bounds memory as well as time
-    products = max(len(drawn) - 1 + sum(len(_powering_steps(k)) for k in drawn.values()), 1)
-    cells = 3 * products * shape[0] * shape[1]
+    # every value of a total count n lies in lo..up, so that width holds row n
+    shape = (_count_len(n), _fast_len(up - lo + 1))
+    # four grids live at most (the sum, a base, its transform's two stages),
+    # and one transform per group: this bounds memory (8 B a cell) and time
+    grids = max(len(drawn), 4)
+    cells = grids * shape[0] * shape[1]
     if cells > budget:
-        raise OracleBudgetError(
-            f"group powering needs {cells} transform cells ({products} products x 3 grids "
-            f"of {shape[0]}x{shape[1]}), over the budget of {budget}"
-        )
+        raise OracleBudgetError(f"log-spectrum law needs {cells} transform cells ({grids} "
+                                f"grids of {shape[0]}x{shape[1]}), over the budget of {budget}")
 
-    bases = ((_poisson_weights(n * pj, n), excess[g] - lo, k) for (pj, g), k in drawn.items())
-    law = _convolution_power(bases, n, width, shape, slice(-lo, width - lo))
+    bases = ((n * pj, excess[g] % shape[1], k) for (pj, g), k in drawn.items())
+    row = _row_n(bases, n, shape)
     # round-off is at least an ulp of the peak and the depth of the deepest
-    # negative entry, and its positive entries reach ~2.4 times that: clip
-    vec = np.where(law[n] > 8.0 * max(-law.min(), np.finfo(float).eps * law.max()), law[n], 0.0)
+    # negative entry, and its positive entries reached ~1.6 times that over
+    # the shift-add reference matrix: clip
+    floor = 8.0 * max(-row.min(), np.finfo(float).eps * row.max())
+    vec = np.roll(np.where(row > floor, row, 0.0), -lo)[: up - lo + 1]
     vec /= vec.sum()  # the mass is P(Poisson(n) = n) up to round-off
     mask = vec > 0.0
     values = base + n * slope + step * (lo + np.flatnonzero(mask).astype(np.int64))

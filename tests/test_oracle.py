@@ -1,6 +1,10 @@
 """Unit tests for gee.oracle against full-enumeration and shift-add references."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +109,13 @@ def assert_law_matches(dist, law, tol=1e-12):
         assert sp == approx(p, abs=tol)
 
 
+def run_python(script: str, **env: str) -> str:
+    """Stdout of `script` run in a fresh interpreter on this gee."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), **env)
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
 def assert_matches_shift_add(stat, p, n, tol=1e-12):
     """The law has no value outside the shift-add reference support, and
     every reference probability within tol."""
@@ -157,7 +168,8 @@ class TestExactDistribution:
         assert_law_matches(dist, {0.0: 1.0})
 
     # weighted coincidence at n = 100 spans ~140k core values: the reference
-    # takes ~20 s per law and the powering a ~60M-cell grid, so it stops at 40
+    # takes ~20 s per law and the log-spectrum law a 120 x 139,968 grid
+    # (~0.4 GB), so it stops at 40
     @pytest.mark.parametrize("stat,source,n", [
         (stat, source, n) for stat in sorted(LAW_STATISTICS) for source in sorted(LAW_SOURCES)
         for n in LAW_NS if (stat, n) != ("weighted", 100)
@@ -178,14 +190,31 @@ class TestExactDistribution:
     @pytest.mark.parametrize("source", [uniform(2000), biuniform_worst_case(2000, 0.45)],
                              ids=["null", "alternative"])
     def test_mass_before_normalising(self, source, monkeypatch):
-        laws = []
-        power = gee.oracle._convolution_power
-        monkeypatch.setattr(gee.oracle, "_convolution_power",
-                            lambda *args: laws.append(power(*args)) or laws[-1])
+        rows = []
+        row_n = gee.oracle._row_n
+        monkeypatch.setattr(gee.oracle, "_row_n",
+                            lambda *args: rows.append(row_n(*args)) or rows[-1])
         n = 200
         exact_distribution(Coincidence(), source, n)
-        mass = laws[0][n].sum() / math.exp(n * math.log(n) - n - math.lgamma(n + 1))
-        assert len(laws) == 1 and abs(mass - 1.0) <= 1e-12
+        mass = rows[0].sum() / math.exp(n * math.log(n) - n - math.lgamma(n + 1))
+        assert len(rows) == 1 and abs(mass - 1.0) <= 1e-12
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("source", [uniform(2000), biuniform_worst_case(2000, 0.45)],
+                             ids=["null", "alternative"])
+    def test_accuracy_against_shift_add_at_scale(self, source):
+        # every value to 5e-15 absolute, and every upper and lower tail sum
+        # of at least 1e-10 to 1e-4 relative; ~8 s per reference law
+        support, probs = shift_add_law(Coincidence(), source, 200)
+        dist = exact_distribution(Coincidence(), source, 200)
+        law = dict(zip(dist.support.tolist(), dist.probs.tolist()))
+        assert set(law) <= set(support.tolist())
+        got = np.array([law.get(v, 0.0) for v in support.tolist()])
+        assert np.max(np.abs(got - probs)) <= 5e-15
+        for reference, tails in ((np.cumsum(probs), np.cumsum(got)),
+                                 (np.cumsum(probs[::-1]), np.cumsum(got[::-1]))):
+            kept = reference >= 1e-10
+            assert np.all(np.abs(tails[kept] - reference[kept]) <= 1e-4 * reference[kept])
 
     def test_repeated_calls_are_bit_identical(self):
         q = biuniform_worst_case(2000, 0.45)
@@ -194,34 +223,66 @@ class TestExactDistribution:
             assert first.support.tobytes() == second.support.tobytes()
             assert first.probs.tobytes() == second.probs.tobytes()
 
-    # coincidence at n = 100 on a 216 x 216 grid, three grids per product:
-    # uniform(1000) is one group of 1000 (9 squarings, 5 multiplies), the
-    # bi-uniform source two groups of 500 (2 x 13 and one group product)
-    @pytest.mark.parametrize("source,products", [
-        (uniform(1000), 14), (biuniform_worst_case(1000, 0.45), 27),
-    ], ids=["one-group", "two-groups"])
+    def test_bit_identical_across_blas_threads(self):
+        # the twiddle sum runs in numpy's own loops: BLAS would split a
+        # matrix-vector product's sums differently by its thread count
+        script = """
+            import hashlib
+            from gee.oracle import exact_distribution
+            from gee.pmf import biuniform_worst_case
+            from gee.statistics import Coincidence
+            probs = exact_distribution(Coincidence(), biuniform_worst_case(31623, 0.45), 1000).probs
+            print(hashlib.sha256(probs.tobytes()).hexdigest())
+        """
+        digests = {run_python(script, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                              MKL_NUM_THREADS=threads) for threads in ("1", "2")}
+        assert len(digests) == 1
+
+    # coincidence at n = 100 on a 120 x 108 grid (counts 0..119, values
+    # 0..99 of the excess axis), max(4, groups) grids: uniform(1000) is one
+    # group, the bi-uniform source two, the five-band source five
+    @pytest.mark.parametrize("source,grids", [
+        (uniform(1000), 4), (biuniform_worst_case(1000, 0.45), 4),
+        (Pmf(np.repeat(np.arange(1.0, 6.0), 200) / 3000.0), 5),
+    ], ids=["one-group", "two-groups", "five-groups"])
     def test_budget_counts_transform_cells_before_any_transform(
-        self, source, products, monkeypatch
+        self, source, grids, monkeypatch
     ):
-        cells = 3 * products * 216 * 216
+        cells = grids * 120 * 108
         exact_distribution(Coincidence(), source, 100, budget=cells)
-        monkeypatch.setattr(gee.oracle, "_convolution_power", None)  # any call fails
-        with pytest.raises(OracleBudgetError, match=str(cells)):
+        monkeypatch.setattr(gee.oracle, "_row_n", None)  # any call fails
+        with pytest.raises(OracleBudgetError, match=f"{cells} transform cells \\({grids} grids"):
             exact_distribution(Coincidence(), source, 100, budget=cells - 1)
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
     def test_budget_bounds_one_wide_grid(self, monkeypatch):
-        # weighted coincidence at n = 100 on a restricted source: one product,
-        # but on a 216 x ~280,000 grid, several hundred MB per array
-        monkeypatch.setattr(gee.oracle, "_convolution_power", None)  # any call fails
-        with pytest.raises(OracleBudgetError, match="1 products x 3 grids of 216x"):
-            exact_distribution(WeightedCoincidence(uniform(LAW_M)),
-                               biuniform_worst_case(LAW_M, 0.6), 100)
+        # weighted coincidence at n = 100 on a restricted source: one group,
+        # but on a 120 x 139,968 grid; the figure times 8 bytes must cover
+        # the law's peak memory above the resident set it starts from
+        stat, p = WeightedCoincidence(uniform(LAW_M)), biuniform_worst_case(LAW_M, 0.6)
+        cells = 4 * 120 * 139968
+        growth = int(run_python("""
+            import resource
+            from gee.oracle import exact_distribution
+            from gee.pmf import biuniform_worst_case, uniform
+            from gee.statistics import WeightedCoincidence
+            stat, p = WeightedCoincidence(uniform(6)), biuniform_worst_case(6, 0.6)
+            exact_distribution(stat, p, 10)
+            with open("/proc/self/statm") as statm:
+                start = int(statm.read().split()[1]) * resource.getpagesize()
+            exact_distribution(stat, p, 100)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 - start)
+        """))
+        assert 0 < growth <= 8 * cells
+        monkeypatch.setattr(gee.oracle, "_row_n", None)  # any call fails
+        with pytest.raises(OracleBudgetError, match=f"{cells} transform cells \\(4 grids of 120x139968"):
+            exact_distribution(stat, p, 100, budget=cells - 1)
 
     def test_tail_below_round_off_reads_zero(self):
-        # FFT products carry round-off of ~1e-16 of the law's peak, and
+        # the transforms carry round-off of ~1e-16 of the law's peak, and
         # entries below ~1e-15 of it are clipped: Pearson's top value at
         # (20, 20), every draw on one symbol, has probability 20^-19, which
-        # the shift-add reference resolves and the powering reads as 0
+        # the shift-add reference resolves and the log-spectrum law reads as 0
         stat, p, n = Pearson(), uniform(20), 20
         support, probs = shift_add_law(stat, p, n)
         assert probs[-1] == approx(20.0**-19, rel=1e-9)
@@ -457,21 +518,21 @@ class TestSweepScaleReference:
     n = 1000 and m = ceil(n^1.5), for the sweep estimates to be held to."""
 
     N, M, EPS = 1000, math.ceil(1000**1.5), 0.45
+    PF, PM = 0.069197029, 0.098222273
 
     @pytest.fixture(scope="class")
     def setting(self):
         stat = Coincidence()
         rule = make_threshold(stat, self.N, self.M, tau=equalizing_tau(self.EPS), eps=self.EPS)
-        # the laws need 2.8e8 (null) and 5.2e8 (bi-uniform) cells, above the default
+        # the laws need 4 grids of 1024 x 1024 cells (4.2e6), within the default
         pf, pm = exact_error_probs(stat, rule, uniform(self.M),
-                                   biuniform_worst_case(self.M, self.EPS), self.N,
-                                   budget=6 * 10**8)
+                                   biuniform_worst_case(self.M, self.EPS), self.N)
         return stat, rule, pf, pm
 
     def test_exact_values(self, setting):
         _, _, pf, pm = setting
-        assert pf == approx(0.069197, abs=5e-7)
-        assert pm == approx(0.098222, abs=5e-7)
+        assert pf == approx(self.PF, abs=5e-10)
+        assert pm == approx(self.PM, abs=5e-10)
 
     def test_monte_carlo_within_five_standard_errors(self, setting):
         stat, rule, pf, pm = setting
@@ -481,3 +542,11 @@ class TestSweepScaleReference:
         for exact, estimate in ((pf, estimate_pf(plan)), (pm, estimate_pm(plan))):
             se = math.sqrt(exact * (1.0 - exact) / trials)
             assert abs(estimate.p_hat - exact) <= 5.0 * se
+
+
+class TestSweepScaleReferenceN2000(TestSweepScaleReference):
+    """The second criterion-8 point, n = 2000 and m = 89443: 4 grids of
+    2025 x 2025 cells (1.6e7)."""
+
+    N, M = 2000, math.ceil(2000**1.5)
+    PF, PM = 0.041290748, 0.059934755
