@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 DEFAULT_CELL_BUDGET = 10**8
-BRUTEFORCE_MAX_M = 6  # the sorted grid at m = 6, mesh 200 already has 4.8M points
+BRUTEFORCE_MAX_M = 6  # the walk visits 4.8M sorted points at m = 6, mesh 200; m = 7 has 26M
 
 
 class OracleBudgetError(RuntimeError):
@@ -313,36 +313,39 @@ def asymptotic_moments(
 # brute-force worst case
 
 
-def _partitions(total: int, slots: int, max_val: int) -> np.ndarray:
-    """Non-increasing rows of `slots` non-negative ints at most max_val,
-    summing to `total`, in descending lexicographic order.
-
-    Built one column at a time: each row is expanded into its next
-    entries, largest first, from min(what is left, the entry before)
-    down to the ceiling of what is left over the slots left.
-    """
-    rows = np.zeros((1, 0), dtype=np.int64)
-    left = np.array([total])
-    cap = np.array([max_val])
-    for k in range(slots, 0, -1):
+def _partition_levels(total: int, slots: int, cap: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Non-increasing rows of `slots` non-negative ints at most cap summing to
+    `total`, in descending lexicographic order, as a tree with one (entry,
+    parent) pair of arrays per column: a prefix takes each next entry from
+    min(what is left, its last entry) down to ceil(what is left / slots
+    left), and the last column keeps the prefixes whose forced entry fits."""
+    left, cap, levels = np.array([total]), np.array([cap]), []
+    for k in range(slots, 1, -1):
         hi = np.minimum(left, cap)
         size = np.maximum(hi + 1 + (-left // k), 0)  # hi - ceil(left / k) + 1
         parent = np.repeat(np.arange(hi.size), size)
-        start = np.repeat(np.cumsum(size) - size, size)
-        cap = hi[parent] - (np.arange(parent.size) - start)
-        rows = np.column_stack([rows[parent], cap])
+        cap = (hi - size + np.cumsum(size))[parent] - np.arange(parent.size)  # from hi down
         left = left[parent] - cap
-    return rows
+        levels.append((cap, parent))
+    parent = np.flatnonzero(left <= cap)
+    return levels + [(left[parent], parent)]
+
+
+def _partition_rows(levels: list, idx) -> np.ndarray:
+    """The rows ending at last-column indices idx, rebuilt through the parents."""
+    cols = []
+    for entry, parent in reversed(levels):
+        cols, idx = [entry[idx]] + cols, parent[idx]
+    return np.column_stack(cols)
 
 
 def worst_case_bruteforce(m: int, eps: float, mesh: int) -> tuple[Pmf, float]:
     """Grid minimization of the chi-square functional over the TV-eps shell.
 
-    Enumerates the simplex grid of resolution 1/mesh (sorted entries only;
-    both the functional and the constraint are permutation-invariant),
-    one leading entry at a time in descending lexicographic order, and
-    returns the first best grid point and its value.  Small m only.
-    """
+    Walks the sorted simplex grid of resolution 1/mesh (the functional and the
+    shell are permutation-invariant) in descending lexicographic order, with
+    exact integer sums of the grid counts x: sum x^2 and sum |m x - mesh|.
+    Returns the first point of least sum x^2 and its value.  Small m only."""
     if not 2 <= m <= BRUTEFORCE_MAX_M:
         raise ValueError(f"brute force supports 2 <= m <= {BRUTEFORCE_MAX_M}, got {m}")
     if mesh < 1:
@@ -350,21 +353,18 @@ def worst_case_bruteforce(m: int, eps: float, mesh: int) -> tuple[Pmf, float]:
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"eps must lie in [0, 1), got {eps}")
 
-    best_val = math.inf
-    best_q: np.ndarray | None = None
+    best_sq, best = math.inf, None
     for head in range(mesh, -(-mesh // m) - 1, -1):
-        tail = _partitions(mesh - head, m - 1, head)
-        grid = np.column_stack([np.full(len(tail), head), tail]) / mesh
-        tv = 0.5 * np.abs(grid - 1.0 / m).sum(axis=1)
-        feas = grid[tv >= eps - 1e-12]
-        if len(feas):
-            chi = m * np.einsum("ij,ij->i", feas, feas)
-            k = int(np.argmin(chi))
-            if chi[k] < best_val:
-                best_val, best_q = float(chi[k]), feas[k]
+        levels = [(np.array([head]), np.array([0]))] + _partition_levels(mesh - head, m - 1, head)
+        sq = tv = np.zeros(1, dtype=np.int64)
+        for entry, parent in levels:
+            sq = sq[parent] + entry * entry
+            tv = tv[parent] + np.abs(m * entry - mesh)
+        feas = np.flatnonzero(tv >= (eps - 1e-12) * 2 * m * mesh)
+        if feas.size and sq[k := feas[np.argmin(sq[feas])]] < best_sq:
+            best_sq, best = sq[k], (levels, [k])
 
-    if best_q is None:
-        raise ValueError(
-            f"no grid point at TV distance >= {eps} from uniform (mesh {mesh})"
-        )
-    return Pmf(best_q), best_val
+    if best is None:
+        raise ValueError(f"no grid point at TV distance >= {eps} from uniform (mesh {mesh})")
+    q = _partition_rows(*best) / mesh
+    return Pmf(q[0]), float(m * np.einsum("ij,ij->i", q, q)[0])

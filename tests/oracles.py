@@ -130,6 +130,23 @@ def sorted_compositions(total: int, slots: int, cap: int) -> list[tuple[int, ...
     return sorted((row for row in rows if sum(row) == total), reverse=True)
 
 
+def bruteforce_reference(m: int, eps: float, mesh: int) -> tuple[list[int], Fraction]:
+    """First grid point, in descending lexicographic order, of least
+    m sum q_j^2 over the sorted simplex grid of resolution 1/mesh at TV
+    distance >= eps - 1e-12 from uniform: its grid counts and its value,
+    in exact rational arithmetic."""
+    floor = Fraction(eps - 1e-12)
+    best = None
+    for row in sorted_compositions(mesh, m, mesh):
+        tv = sum(abs(Fraction(x, mesh) - Fraction(1, m)) for x in row) / 2
+        value = Fraction(m * sum(x * x for x in row), mesh * mesh)
+        if tv >= floor and (best is None or value < best[1]):
+            best = (list(row), value)
+    if best is None:
+        raise ValueError(f"no grid point at TV distance >= {eps} from uniform (mesh {mesh})")
+    return best
+
+
 def deviation_bounds(core, n: int) -> tuple[int, int]:
     """(floor, ceil) of n times the smallest and largest ratio
     (f(c) - f(0)) / c over the rows of an integer table, with 0 included,

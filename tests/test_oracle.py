@@ -16,7 +16,8 @@ from gee.exponents import equalizing_tau
 from gee.montecarlo import SimPlan, estimate_pf, estimate_pm
 from gee.oracle import (
     _deviation_bounds,
-    _partitions,
+    _partition_levels,
+    _partition_rows,
     OracleBudgetError,
     ScalingError,
     asymptotic_moments,
@@ -37,7 +38,13 @@ from gee.statistics import (
     make_threshold,
 )
 
-from .oracles import deviation_bounds, enumerate_law, shift_add_law, sorted_compositions
+from .oracles import (
+    bruteforce_reference,
+    deviation_bounds,
+    enumerate_law,
+    shift_add_law,
+    sorted_compositions,
+)
 
 
 def all_statistics(m: int):
@@ -470,6 +477,14 @@ class TestWorstCaseBruteforce:
         # the first grid point in descending lexicographic order wins
         (5, 16, 0.1125): ([5, 3, 3, 3, 2], 1.09375),
         (6, 16, 0.145833): ([4, 4, 2, 2, 2, 2], 1.125),
+        # exact ties of sum x^2 whose first point is hard to tell from a
+        # later one by float values alone
+        (4, 10, 0.25): ([5, 2, 2, 1], 1.36),
+        (5, 100, 0.1): ([25, 25, 17, 17, 16], 1.0420000000000003),
+        (5, 100, 0.145833): ([28, 27, 15, 15, 15], 1.094),
+        (5, 100, 0.25): ([33, 32, 12, 12, 11], 1.2610000000000001),
+        (5, 200, 0.145833): ([55, 55, 30, 30, 30], 1.0937500000000002),
+        (6, 10, 0.45): ([4, 4, 1, 1, 0, 0], 2.0400000000000005),
     }
 
     @pytest.mark.parametrize("key", sorted(PINNED))
@@ -480,13 +495,28 @@ class TestWorstCaseBruteforce:
         assert np.rint(argmin.probs * mesh).astype(int).tolist() == counts
         assert value == approx(pinned, rel=1e-14)
 
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("mesh", [1, 2, 3, 7, 10, 16])
+    def test_matches_exact_reference(self, m, mesh):
+        for eps in (0.0, 0.1, 0.1125, 0.145833, 0.25, 0.45, 0.6, 0.9):
+            try:
+                counts, exact = bruteforce_reference(m, eps, mesh)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    worst_case_bruteforce(m, eps, mesh)
+                continue
+            argmin, value = worst_case_bruteforce(m, eps, mesh)
+            assert np.rint(argmin.probs * mesh).astype(int).tolist() == counts, eps
+            assert value == approx(float(exact), rel=1e-14), eps
+
     @pytest.mark.parametrize("total,slots,cap", [
         (0, 1, 0), (5, 1, 5), (5, 1, 4), (0, 3, 0), (7, 3, 7), (7, 3, 3),
         (7, 3, 2),  # cap below total / slots: no row
         (12, 4, 5), (10, 5, 10), (9, 2, 6),
     ])
     def test_partitions_match_enumeration(self, total, slots, cap):
-        rows = _partitions(total, slots, cap)
+        levels = _partition_levels(total, slots, cap)
+        rows = _partition_rows(levels, np.arange(levels[-1][0].size))
         assert rows.shape == (len(sorted_compositions(total, slots, cap)), slots)
         assert [tuple(row) for row in rows.tolist()] == sorted_compositions(total, slots, cap)
 
