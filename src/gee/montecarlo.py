@@ -10,10 +10,14 @@ across threads.
 The sampling path is a fixed function of (source, n, m, tables), pinned
 in `_sampler_path`, and every path samples the exact multinomial law:
 
-- "tally" (uniform or two-band source, 4m <= n): all n symbols drawn
-  directly and counted per row, by a `bincount` of row-offset symbols
-  per chunk of rows, into a (b, m) count matrix.  A two-band source
-  splits k ~ Binomial(n, w1) first.
+- "tally" (uniform or two-band source, 4m <= n): a (b, m) count matrix,
+  Poissonized.  With lam = max(n - 3 sqrt(n), 0), each cell draws
+  Y_j ~ Poisson(lam p_j) by inverting its band's CDF at one uniform
+  double; rows whose total N exceeds n are redrawn whole, and the other
+  n - N draws of a row are drawn directly (split on Binomial(n - N, w1)
+  for a two-band source) and counted by `bincount`.  Given N = k, Y is
+  Multinomial(k, p), so adding Multinomial(n - k, p) gives the exact
+  law at ~m + 3 sqrt(n) per row instead of n.
 - "counts" (other sources, 4m <= n): the same count matrix from the
   conditional-binomial chain.  This is the reference the tests hold the
   tally path to.
@@ -70,7 +74,7 @@ __all__ = [
 ]
 
 BLOCK_TRIALS = 2048
-RNG_ALGORITHM = f"philox4x64-block{BLOCK_TRIALS}-v3"
+RNG_ALGORITHM = f"philox4x64-block{BLOCK_TRIALS}-v4"
 
 _MASK64 = (1 << 64) - 1
 
@@ -86,14 +90,16 @@ def _block_rng(seed: int, ctx: int, block: int) -> Generator:
 # labels of each row ("event"); all are exact multinomial.
 
 _COUNT_PATHS = ("tally", "counts")
-_TALLY_ROWS = 64  # rows drawn and counted at once: bounds the (rows, n) temporaries
+_TALLY_SLACK = 3.0  # the tally path's Poisson mean is n - 3 sqrt(n): ~0.1% of rows redraw
+_TALLY_CELLS = 1 << 17  # cells drawn at once: bounds the (rows, m) temporaries to ~1 MB
+_GUIDE_BITS = 14  # 128 KB of guide per band: it stays alive while each block's values are taken
 
 
 def _sampler_path(source: Pmf, n: int, tables: Sequence[FTable]) -> str:
     """The block sampler's path, pinned per release.
 
-    Per-trial cost is ~4m for the conditional-binomial chain, ~n to draw
-    and tally, ~n log n to draw and sort, and ~(n^2/2m) log n for the
+    Per-trial cost is ~4m for the conditional-binomial chain, ~m + 3 sqrt(n)
+    for the Poissonized tally, ~n log n to draw and sort, and ~(n^2/2m) log n for the
     event chain, whose per-round overhead loses below n = 256 or m = 16n.
     The event kernel needs every table to be shared by all symbols.
     """
@@ -105,6 +111,14 @@ def _sampler_path(source: Pmf, n: int, tables: Sequence[FTable]) -> str:
     if n >= 256 and m >= 16 * n and all(t.group is None for t in tables):
         return "event"
     return "sorted"
+
+
+def _walk_up(keys: np.ndarray, end: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """#{k : keys[k] <= x} for each x, from a guide's guess end at or below
+    it; keys are sorted and the closing key lies above every x."""
+    while (up := keys[end] <= x).any():
+        end += up
+    return end
 
 
 class _Repeats(NamedTuple):
@@ -142,10 +156,7 @@ class _RepeatChain:
     def count_le(self, x: np.ndarray) -> np.ndarray:
         """#{k : A[k] <= x} for each x >= 0."""
         j = np.minimum(np.sqrt(x) * self.inv_step, self.buckets).astype(np.int64)
-        end = self.guide[j]
-        while (up := self.a[end] <= x).any():  # the closing inf stops every walk
-            end += up
-        return end
+        return _walk_up(self.a, self.guide[j], x)  # the closing inf stops every walk
 
     def distinct(self, rng: Generator, draws: np.ndarray) -> np.ndarray:
         """Row i of the result lists, for each repeat among its draws[i]
@@ -171,10 +182,10 @@ class _RepeatChain:
         return np.stack(cols, axis=1) if cols else np.zeros((b, 0), dtype=np.int64)
 
 
-def _band_draws(rng: Generator, source: Pmf, n: int, b: int) -> list[np.ndarray]:
-    """Per band of source.bands, the draws of each of b rows: n for a
-    uniform source, else k ~ Binomial(n, w1) in the first band and n - k
-    in the second."""
+def _band_draws(rng: Generator, source: Pmf, n: int | np.ndarray, b: int) -> list[np.ndarray]:
+    """Per band of source.bands, the draws of each of b rows of n draws (an
+    int, or one per row): n for a uniform source, else k ~ Binomial(n, w1)
+    in the first band and n - k in the second."""
     if len(source.bands) == 1:
         return [np.full(b, n)]
     k = rng.binomial(n, source.two_band[1], size=b)
@@ -200,31 +211,98 @@ def _event_sampler(source: Pmf, n: int) -> Callable[[Generator, int], _Repeats]:
     return draw_event
 
 
-def _tally_sampler(source: Pmf, n: int) -> Callable[[Generator, int], np.ndarray]:
-    """Count matrices of n draws per row from a uniform or two-band source.
+def _poisson_cdf(mu: float) -> tuple[int, np.ndarray]:
+    """(lo, cdf) with cdf[i] = P(Poisson(mu) <= lo + i) over the window where
+    it moves in double precision: from 12 sd below the mean to the first
+    entry that rounds to 1, with k! from a cumsum of log k.  The +-12 sd
+    tails are below 1e-31; the extra 60 above covers small means."""
+    if mu <= 0.0:
+        return 0, np.ones(1)
+    sd = math.sqrt(mu)
+    lo = max(0, math.floor(mu - 12 * sd - 12))
+    k = np.arange(lo, math.ceil(mu + 12 * sd + 60) + 1)
+    logw = (k - lo) * math.log(mu) - np.concatenate([[0.0], np.cumsum(np.log(k[1:]))])
+    cdf = np.cumsum(np.exp(logw - logw.max()))
+    cdf = cdf[: np.count_nonzero(cdf < cdf[-1]) + 1] / cdf[-1]
+    cdf[-1] = 1.0
+    return lo, cdf
 
-    A two-band source splits k ~ Binomial(n, w1) per row, as the other
-    direct paths do, and draws k symbols uniformly from [0, s) and n - k
-    from [s, m).  Each chunk of rows is counted by one `bincount` per
-    band of its symbols offset by row * m.
+
+class _PoissonColumns:
+    """Poisson variates for columns in bands, band t of width widths[t]
+    with mean means[t], each by inverting its band's CDF at one uniform
+    double u: lo_t + #{k : cdf_t[k] <= u}, from `_poisson_cdf`.
+
+    u < 1 never passes a table's closing 1.  A guide over 2^_GUIDE_BITS
+    equal bins of u holds the count itself for bins free of breakpoints,
+    and -1 - (index of the bin's first key in the joined keys) for the
+    rest, which walk up from there.
+    """
+
+    def __init__(self, means: Sequence[float], widths: Sequence[int]) -> None:
+        bins = 1 << _GUIDE_BITS
+        self.tables = [_poisson_cdf(mu) for mu in means]
+        self.keys = np.concatenate([cdf for _, cdf in self.tables])
+        self.values = np.concatenate([lo + np.arange(cdf.size) for lo, cdf in self.tables])
+        self.guide = np.empty((len(means), bins), dtype=np.int64)
+        at = 0
+        for guide, (lo, cdf) in zip(self.guide, self.tables):
+            v = cdf * bins  # exact; bin j is [j, j + 1) in units of v
+            guide[:] = lo + np.repeat(np.arange(cdf.size), np.diff(np.ceil(v), prepend=0).astype(np.intp))
+            inside = np.floor(v[v % 1 > 0]).astype(np.intp)  # bins with a breakpoint inside
+            guide[inside] = (lo - 1 - at) - guide[inside]
+            at += cdf.size
+        self.guide = self.guide.reshape(-1)
+        self.column = np.repeat(np.arange(len(widths)) * bins, widths) if len(widths) > 1 else None
+
+    def invert(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Fill out (int64, u's shape, last axis the columns) with the
+        variates at u."""
+        j = (u * (1 << _GUIDE_BITS)).astype(np.intp)  # exact: u is a multiple of 2^-53
+        if self.column is not None:
+            j += self.column
+        np.take(self.guide, j, out=out, mode="clip")  # j is in range; "raise" would buffer out
+        flat = out.reshape(-1)
+        walk = np.flatnonzero(flat < 0)
+        if walk.size:
+            flat[walk] = self.values[_walk_up(self.keys, -1 - flat[walk], u.reshape(-1)[walk])]
+        return out
+
+
+def _tally_sampler(source: Pmf, n: int) -> Callable[[Generator, int], np.ndarray]:
+    """Count matrices of n draws per row from a uniform or two-band source,
+    Poissonized (see the module docstring).
+
+    Rows go in chunks of about 2^17 cells.  A chunk draws one uniform per
+    cell, redraws its rows of total over n until none is left, then draws
+    the remaining symbols of each row, split between the bands as the
+    other direct paths do, and counts them by one `bincount` of symbols
+    offset by row * m.
     """
     m = source.m
     dtype = np.uint16 if m <= 0xFFFF else np.uint32
+    lam = max(n - _TALLY_SLACK * math.sqrt(n), 0.0)
+    poisson = _PoissonColumns(
+        [lam * source.probs[lo] for lo, _ in source.bands], [hi - lo for lo, hi in source.bands]
+    )
+    rows = max(1, _TALLY_CELLS // m)
 
     def draw_tally(rng: Generator, b: int) -> np.ndarray:
-        split = _band_draws(rng, source, n, b)
         counts = np.empty((b, m), dtype=np.int64)
-        for lo in range(0, b, _TALLY_ROWS):
-            rows = slice(lo, lo + _TALLY_ROWS)
-            c = min(_TALLY_ROWS, b - lo)
+        for lo in range(0, b, rows):
+            chunk = counts[lo:lo + rows]
+            c = chunk.shape[0]
+            total = poisson.invert(rng.random((c, m)), chunk).sum(axis=1)
+            while (over := np.flatnonzero(total > n)).size:
+                redo = poisson.invert(rng.random((over.size, m)), np.empty((over.size, m), np.int64))
+                chunk[over] = redo
+                total[over] = redo.sum(axis=1)
             offset = np.arange(c) * m
-            tally = 0
-            for (low, high), draws in zip(source.bands, split):
-                d = draws[rows]
-                at = np.repeat(offset, d)
-                at += rng.integers(low, high, size=at.size, dtype=dtype)
-                tally = tally + np.bincount(at, minlength=c * m)
-            counts[rows] = tally.reshape(c, m)
+            at = np.concatenate([
+                np.repeat(offset, d) + rng.integers(low, high, size=d.sum(), dtype=dtype)
+                for (low, high), d in zip(source.bands, _band_draws(rng, source, n - total, c))
+            ])
+            chunk += np.bincount(at, minlength=c * m).reshape(c, m)
         return counts
 
     return draw_tally

@@ -344,8 +344,9 @@ def worst_case_bruteforce(m: int, eps: float, mesh: int) -> tuple[Pmf, float]:
 
     Walks the sorted simplex grid of resolution 1/mesh (the functional and the
     shell are permutation-invariant) in descending lexicographic order, with
-    exact integer sums of the grid counts x: sum x^2 and sum |m x - mesh|.
-    Returns the first point of least sum x^2 and its value.  Small m only."""
+    exact integer sums of the grid counts x: sum x^2 and sum |m x - mesh|,
+    and stops at the first head with no row in the shell.  Returns the first
+    point of least sum x^2 and its value.  Small m only."""
     if not 2 <= m <= BRUTEFORCE_MAX_M:
         raise ValueError(f"brute force supports 2 <= m <= {BRUTEFORCE_MAX_M}, got {m}")
     if mesh < 1:
@@ -354,13 +355,20 @@ def worst_case_bruteforce(m: int, eps: float, mesh: int) -> tuple[Pmf, float]:
         raise ValueError(f"eps must lie in [0, 1), got {eps}")
 
     best_sq, best = math.inf, None
+    shell = (eps - 1e-12) * 2 * m * mesh
     for head in range(mesh, -(-mesh // m) - 1, -1):
+        # the greedy row (head, ..., head, rest, 0, ...) majorizes every sorted
+        # row with entries at most head, and sum |m x - mesh| is Schur-convex:
+        # once it falls inside the shell, so does every row of this head and after
+        full, rest = divmod(mesh, head)
+        if full * abs(m * head - mesh) + abs(m * rest - mesh) + (m - full - 1) * mesh < shell:
+            break
         levels = [(np.array([head]), np.array([0]))] + _partition_levels(mesh - head, m - 1, head)
         sq = tv = np.zeros(1, dtype=np.int64)
         for entry, parent in levels:
             sq = sq[parent] + entry * entry
             tv = tv[parent] + np.abs(m * entry - mesh)
-        feas = np.flatnonzero(tv >= (eps - 1e-12) * 2 * m * mesh)
+        feas = np.flatnonzero(tv >= shell)
         if feas.size and sq[k := feas[np.argmin(sq[feas])]] < best_sq:
             best_sq, best = sq[k], (levels, [k])
 

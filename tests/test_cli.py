@@ -265,7 +265,7 @@ class TestSimulatePinned:
     path, so `test_counts` holds the sorted and multinomial reference
     paths to their old counts, and `test_event_counts` and
     `test_tally_counts` pin the fast paths' counts, recorded when each
-    path was added."""
+    path was added (the tally counts again when it was Poissonized)."""
 
     SPARSE = ["--n", "1000", "--m", "31623", "--eps", "0.45", "--trials", "5000", "--seed", "5"]
     DENSE = ["--n", "120", "--m", "30", "--eps", "0.1", "--trials", "4000", "--seed", "6"]
@@ -307,11 +307,11 @@ class TestSimulatePinned:
         )
 
     @pytest.mark.parametrize("stat,flags,dense", [
-        ("coincidence", [], (1328, 2974)),
-        ("pearson", [], (1224, 1835)),
+        ("coincidence", [], (1360, 3021)),
+        ("pearson", [], (1257, 1886)),
         ("pearson-truncated", [], (0, 4000)),
-        ("extended", ["--weights", "0,1,3"], (1763, 2720)),
-        ("weighted", [], (1861, 2108)),
+        ("extended", ["--weights", "0,1,3"], (1720, 2701)),
+        ("weighted", [], (1858, 2112)),
     ])
     def test_tally_counts(self, capsys, stat, flags, dense):
         assert self.simulate(capsys, stat, flags, self.DENSE, "0.002") == (

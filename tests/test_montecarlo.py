@@ -7,11 +7,12 @@ import pytest
 from numpy.random import Generator, Philox
 from pytest import approx
 
-from gee import pmf
+from gee import montecarlo, pmf
 from gee.montecarlo import (
     _block_values,
     _event_sampler,
     _make_sampler,
+    _PoissonColumns,
     _RepeatChain,
     _sampler_path,
     _tally_sampler,
@@ -24,7 +25,7 @@ from gee.montecarlo import (
     simulate_statistics,
     sweep,
 )
-from gee.oracle import exact_distribution, exact_error_probs
+from gee.oracle import ExactDistribution, exact_distribution, exact_error_probs
 from gee.pmf import Pmf, biuniform_worst_case, permuted_worst_case, uniform
 from gee.statistics import (
     Coincidence,
@@ -240,6 +241,29 @@ def chi_square_bound(df, z=5.0):
     return df * (1.0 - a + z * math.sqrt(a)) ** 3
 
 
+def assert_tally_law(source, n, counts):
+    """Chi-square of two statistics of tally-path rows against their exact laws."""
+    stats = [Coincidence(), PearsonTruncated()]
+    values = _block_values([s.table(n, source.m) for s in stats], "tally", counts, source.m)
+    for stat, x in zip(stats, values):
+        x2, df = chi_square(x, exact_distribution(stat, source, n))
+        assert x2 <= chi_square_bound(df), (stat.name, x2, df)
+
+
+class RowCountingRng:
+    """A Generator that records the rows of each `random((rows, m))` call."""
+
+    def __init__(self, rng):
+        self.rng, self.rows = rng, []
+
+    def random(self, size):
+        self.rows.append(size[0])
+        return self.rng.random(size)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
 def moments_agree(x, y):
     """True when the first two moments of two samples of equal size agree
     within 5 standard errors."""
@@ -416,10 +440,16 @@ class TestTallySampler:
         assert np.all(counts.sum(axis=1) == n)
         assert np.all(counts[:, source.probs == 0.0] == 0)
         if source.two_band is not None:
-            # the first draws are the per-row band split, for the whole block
+            # the block's first draws are one uniform per cell (one chunk,
+            # no row over n here), then the top-up's per-row band split
             s, w1 = source.two_band
-            k = np.random.default_rng(b).binomial(n, w1, size=b)
-            assert np.array_equal(counts[:, :s].sum(axis=1), k)
+            lam = n - 3 * math.sqrt(n)
+            rng = np.random.default_rng(b)
+            poisson = _PoissonColumns([lam * source.probs[0], lam * source.probs[-1]], [s, m - s])
+            y = poisson.invert(rng.random((b, m)), np.empty((b, m), dtype=np.int64))
+            assert np.all(y.sum(axis=1) <= n)
+            k = rng.binomial(n - y.sum(axis=1), w1, size=b)
+            assert np.array_equal(counts[:, :s].sum(axis=1), y[:, :s].sum(axis=1) + k)
 
     @pytest.mark.parametrize("source", [uniform(500), biuniform_worst_case(500, 0.35)])
     def test_moments_match_multinomial_path(self, source, request):
@@ -430,6 +460,51 @@ class TestTallySampler:
         reference = simulate_statistics(source, stats, n, trials, seed=53)
         for stat, x, y in zip(stats, tally, reference):
             assert moments_agree(x, y), stat.name
+
+    @pytest.mark.parametrize("means", [[0.0], [1e-9], [0.5, 7.6], [100.0, 0.0, 3.0], [5e5]])
+    def test_guided_inversion_matches_binary_search(self, means, rng):
+        poisson = _PoissonColumns(means, [1] * len(means))
+        edges = np.arange(1 << montecarlo._GUIDE_BITS) / (1 << montecarlo._GUIDE_BITS)
+        for t, (lo, cdf) in enumerate(poisson.tables):
+            assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0)
+            # random u, u at each breakpoint, at each guide edge and just below it
+            u = np.concatenate([
+                rng.random(20_000), cdf[:-1], edges, np.nextafter(edges[1:], 0.0), [1 - 2.0**-53],
+            ])
+            cells = np.zeros((u.size, len(means)))
+            cells[:, t] = u
+            got = poisson.invert(cells, np.empty(cells.shape, dtype=np.int64))[:, t]
+            assert np.array_equal(got, lo + np.searchsorted(cdf, u, side="right"))
+
+    @pytest.mark.parametrize("source", [uniform(2), biuniform_worst_case(2, 0.3)])
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_pure_top_up_law(self, source, n):
+        # n - 3 sqrt(n) <= 0: no Poisson part, every draw is topped up
+        assert _sampler_path(source, n, ()) == "tally" and n <= 3 * math.sqrt(n)
+        assert_tally_law(source, n, _tally_sampler(source, n)(np.random.default_rng(n), 40_000))
+
+    @pytest.mark.parametrize("source", [uniform(2), biuniform_worst_case(2, 0.3)])
+    def test_binomial_marginal_at_large_mean(self, source):
+        # per-symbol Poisson means near 10^4: the CDF window starts far above 0
+        n, trials = 20_000, 20_000
+        counts = _tally_sampler(source, n)(np.random.default_rng(17), trials)
+        k = np.arange(n + 1)
+        logfact = np.array([math.lgamma(i + 1) for i in k])
+        p = source.probs[0]
+        law = np.exp(logfact[n] - logfact - logfact[::-1] + k * math.log(p) + (n - k) * math.log1p(-p))
+        x2, df = chi_square(counts[:, 0].astype(float), ExactDistribution(k.astype(float), law))
+        assert x2 <= chi_square_bound(df), (x2, df)
+
+    @pytest.mark.parametrize("slack", [montecarlo._TALLY_SLACK, 0.0])
+    def test_redrawn_rows_keep_the_law(self, slack, monkeypatch):
+        # at slack 0 the Poisson mean is n and about half the rows redraw
+        monkeypatch.setattr(montecarlo, "_TALLY_SLACK", slack)
+        source, n, trials = biuniform_worst_case(12, 0.3), 60, 40_000
+        rng = RowCountingRng(np.random.default_rng(7))
+        counts = _tally_sampler(source, n)(rng, trials)
+        assert sum(rng.rows) > trials  # some rows were drawn twice
+        assert np.all(counts.sum(axis=1) == n)
+        assert_tally_law(source, n, counts)
 
     def test_wide_alphabet_row(self):
         m = 65537  # symbols past the uint16 range
