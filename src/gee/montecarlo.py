@@ -33,8 +33,11 @@ in `_sampler_path`, and every path samples the exact multinomial law:
   a repeat taken with D symbols seen hits a symbol that is uniform among
   those D, labelled by order of first appearance.  A symbol seen c times
   leaves c - 1 labels, so the sorted label rows hold ~n^2/2m entries and
-  feed the same window kernel as sorted symbols.  A two-band source
+  go through the same window loop as sorted symbols.  A two-band source
   splits k ~ Binomial(n, w1) and runs one such chain per band.
+
+On every path a statistic whose table all symbols share is evaluated as
+sum_c Phi_c f(c) over the occupancy fingerprints Phi of the block's rows.
 """
 
 from __future__ import annotations
@@ -44,8 +47,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count, islice
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -349,34 +351,56 @@ def _make_sampler(
 # statistic kernels
 
 
-def _levels(
-    path: str, data: np.ndarray | _Repeats
-) -> Iterator[tuple[int, np.ndarray | None, np.ndarray]]:
-    """(l, W_l, E_l) for l = 1, 2, ... up to the last non-empty level.
+def _fingerprints(path: str, data: np.ndarray | _Repeats, m: int, top: int) -> np.ndarray:
+    """(b, top' + 1) fingerprints of a block: column c counts each row's
+    symbols seen c times, and the last one those seen top' or more times,
+    with top' = min(top, the block's largest count).
 
-    E_l counts, per row, the windows of l equal draws: a symbol seen c
-    times owns max(c - l + 1, 0) of them, so E_1 = n.  On sorted symbols
-    W_l[:, i] marks x_i == x_{i+l-1} (W_1 is all true, given as None).
-    A symbol seen c times leaves c - 1 repeat labels, so on the event
-    path W_l marks the length-(l-1) windows of the sorted labels, with
-    W_2 the non-pad slots.  Each W_{l+1} is W_l AND the adjacent-equal
-    mask, shifted to the window's end.
+    Count rows take one `bincount` of min(c, top') + row (top' + 1).  Else
+    E_l counts a row's windows of l equal draws: a symbol seen c times owns
+    max(c - l + 1, 0) of them, so E_1 = n and G_c = E_c - E_{c+1} symbols
+    are seen c or more times.  On sorted symbols W_l[:, i] marks x_i ==
+    x_{i+l-1}.  A symbol seen c times leaves c - 1 repeat labels, so on the
+    event path W_l marks the length-(l-1) windows of the sorted labels,
+    with W_2 the non-pad slots.  Each W_{l+1} is W_l AND the adjacent-equal
+    mask, shifted to the window's end; the levels stop at the first empty one.
     """
-    if path == "event":
-        n, x = data
-        lag = 1
-    else:
-        x, n, lag = data, data.shape[1], 0
+    if path in _COUNT_PATHS:
+        b = data.shape[0]
+        top = min(top, int(data.max(initial=0)))
+        keys = np.minimum(data, top)  # the one (b, m) temporary
+        keys += np.arange(0, b * (top + 1), top + 1)[:, None]
+        return np.bincount(keys.reshape(-1), minlength=b * (top + 1)).reshape(b, top + 1)
+    n, x, lag = (*data, 1) if path == "event" else (data.shape[1], data, 0)
     eq = x[:, 1:] == x[:, :-1]
-    yield 1, None, np.full(x.shape[0], n)
     w = x >= 0 if lag else eq
-    for l in count(2):
+    e = [np.full(x.shape[0], n)] if n else []
+    for l in range(2, top + 2):
+        if l > 2:
+            w = w[:, :-1] & eq[:, l - 2 - lag:]
         # summing the mask's bytes is ~2.5x faster than count_nonzero(axis=1)
-        e = w.view(np.uint8).sum(axis=1, dtype=np.int32)
-        if not e.any():
-            return
-        yield l, w, e
-        w = w[:, :-1] & eq[:, l - 1 - lag:]
+        el = w.view(np.uint8).sum(axis=1, dtype=np.int32)
+        if not el.any():
+            break
+        e.append(el)
+    top = min(top, len(e))
+    e = np.stack(e + [np.zeros(x.shape[0], np.int64)], axis=1)
+    return -np.diff(e[:, :top] - e[:, 1:top + 1], axis=1, prepend=m, append=0)
+
+
+def _run_sums(t: FTable, x: np.ndarray) -> np.ndarray:
+    """sum_j f_j(c_j) of a reference-dependent table per row of sorted
+    symbols, telescoped: copy k of a run adds f(min(k, K)) - f(min(k - 1, K))
+    of its symbol's group, read at its rank k - 1 within the run."""
+    at = np.arange(x.shape[1], dtype=np.int32)
+    start = np.ones(x.shape, dtype=bool)
+    np.not_equal(x[:, 1:], x[:, :-1], out=start[:, 1:])
+    rank = at - np.maximum.accumulate(np.where(start, at, 0), axis=1)
+    step = np.diff(t.f, axis=1, append=t.f[:, -1:])  # f(r + 1) - f(r), 0 at r = K
+    idx = (t.group * (t.K + 1)).astype(np.int32 if step.size < 2**31 else np.int64)[x]
+    idx += np.minimum(rank, t.K, out=rank)
+    core = step.reshape(-1).take(idx).sum(axis=1)
+    return core + np.einsum("i,i", np.bincount(t.group), t.f[:, 0])
 
 
 def _block_values(
@@ -384,38 +408,19 @@ def _block_values(
 ) -> list[np.ndarray]:
     """Statistic values on one block: a (b, m) count matrix on the "tally"
     and "counts" paths, the sorted repeat labels on the "event" path, else
-    a row-sorted (b, n) symbol matrix.
-
-    With E_l the windows of `_levels`, S = sum_j f_j(0) + sum_l (D_l - D_{l-1}) E_l
-    with D_l = f(l) - f(l-1) and D_0 = D_{K+1} = 0.  Windows stop at the
-    first empty level; their counts are shared across statistics, and a
-    reference-dependent table (sorted symbols only) weights each window
-    by its symbol's entry.
+    a row-sorted (b, n) symbol matrix.  A shared table's value is
+    sum_c Phi_c f(c) over the block's fingerprints, cut at the shared
+    tables' largest K; a reference-dependent one reads f[group, min(c, K)]
+    of the counts, or `_run_sums` of sorted symbols.
     """
-    if path in _COUNT_PATHS:
-        return [t.values(data) for t in tables]
-    x = data.labels if path == "event" else data
-    steps = [dict(t.steps) for t in tables]
-    cores, groups = [], []
-    for t in tables:
-        if t.group is None:
-            cores.append(np.full(x.shape[0], m * t.f[0, 0]))
-            groups.append(None)
-        else:
-            cores.append(np.full(x.shape[0], np.bincount(t.group, minlength=len(t.f)) @ t.f[:, 0]))
-            groups.append(t.group[x])
-    top = max((l for s in steps for l in s), default=0)
-    for l, w, e in islice(_levels(path, data), top):
-        for s, core, gx in zip(steps, cores, groups):
-            d = s.get(l)
-            if d is None:
-                continue
-            if gx is None:
-                core += d[0] * e
-            else:
-                wd = d[gx[:, : gx.shape[1] - l + 1]]
-                core += (wd if w is None else np.where(w, wd, 0.0)).sum(axis=1)
-    return [core / t.scale + t.shift for t, core in zip(tables, cores)]
+    top = max((t.K for t in tables if t.group is None), default=None)
+    phi = None if top is None else _fingerprints(path, data, m, top)
+    return [
+        t.fingerprint_values(phi, "the block kernel") if t.group is None
+        else t.values(data) if path in _COUNT_PATHS
+        else _run_sums(t, data) / t.scale + t.shift
+        for t in tables
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -584,20 +589,11 @@ def simulate_statistics(
 
 def sample_occupancy(p: Pmf, n: int, rng: Generator) -> OccupancyFingerprint:
     """Occupancy fingerprint of n i.i.d. draws from p: one row of the
-    Monte Carlo block sampler, with the same path choice and exact law.
-    Off the count paths Phi comes from the window counts E_l of `_levels`:
-    Phi_l = E_l - 2 E_{l+1} + E_{l+2}, and E_1 - E_2 symbols are seen.
-    """
+    Monte Carlo block sampler, with the same path choice and exact law."""
     if n < 0:
         raise ValueError(f"sample size must be >= 0, got {n}")
     path, draw = _make_sampler(p, n, ())
-    data = draw(rng, 1)
-    if path in _COUNT_PATHS:
-        phi = np.bincount(data[0])
-    else:
-        e = np.array([int(el[0]) for _, _, el in _levels(path, data) if el[0]] + [0, 0])
-        phi = np.concatenate([[p.m - e[0] + e[1]], e[:-2] - 2 * e[1:-1] + e[2:]])
-    return OccupancyFingerprint(n=n, m=p.m, phi=phi)
+    return OccupancyFingerprint(n=n, m=p.m, phi=_fingerprints(path, draw(rng, 1), p.m, n)[0])
 
 
 def sweep(

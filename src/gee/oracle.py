@@ -346,7 +346,7 @@ def worst_case_bruteforce(m: int, eps: float, mesh: int) -> tuple[Pmf, float]:
     shell are permutation-invariant) in descending lexicographic order, with
     exact integer sums of the grid counts x: sum x^2 and sum |m x - mesh|,
     and stops at the first head with no row in the shell.  Returns the first
-    point of least sum x^2 and its value.  Small m only."""
+    point of least sum x^2 and its value m sum x^2 / mesh^2.  Small m only."""
     if not 2 <= m <= BRUTEFORCE_MAX_M:
         raise ValueError(f"brute force supports 2 <= m <= {BRUTEFORCE_MAX_M}, got {m}")
     if mesh < 1:
@@ -374,5 +374,4 @@ def worst_case_bruteforce(m: int, eps: float, mesh: int) -> tuple[Pmf, float]:
 
     if best is None:
         raise ValueError(f"no grid point at TV distance >= {eps} from uniform (mesh {mesh})")
-    q = _partition_rows(*best) / mesh
-    return Pmf(q[0]), float(m * np.einsum("ij,ij->i", q, q)[0])
+    return Pmf(_partition_rows(*best)[0] / mesh), m * int(best_sq) / mesh**2

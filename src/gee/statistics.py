@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -110,13 +109,6 @@ class FTable:
     def K(self) -> int:
         return self.f.shape[1] - 1
 
-    @cached_property
-    def steps(self) -> list[tuple[int, np.ndarray]]:
-        """(l, D_l - D_{l-1}) per row, for each level l = 1..K+1 where some
-        row's step changes; D_l = f(l) - f(l-1) and D_0 = D_{K+1} = 0."""
-        d = np.diff(self.f, n=2, axis=1, prepend=self.f[:, :1], append=self.f[:, -1:])
-        return [(l + 1, d[:, l]) for l in np.flatnonzero(d.any(axis=0)).tolist()]
-
     def shared_row(self, what: str) -> np.ndarray:
         """The row every symbol shares; a reference-dependent table has none."""
         if self.group is not None:
@@ -127,12 +119,17 @@ class FTable:
 
     def values(self, counts: np.ndarray) -> np.ndarray:
         """Statistic values of the count vectors along the last axis."""
-        if self.group is None:
-            # clipping indices to K reads f(min(c, K)) without a (b, m) temporary
-            core = self.f[0].take(counts, mode="clip")
-        else:
-            core = self.f[self.group, np.minimum(counts, self.K)]
+        core = self.f[0 if self.group is None else self.group, np.minimum(counts, self.K)]
         return core.sum(axis=-1) / self.scale + self.shift
+
+    def fingerprint_values(self, phi: np.ndarray, what: str) -> np.ndarray:
+        """Statistic values sum_c Phi_c f(c) of the fingerprints along the
+        last axis, whose last entry may count every symbol seen that often
+        or more; `what` names the caller in the error of a table with no
+        shared row.  einsum keeps the sum off BLAS and its threads."""
+        f = self.shared_row(what)
+        core = np.einsum("...j,j->...", phi, f.take(np.arange(phi.shape[-1]), mode="clip"))
+        return core / self.scale + self.shift
 
 
 class SeparableStatistic:
@@ -173,9 +170,7 @@ class SeparableStatistic:
 
     def from_fingerprint(self, fp: OccupancyFingerprint) -> float:
         t = self.table(fp.n, fp.m)
-        f = t.shared_row(f"{self.name} over a fingerprint")
-        core = np.dot(f[np.minimum(np.arange(fp.phi.size), t.K)], fp.phi)
-        return float(core) / t.scale + t.shift
+        return float(t.fingerprint_values(fp.phi, f"{self.name} over a fingerprint"))
 
     def from_counts(self, counts) -> float:
         arr = _as_counts(counts)

@@ -2,13 +2,18 @@
 
 Everything here is deliberately brute-force (enumeration, golden-section
 search, bisection) and shares no code path with the library routines it
-checks.
+checks.  `run_python` is the shared tooling that runs a script in a fresh
+interpreter, for checks that need their own process environment.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from collections import defaultdict
 from fractions import Fraction
 
@@ -199,3 +204,10 @@ def shift_add_law(stat, p, n: int) -> tuple[np.ndarray, np.ndarray]:
     mask = vec > 0.0
     values = int(core[rows, 0].sum()) + step * (lo + np.flatnonzero(mask))
     return values / t.scale + t.shift, vec[mask] / vec[mask].sum()
+
+
+def run_python(script: str, **env: str) -> str:
+    """Stdout of `script` run in a fresh interpreter on this gee."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), **env)
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env, check=True,
+                          capture_output=True, text=True).stdout

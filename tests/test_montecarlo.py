@@ -11,6 +11,7 @@ from gee import montecarlo, pmf
 from gee.montecarlo import (
     _block_values,
     _event_sampler,
+    _fingerprints,
     _make_sampler,
     _PoissonColumns,
     _RepeatChain,
@@ -38,7 +39,7 @@ from gee.statistics import (
     occupancy,
 )
 
-from .oracles import direct_value
+from .oracles import direct_value, run_python
 
 
 def coincidence_plan(n, m, eps, tau, trials, seed, streams=1, alternative=None):
@@ -189,6 +190,7 @@ class TestKernelsMatchCounts:
             WeightedCoincidence(uniform(m)),
             Pearson(reference=ref),
             WeightedCoincidence(ref),
+            Pearson(reference=biuniform_worst_case(m, 0.3)),
         ]
 
     @pytest.mark.parametrize("n,m", [(1, 2), (6, 4), (30, 12), (40, 3)])
@@ -206,6 +208,47 @@ class TestKernelsMatchCounts:
                     assert value == approx(stat.from_counts(row), rel=1e-12, abs=1e-9)
                     assert value == approx(direct_value(stat, row), rel=1e-12, abs=1e-9)
 
+    @pytest.mark.parametrize("path,source,n", [
+        ("tally", uniform(12), 60),
+        ("tally", biuniform_worst_case(13, 0.3), 60),
+        ("alias", permuted_worst_case(50, 0.3, set(range(2, 27))), 30),
+        ("event", uniform(5000), 300),
+        ("event", biuniform_worst_case(5000, 0.45), 300),
+    ])
+    def test_sampled_blocks(self, path, source, n):
+        m = source.m
+        chosen, draw = _make_sampler(source, n, ())
+        assert chosen == path
+        data = draw(np.random.default_rng(n), 64)
+        counts = rebuilt_counts(path, data, m)
+        stats = self.statistics(m)
+        tables = [stat.table(n, m) for stat in stats]
+        if path == "event":  # the event path carries no symbol identities
+            stats, tables = zip(*[(s, t) for s, t in zip(stats, tables) if t.group is None])
+        for stat, values in zip(stats, _block_values(tables, path, data, m)):
+            expected = np.array([stat.from_counts(row) for row in counts])
+            scale = max(1.0, float(np.abs(expected).max()))
+            assert np.abs(values - expected).max() <= 1e-12 * scale, stat.name
+
+    def test_values_do_not_depend_on_blas_threads(self):
+        # one block per path: event, sorted, alias and tally
+        script = """
+            import hashlib
+            from gee.montecarlo import simulate_statistics
+            from gee.pmf import biuniform_worst_case, permuted_worst_case, uniform
+            from gee.statistics import ExtendedCoincidence
+            stat = ExtendedCoincidence((0.1, -0.3, 0.7))
+            sources = [(uniform(5000), 300), (biuniform_worst_case(51, 0.3), 30),
+                       (permuted_worst_case(50, 0.3, set(range(2, 27))), 30), (uniform(12), 60)]
+            digest = hashlib.sha256()
+            for source, n in sources:
+                digest.update(simulate_statistics(source, [stat], n, 2048, seed=17)[0].tobytes())
+            print(digest.hexdigest())
+        """
+        digests = {run_python(script, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                              MKL_NUM_THREADS=threads) for threads in ("1", "2")}
+        assert len(digests) == 1
+
 
 def event_counts(data, m):
     """Per event-path row, a count vector equal to the row's up to symbol order."""
@@ -216,6 +259,15 @@ def event_counts(data, m):
         assert hits.size <= seen <= m
         out.append(np.concatenate([hits + 1, np.ones(seen - hits.size, int), np.zeros(m - seen, int)]))
     return np.array(out)
+
+
+def rebuilt_counts(path, data, m):
+    """Per row of a sampled block, a count vector equal to the row's up to symbol order."""
+    if path in ("tally", "counts"):
+        return data
+    if path == "event":
+        return event_counts(data, m)
+    return np.array([np.bincount(row, minlength=m) for row in data])
 
 
 def chi_square(values, law):
@@ -373,8 +425,9 @@ class TestEventSampler:
 
 
 class TestSampleOccupancyPaths:
-    """sample_occupancy on every sampler path against the fingerprint of
-    the count vector rebuilt from the same draw."""
+    """sample_occupancy and the block fingerprints on every sampler path
+    against the fingerprints of the count vectors rebuilt from the same
+    draw."""
 
     CASES = [
         ("tally", uniform(12), 60),
@@ -384,8 +437,10 @@ class TestSampleOccupancyPaths:
         ("sorted", uniform(50), 1),
         ("sorted", uniform(50), 0),
         ("sorted", biuniform_worst_case(51, 0.3), 30),
+        ("sorted", biuniform_worst_case(51, 0.3), 1),
         ("sorted", biuniform_worst_case(51, 0.3), 0),
         ("alias", permuted_worst_case(50, 0.3, set(range(2, 27))), 30),
+        ("alias", permuted_worst_case(50, 0.3, set(range(2, 27))), 1),
         ("alias", permuted_worst_case(50, 0.3, set(range(2, 27))), 0),
         ("event", uniform(5000), 300),
         ("event", biuniform_worst_case(5000, 0.45), 300),
@@ -394,19 +449,25 @@ class TestSampleOccupancyPaths:
     @pytest.mark.parametrize("path,source,n", CASES)
     def test_matches_rebuilt_counts(self, path, source, n):
         m = source.m
+        chosen, draw = _make_sampler(source, n, ())
+        assert chosen == path
         for seed in range(5):
             fp = sample_occupancy(source, n, np.random.default_rng(seed))
-            chosen, draw = _make_sampler(source, n, ())
-            assert chosen == path
-            data = draw(np.random.default_rng(seed), 1)
-            if path in ("tally", "counts"):
-                counts = data[0]
-            elif path == "event":
-                counts = event_counts(data, m)[0]
-            else:
-                counts = np.bincount(data[0], minlength=m)
+            counts = rebuilt_counts(path, draw(np.random.default_rng(seed), 1), m)[0]
             # phi runs to the largest count seen, so n = 0 gives [m]
             assert fp.phi.tolist() == occupancy(counts).phi.tolist()
+        data = draw(np.random.default_rng(n), 40)
+        counts = rebuilt_counts(path, data, m)
+        largest = int(counts.max())
+        # top = n keeps every level; one below the largest count folds the
+        # top levels into the last column
+        for top in sorted({n, max(largest - 1, 0)}):
+            cut = min(top, largest)
+            phi = _fingerprints(path, data, m, top)
+            assert phi.shape == (len(counts), cut + 1)
+            for row, got in zip(counts, phi):
+                fp = occupancy(row)
+                assert got.tolist() == [fp.level(c) for c in range(cut)] + [int(fp.phi[cut:].sum())]
 
 
 class TestTallySampler:

@@ -1,10 +1,7 @@
 """Unit tests for gee.oracle against full-enumeration and shift-add references."""
 
 import math
-import os
-import subprocess
 import sys
-import textwrap
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +39,7 @@ from .oracles import (
     bruteforce_reference,
     deviation_bounds,
     enumerate_law,
+    run_python,
     shift_add_law,
     sorted_compositions,
 )
@@ -114,13 +112,6 @@ def assert_law_matches(dist, law, tol=1e-12):
     for (v, p), sv, sp in zip(expected, dist.support, dist.probs):
         assert sv == approx(v, abs=1e-9)
         assert sp == approx(p, abs=tol)
-
-
-def run_python(script: str, **env: str) -> str:
-    """Stdout of `script` run in a fresh interpreter on this gee."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), **env)
-    return subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env, check=True,
-                          capture_output=True, text=True).stdout
 
 
 def assert_matches_shift_add(stat, p, n, tol=1e-12):
@@ -494,6 +485,17 @@ class TestWorstCaseBruteforce:
         argmin, value = worst_case_bruteforce(m, eps, mesh)
         assert np.rint(argmin.probs * mesh).astype(int).tolist() == counts
         assert value == approx(pinned, rel=1e-14)
+
+    @pytest.mark.parametrize("key", [
+        (4, 10, 0.25), (5, 100, 0.1), (5, 100, 0.145833), (5, 100, 0.25), (5, 200, 0.145833),
+        (6, 10, 0.45),
+    ])
+    def test_tie_values_are_exact_grid_sums(self, key):
+        # the value is m sum x^2 / mesh^2, rounded once from the integer sum
+        m, mesh, eps = key
+        counts, _ = self.PINNED[key]
+        _, value = worst_case_bruteforce(m, eps, mesh)
+        assert value == m * sum(x * x for x in counts) / mesh**2
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     @pytest.mark.parametrize("mesh", [1, 2, 3, 7, 10, 16])
