@@ -410,13 +410,16 @@ def _block_values(
     and "counts" paths, the sorted repeat labels on the "event" path, else
     a row-sorted (b, n) symbol matrix.  A shared table's value is
     sum_c Phi_c f(c) over the block's fingerprints, cut at the shared
-    tables' largest K; a reference-dependent one reads f[group, min(c, K)]
-    of the counts, or `_run_sums` of sorted symbols.
+    tables' largest K, unless that is wider than count rows (at n >> m^2);
+    there, and for a reference-dependent table, each value reads
+    f[group, min(c, K)] of the counts, or `_run_sums` of sorted symbols.
     """
     top = max((t.K for t in tables if t.group is None), default=None)
+    if top is not None and path in _COUNT_PATHS and min(top, int(data.max(initial=0))) >= m:
+        top = None
     phi = None if top is None else _fingerprints(path, data, m, top)
     return [
-        t.fingerprint_values(phi, "the block kernel") if t.group is None
+        t.fingerprint_values(phi) if phi is not None and t.group is None
         else t.values(data) if path in _COUNT_PATHS
         else _run_sums(t, data) / t.scale + t.shift
         for t in tables

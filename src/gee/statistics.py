@@ -122,13 +122,13 @@ class FTable:
         core = self.f[0 if self.group is None else self.group, np.minimum(counts, self.K)]
         return core.sum(axis=-1) / self.scale + self.shift
 
-    def fingerprint_values(self, phi: np.ndarray, what: str) -> np.ndarray:
-        """Statistic values sum_c Phi_c f(c) of the fingerprints along the
-        last axis, whose last entry may count every symbol seen that often
-        or more; `what` names the caller in the error of a table with no
-        shared row.  einsum keeps the sum off BLAS and its threads."""
-        f = self.shared_row(what)
-        core = np.einsum("...j,j->...", phi, f.take(np.arange(phi.shape[-1]), mode="clip"))
+    def fingerprint_values(self, phi: np.ndarray) -> np.ndarray:
+        """Statistic values sum_c Phi_c f(c) of a shared table on the
+        fingerprints along the last axis, whose last entry may count every
+        symbol seen that often or more.  einsum keeps the sum off BLAS and
+        its threads."""
+        f = self.f[0].take(np.arange(phi.shape[-1]), mode="clip")
+        core = np.einsum("...j,j->...", phi, f)
         return core / self.scale + self.shift
 
 
@@ -170,7 +170,8 @@ class SeparableStatistic:
 
     def from_fingerprint(self, fp: OccupancyFingerprint) -> float:
         t = self.table(fp.n, fp.m)
-        return float(t.fingerprint_values(fp.phi, f"{self.name} over a fingerprint"))
+        t.shared_row(f"{self.name} over a fingerprint")  # a reference-dependent table raises
+        return float(t.fingerprint_values(fp.phi))
 
     def from_counts(self, counts) -> float:
         arr = _as_counts(counts)

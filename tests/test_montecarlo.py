@@ -1,6 +1,7 @@
 """Unit tests for gee.montecarlo."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,7 +194,7 @@ class TestKernelsMatchCounts:
             Pearson(reference=biuniform_worst_case(m, 0.3)),
         ]
 
-    @pytest.mark.parametrize("n,m", [(1, 2), (6, 4), (30, 12), (40, 3)])
+    @pytest.mark.parametrize("n,m", [(1, 2), (6, 4), (30, 12), (40, 3), (40, 60)])
     def test_sorted_and_count_blocks(self, n, m, rng):
         hand = [[0] * n, list(range(m)) * (n // m) + [0] * (n % m)]
         xs = np.vstack([hand, rng.integers(0, m, size=(40, n))])
@@ -229,6 +230,23 @@ class TestKernelsMatchCounts:
             expected = np.array([stat.from_counts(row) for row in counts])
             scale = max(1.0, float(np.abs(expected).max()))
             assert np.abs(values - expected).max() <= 1e-12 * scale, stat.name
+
+    def test_count_blocks_far_past_the_alphabet(self):
+        # cut at Pearson's K = n, fingerprints of these rows would take
+        # 2048 x ~10^4 int64 cells (160 MB); the values come off the (2048, 2) counts
+        n, m = 20000, 2
+        path, draw = _make_sampler(uniform(m), n, ())
+        data = draw(np.random.default_rng(3), montecarlo.BLOCK_TRIALS)
+        stats = [Pearson(), Coincidence()]
+        tracemalloc.start()
+        try:
+            values = _block_values([stat.table(n, m) for stat in stats], path, data, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        for stat, v in zip(stats, values):
+            assert np.array_equal(v, [stat.from_counts(row) for row in data]), stat.name
 
     def test_values_do_not_depend_on_blas_threads(self):
         # one block per path: event, sorted, alias and tally
