@@ -36,7 +36,7 @@ from .montecarlo import (
     estimate_pm,
     sweep,
 )
-from .oracle import BRUTEFORCE_MAX_M, exact_error_probs, worst_case_bruteforce
+from .oracle import BRUTEFORCE_MAX_M, DEFAULT_CELL_BUDGET, exact_error_probs, worst_case_bruteforce
 from .pmf import (
     biuniform_worst_case,
     check_fdiv_conditions,
@@ -480,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     rule_group.add_argument("--tau", type=float, help="normalized threshold")
     rule_group.add_argument("--tau-abs", dest="tau_abs", type=float,
                             help="absolute cut in statistic units")
-    orc.add_argument("--budget", type=_at_least(1), default=10**8,
+    orc.add_argument("--budget", type=_at_least(1), default=DEFAULT_CELL_BUDGET,
                      help="transform-cell budget: refuse a law whose transform grid, "
                           "charged max(4, symbol groups) times, has more cells")
     _add_common(orc)

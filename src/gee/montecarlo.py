@@ -21,10 +21,10 @@ in `_sampler_path`, and every path samples the exact multinomial law:
 - "counts" (other sources, 4m <= n): the same count matrix from the
   conditional-binomial chain.  This is the reference the tests hold the
   tally path to.
-- "sorted" / "alias": all n symbols drawn (directly for uniform and
-  two-band sources, through an alias table otherwise) and sorted per
-  row.  This is the general path and the reference the tests hold the
-  event path to.
+- "sorted": all n symbols drawn and sorted per row, directly for uniform
+  and two-band sources, else each by inverting the CDF table the `Pmf`
+  caches (`Pmf.inverse_cdf`) at one uniform double.  This is the general
+  path and the reference the tests hold the event path to.
 - "event" (uniform or two-band source, n >= 256, m >= 16n, every table
   shared by all symbols): only the repeat structure is drawn.  With D
   distinct symbols seen, the run of fresh draws before the next repeat
@@ -52,7 +52,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .pmf import Pmf, biuniform_worst_case, uniform
+from .pmf import _GUIDE_BITS, Pmf, _GuidedCdf, _walk_up, biuniform_worst_case, uniform
 from .statistics import (
     FTable,
     OccupancyFingerprint,
@@ -76,7 +76,7 @@ __all__ = [
 ]
 
 BLOCK_TRIALS = 2048
-RNG_ALGORITHM = f"philox4x64-block{BLOCK_TRIALS}-v4"
+RNG_ALGORITHM = f"philox4x64-block{BLOCK_TRIALS}-v5"
 
 _MASK64 = (1 << 64) - 1
 
@@ -88,13 +88,12 @@ def _block_rng(seed: int, ctx: int, block: int) -> Generator:
 
 # ---------------------------------------------------------------------------
 # samplers: each returns a (b, m) count matrix ("tally", "counts"), a
-# row-sorted (b, n) symbol matrix ("sorted", "alias") or the sorted repeat
+# row-sorted (b, n) symbol matrix ("sorted") or the sorted repeat
 # labels of each row ("event"); all are exact multinomial.
 
 _COUNT_PATHS = ("tally", "counts")
 _TALLY_SLACK = 3.0  # the tally path's Poisson mean is n - 3 sqrt(n): ~0.1% of rows redraw
 _TALLY_CELLS = 1 << 17  # cells drawn at once: bounds the (rows, m) temporaries to ~1 MB
-_GUIDE_BITS = 14  # 128 KB of guide per band: it stays alive while each block's values are taken
 
 
 def _sampler_path(source: Pmf, n: int, tables: Sequence[FTable]) -> str:
@@ -108,19 +107,8 @@ def _sampler_path(source: Pmf, n: int, tables: Sequence[FTable]) -> str:
     m = source.m
     if 4 * m <= n:
         return "counts" if source.bands is None else "tally"
-    if source.bands is None:
-        return "alias"
-    if n >= 256 and m >= 16 * n and all(t.group is None for t in tables):
-        return "event"
-    return "sorted"
-
-
-def _walk_up(keys: np.ndarray, end: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """#{k : keys[k] <= x} for each x, from a guide's guess end at or below
-    it; keys are sorted and the closing key lies above every x."""
-    while (up := keys[end] <= x).any():
-        end += up
-    return end
+    event = n >= 256 and m >= 16 * n and all(t.group is None for t in tables)
+    return "event" if event and source.bands is not None else "sorted"
 
 
 class _Repeats(NamedTuple):
@@ -230,47 +218,6 @@ def _poisson_cdf(mu: float) -> tuple[int, np.ndarray]:
     return lo, cdf
 
 
-class _PoissonColumns:
-    """Poisson variates for columns in bands, band t of width widths[t]
-    with mean means[t], each by inverting its band's CDF at one uniform
-    double u: lo_t + #{k : cdf_t[k] <= u}, from `_poisson_cdf`.
-
-    u < 1 never passes a table's closing 1.  A guide over 2^_GUIDE_BITS
-    equal bins of u holds the count itself for bins free of breakpoints,
-    and -1 - (index of the bin's first key in the joined keys) for the
-    rest, which walk up from there.
-    """
-
-    def __init__(self, means: Sequence[float], widths: Sequence[int]) -> None:
-        bins = 1 << _GUIDE_BITS
-        self.tables = [_poisson_cdf(mu) for mu in means]
-        self.keys = np.concatenate([cdf for _, cdf in self.tables])
-        self.values = np.concatenate([lo + np.arange(cdf.size) for lo, cdf in self.tables])
-        self.guide = np.empty((len(means), bins), dtype=np.int64)
-        at = 0
-        for guide, (lo, cdf) in zip(self.guide, self.tables):
-            v = cdf * bins  # exact; bin j is [j, j + 1) in units of v
-            guide[:] = lo + np.repeat(np.arange(cdf.size), np.diff(np.ceil(v), prepend=0).astype(np.intp))
-            inside = np.floor(v[v % 1 > 0]).astype(np.intp)  # bins with a breakpoint inside
-            guide[inside] = (lo - 1 - at) - guide[inside]
-            at += cdf.size
-        self.guide = self.guide.reshape(-1)
-        self.column = np.repeat(np.arange(len(widths)) * bins, widths) if len(widths) > 1 else None
-
-    def invert(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Fill out (int64, u's shape, last axis the columns) with the
-        variates at u."""
-        j = (u * (1 << _GUIDE_BITS)).astype(np.intp)  # exact: u is a multiple of 2^-53
-        if self.column is not None:
-            j += self.column
-        np.take(self.guide, j, out=out, mode="clip")  # j is in range; "raise" would buffer out
-        flat = out.reshape(-1)
-        walk = np.flatnonzero(flat < 0)
-        if walk.size:
-            flat[walk] = self.values[_walk_up(self.keys, -1 - flat[walk], u.reshape(-1)[walk])]
-        return out
-
-
 def _tally_sampler(source: Pmf, n: int) -> Callable[[Generator, int], np.ndarray]:
     """Count matrices of n draws per row from a uniform or two-band source,
     Poissonized (see the module docstring).
@@ -284,9 +231,8 @@ def _tally_sampler(source: Pmf, n: int) -> Callable[[Generator, int], np.ndarray
     m = source.m
     dtype = np.uint16 if m <= 0xFFFF else np.uint32
     lam = max(n - _TALLY_SLACK * math.sqrt(n), 0.0)
-    poisson = _PoissonColumns(
-        [lam * source.probs[lo] for lo, _ in source.bands], [hi - lo for lo, hi in source.bands]
-    )
+    cdfs = [_poisson_cdf(lam * source.probs[lo]) for lo, _ in source.bands]
+    poisson = _GuidedCdf(cdfs, [hi - lo for lo, hi in source.bands], _GUIDE_BITS)
     rows = max(1, _TALLY_CELLS // m)
 
     def draw_tally(rng: Generator, b: int) -> np.ndarray:
@@ -330,10 +276,11 @@ def _make_sampler(
 
     dtype = np.uint32 if m <= 0xFFFFFFFF else np.uint64
     bands = source.bands
+    table = source.inverse_cdf if bands is None else None  # built before any stream draws
 
     def draw_sorted(rng: Generator, b: int) -> np.ndarray:
         if bands is None:
-            x = source.alias.draw(rng, (b, n))
+            x = table.invert(rng.random((b, n)), np.empty((b, n), dtype=np.int64))
         else:
             # symbol order is irrelevant after sorting, so the first k
             # draws of a row come from the first band
@@ -351,10 +298,13 @@ def _make_sampler(
 # statistic kernels
 
 
-def _fingerprints(path: str, data: np.ndarray | _Repeats, m: int, top: int) -> np.ndarray:
+def _fingerprints(
+    path: str, data: np.ndarray | _Repeats, m: int, top: int, largest: int | None = None
+) -> np.ndarray:
     """(b, top' + 1) fingerprints of a block: column c counts each row's
     symbols seen c times, and the last one those seen top' or more times,
-    with top' = min(top, the block's largest count).
+    with top' = min(top, the block's largest count), which a count block
+    reads itself unless the caller passes it as `largest`.
 
     Count rows take one `bincount` of min(c, top') + row (top' + 1).  Else
     E_l counts a row's windows of l equal draws: a symbol seen c times owns
@@ -367,7 +317,7 @@ def _fingerprints(path: str, data: np.ndarray | _Repeats, m: int, top: int) -> n
     """
     if path in _COUNT_PATHS:
         b = data.shape[0]
-        top = min(top, int(data.max(initial=0)))
+        top = min(top, int(data.max(initial=0)) if largest is None else largest)
         keys = np.minimum(data, top)  # the one (b, m) temporary
         keys += np.arange(0, b * (top + 1), top + 1)[:, None]
         return np.bincount(keys.reshape(-1), minlength=b * (top + 1)).reshape(b, top + 1)
@@ -415,9 +365,10 @@ def _block_values(
     f[group, min(c, K)] of the counts, or `_run_sums` of sorted symbols.
     """
     top = max((t.K for t in tables if t.group is None), default=None)
-    if top is not None and path in _COUNT_PATHS and min(top, int(data.max(initial=0))) >= m:
+    largest = int(data.max(initial=0)) if top is not None and path in _COUNT_PATHS else None
+    if largest is not None and min(top, largest) >= m:
         top = None
-    phi = None if top is None else _fingerprints(path, data, m, top)
+    phi = None if top is None else _fingerprints(path, data, m, top, largest)
     return [
         t.fingerprint_values(phi) if phi is not None and t.group is None
         else t.values(data) if path in _COUNT_PATHS
@@ -478,9 +429,8 @@ class SimPlan:
 
     @property
     def sampler(self) -> dict[str, str]:
-        """The sampler path of each estimate: "tally", "counts", "sorted",
-        "alias" or "event", a fixed function of the source, n, m and
-        statistic."""
+        """The sampler path of each estimate: "tally", "counts", "sorted"
+        or "event", a fixed function of the source, n, m and statistic."""
         tables = [self.rule.statistic.table(self.n, self.m)]
         return {
             "pf": _sampler_path(self.null, self.n, tables),

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -38,6 +38,7 @@ __all__ = [
 # buggy caller cannot hide behind silent renormalization.
 _SUM_TOL = 1e-12
 _RENORM_TOL = 1e-9
+_GUIDE_BITS = 14  # the smallest inverse-CDF guide: 2^14 bins, 128 KB per table
 
 
 class AlphabetSizeError(ValueError):
@@ -116,41 +117,66 @@ class Pmf:
         return None if band is None else [(0, band[0]), (band[0], self.m)]
 
     @cached_property
-    def alias(self) -> _AliasTable:
-        """Vose alias table of probs, built once per instance."""
-        return _AliasTable(self.probs)
+    def inverse_cdf(self) -> _GuidedCdf:
+        """Guided inverse-CDF table of probs, with at least 4 guide bins per
+        symbol; built once per instance."""
+        # a sum drifting within _SUM_TOL must neither overshoot the guide
+        # nor leave u room to reach a zero-mass tail
+        cdf = np.minimum(np.cumsum(self.probs), 1.0)
+        cdf[np.flatnonzero(self.probs)[-1]:] = 1.0
+        return _GuidedCdf([(0, cdf)], (), max(_GUIDE_BITS, (4 * self.m - 1).bit_length()))
 
     def __repr__(self) -> str:
         return f"Pmf({np.array2string(self.probs, threshold=8)})"
 
 
-class _AliasTable:
-    """Vose alias table for arbitrary finite distributions."""
+def _walk_up(keys: np.ndarray, end: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """#{k : keys[k] <= x} for each x, from a guide's guess end at or below
+    it; keys are sorted and the closing key lies above every x."""
+    while (up := keys[end] <= x).any():
+        end += up
+    return end
 
-    def __init__(self, probs: np.ndarray) -> None:
-        m = probs.size
-        scaled = probs * m
-        alias = np.arange(m, dtype=np.int64)
-        accept = np.ones(m)
-        small = [j for j in range(m) if scaled[j] < 1.0]
-        large = [j for j in range(m) if scaled[j] >= 1.0]
-        scaled = scaled.copy()
-        while small and large:
-            s, l = small.pop(), large.pop()
-            accept[s] = scaled[s]
-            alias[s] = l
-            scaled[l] -= 1.0 - scaled[s]
-            (small if scaled[l] < 1.0 else large).append(l)
-        for j in small + large:
-            accept[j] = 1.0
-        self.accept = accept
-        self.alias = alias
-        self.m = m
 
-    def draw(self, rng: np.random.Generator, shape) -> np.ndarray:
-        idx = rng.integers(0, self.m, size=shape, dtype=np.int64)
-        keep = rng.random(shape) < self.accept[idx]
-        return np.where(keep, idx, self.alias[idx])
+class _GuidedCdf:
+    """Discrete inversion at uniform doubles u < 1 (Chen & Asau's guide
+    table): table t = (lo, cdf), whose cdf closes at 1, maps u to
+    lo + #{k : cdf[k] <= u}.  The last axis of u runs through the tables in
+    columns widths[t] wide; with fewer than two widths, all through table 0.
+
+    A guide over 2^bits equal bins of u per table holds the value itself
+    for bins free of breakpoints, and -1 - (index of the bin's first key
+    in the joined keys) for the rest, which walk up from there.
+    """
+
+    def __init__(self, tables: Sequence[tuple[int, np.ndarray]], widths: Sequence[int],
+                 bits: int) -> None:
+        bins = 1 << bits
+        self.bits = bits
+        self.keys = np.concatenate([cdf for _, cdf in tables])
+        self.values = np.concatenate([lo + np.arange(cdf.size) for lo, cdf in tables])
+        self.guide = np.empty((len(tables), bins), dtype=np.int64)
+        at = 0
+        for guide, (lo, cdf) in zip(self.guide, tables):
+            v = cdf * bins  # exact; bin j is [j, j + 1) in units of v
+            guide[:] = lo + np.repeat(np.arange(cdf.size), np.diff(np.ceil(v), prepend=0).astype(np.intp))
+            inside = np.floor(v[v % 1 > 0]).astype(np.intp)  # bins with a breakpoint inside
+            guide[inside] = (lo - 1 - at) - guide[inside]
+            at += cdf.size
+        self.guide = self.guide.reshape(-1)
+        self.column = np.repeat(np.arange(len(widths)) * bins, widths) if len(widths) > 1 else None
+
+    def invert(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Fill out (int64, u's shape) with the values at u."""
+        j = (u * (1 << self.bits)).astype(np.intp)  # exact: u is a multiple of 2^-53
+        if self.column is not None:
+            j += self.column
+        np.take(self.guide, j, out=out, mode="clip")  # j is in range; "raise" would buffer out
+        flat = out.reshape(-1)
+        walk = np.flatnonzero(flat < 0)
+        if walk.size:
+            flat[walk] = self.values[_walk_up(self.keys, -1 - flat[walk], u.reshape(-1)[walk])]
+        return out
 
 
 def uniform(m: int) -> Pmf:

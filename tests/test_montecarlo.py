@@ -14,7 +14,7 @@ from gee.montecarlo import (
     _event_sampler,
     _fingerprints,
     _make_sampler,
-    _PoissonColumns,
+    _poisson_cdf,
     _RepeatChain,
     _sampler_path,
     _tally_sampler,
@@ -28,7 +28,7 @@ from gee.montecarlo import (
     sweep,
 )
 from gee.oracle import ExactDistribution, exact_distribution, exact_error_probs
-from gee.pmf import Pmf, biuniform_worst_case, permuted_worst_case, uniform
+from gee.pmf import Pmf, _GuidedCdf, biuniform_worst_case, permuted_worst_case, uniform
 from gee.statistics import (
     Coincidence,
     ExtendedCoincidence,
@@ -41,6 +41,17 @@ from gee.statistics import (
 )
 
 from .oracles import direct_value, run_python
+
+
+def drifting_pmf(m, drift, seed=0):
+    """A random pmf on m symbols whose sum is 1 + drift, with zero mass on
+    the first, middle and last symbols and on about one in ten others."""
+    rng = np.random.default_rng(seed)
+    w = rng.random(m) * (rng.random(m) < 0.9)
+    w[[0, m // 2, -1]] = 0.0
+    w /= w.sum()
+    w[1] += drift
+    return Pmf(w)
 
 
 def coincidence_plan(n, m, eps, tau, trials, seed, streams=1, alternative=None):
@@ -63,18 +74,18 @@ class TestSampleOccupancy:
     def test_alias_table_built_once(self, monkeypatch):
         built = []
 
-        class CountingTable(pmf._AliasTable):
-            def __init__(self, probs):
-                built.append(probs.size)
-                super().__init__(probs)
+        class CountingTable(pmf._GuidedCdf):
+            def __init__(self, tables, widths, bits):
+                built.append(tables[0][1].size)
+                super().__init__(tables, widths, bits)
 
-        monkeypatch.setattr(pmf, "_AliasTable", CountingTable)
+        monkeypatch.setattr(pmf, "_GuidedCdf", CountingTable)
         source = permuted_worst_case(50, 0.3, set(range(2, 27)))
         rng = np.random.default_rng(11)
         rows = [sample_occupancy(source, 30, rng).phi.tolist() for _ in range(3)]
         assert built == [50]
         # the rows drawn when each call built its own table
-        assert rows == [[27, 19, 2, 1, 1], [29, 14, 5, 2], [24, 23, 2, 1]]
+        assert rows == [[28, 16, 4, 2], [31, 11, 5, 3], [27, 18, 3, 2]]
 
     def test_fixed_seed_reproducible(self):
         a = [sample_occupancy(uniform(50), 10, np.random.default_rng(42)).phi for _ in range(1)]
@@ -146,7 +157,7 @@ class TestEstimates:
         assert abs(pf.p_hat - pf_exact) <= 4 * math.sqrt(pf_exact * (1 - pf_exact) / trials)
 
     def test_permuted_alternative_uses_alias_path(self):
-        # permuted worst case is neither uniform nor banded; the alias
+        # permuted worst case is neither uniform nor banded; the inverse-CDF
         # sampler must still produce the right acceptance probability
         n, m, eps, tau, trials = 12, 30, 0.3, 0.2, 50_000
         alt = permuted_worst_case(m, eps, set(range(2, 2 + m // 2)))
@@ -212,7 +223,8 @@ class TestKernelsMatchCounts:
     @pytest.mark.parametrize("path,source,n", [
         ("tally", uniform(12), 60),
         ("tally", biuniform_worst_case(13, 0.3), 60),
-        ("alias", permuted_worst_case(50, 0.3, set(range(2, 27))), 30),
+        ("sorted", permuted_worst_case(50, 0.3, set(range(2, 27))), 30),
+        ("sorted", drifting_pmf(40, 5e-13), 30),
         ("event", uniform(5000), 300),
         ("event", biuniform_worst_case(5000, 0.45), 300),
     ])
@@ -222,6 +234,8 @@ class TestKernelsMatchCounts:
         assert chosen == path
         data = draw(np.random.default_rng(n), 64)
         counts = rebuilt_counts(path, data, m)
+        if path != "event":  # zero-mass symbols never appear
+            assert not counts[:, source.probs == 0.0].any()
         stats = self.statistics(m)
         tables = [stat.table(n, m) for stat in stats]
         if path == "event":  # the event path carries no symbol identities
@@ -249,7 +263,7 @@ class TestKernelsMatchCounts:
             assert np.array_equal(v, [stat.from_counts(row) for row in data]), stat.name
 
     def test_values_do_not_depend_on_blas_threads(self):
-        # one block per path: event, sorted, alias and tally
+        # one block per path: event, sorted (two-band and general) and tally
         script = """
             import hashlib
             from gee.montecarlo import simulate_statistics
@@ -422,7 +436,7 @@ class TestEventSampler:
         assert _sampler_path(uniform(5000), 300, [Pearson(reference=ref).table(300, 5000)]) == "sorted"
         assert _sampler_path(uniform(5000), 300, ()) == "event"
         alt = permuted_worst_case(16000, 0.3, set(range(2, 8002)))
-        assert _sampler_path(alt, 1000, coin) == "alias"
+        assert _sampler_path(alt, 1000, coin) == "sorted"
         assert _sampler_path(uniform(250), 1000, coin) == "tally"
         assert _sampler_path(biuniform_worst_case(250, 0.3), 1000, coin) == "tally"
         assert _sampler_path(uniform(251), 1000, coin) == "sorted"
@@ -457,9 +471,9 @@ class TestSampleOccupancyPaths:
         ("sorted", biuniform_worst_case(51, 0.3), 30),
         ("sorted", biuniform_worst_case(51, 0.3), 1),
         ("sorted", biuniform_worst_case(51, 0.3), 0),
-        ("alias", permuted_worst_case(50, 0.3, set(range(2, 27))), 30),
-        ("alias", permuted_worst_case(50, 0.3, set(range(2, 27))), 1),
-        ("alias", permuted_worst_case(50, 0.3, set(range(2, 27))), 0),
+        ("sorted", permuted_worst_case(50, 0.3, set(range(2, 27))), 30),
+        ("sorted", permuted_worst_case(50, 0.3, set(range(2, 27))), 1),
+        ("sorted", permuted_worst_case(50, 0.3, set(range(2, 27))), 0),
         ("event", uniform(5000), 300),
         ("event", biuniform_worst_case(5000, 0.45), 300),
     ]
@@ -524,7 +538,8 @@ class TestTallySampler:
             s, w1 = source.two_band
             lam = n - 3 * math.sqrt(n)
             rng = np.random.default_rng(b)
-            poisson = _PoissonColumns([lam * source.probs[0], lam * source.probs[-1]], [s, m - s])
+            tables = [_poisson_cdf(lam * source.probs[0]), _poisson_cdf(lam * source.probs[-1])]
+            poisson = _GuidedCdf(tables, [s, m - s], montecarlo._GUIDE_BITS)
             y = poisson.invert(rng.random((b, m)), np.empty((b, m), dtype=np.int64))
             assert np.all(y.sum(axis=1) <= n)
             k = rng.binomial(n - y.sum(axis=1), w1, size=b)
@@ -540,20 +555,40 @@ class TestTallySampler:
         for stat, x, y in zip(stats, tally, reference):
             assert moments_agree(x, y), stat.name
 
-    @pytest.mark.parametrize("means", [[0.0], [1e-9], [0.5, 7.6], [100.0, 0.0, 3.0], [5e5]])
-    def test_guided_inversion_matches_binary_search(self, means, rng):
-        poisson = _PoissonColumns(means, [1] * len(means))
-        edges = np.arange(1 << montecarlo._GUIDE_BITS) / (1 << montecarlo._GUIDE_BITS)
-        for t, (lo, cdf) in enumerate(poisson.tables):
+    @pytest.mark.parametrize("case", [
+        [0.0], [1e-9], [0.5, 7.6], [100.0, 0.0, 3.0], [5e5],  # Poisson means of one table each
+        # general pmfs: zero mass first, in the middle and last, with sums
+        # drifting within Pmf's tolerance under and over 1
+        Pmf([0.0, 0.3, 0.0, 0.7 - 4e-13, 0.0]),
+        Pmf([0.5 + 5e-13, 0.5, 0.0]),
+        Pmf([0.1] * 9 + [0.1 - 4e-13, 0.0]),
+        Pmf([0.5 + 5e-13, 0.5, 1e-14, 0.0]),  # the cumsum passes 1 before its last positive symbol
+        drifting_pmf(5000, 5e-13),  # a 2^15-bin guide
+        drifting_pmf(5000, -5e-13),
+    ])
+    def test_guided_inversion_matches_binary_search(self, case, rng):
+        if isinstance(case, Pmf):
+            table = case.inverse_cdf
+            tables = [(0, table.keys)]
+            assert table.guide.size == max(1 << 14, 1 << (4 * case.m - 1).bit_length())
+            assert np.allclose(table.keys, np.cumsum(case.probs), rtol=0, atol=1e-12)
+        else:
+            tables = [_poisson_cdf(mu) for mu in case]
+            table = _GuidedCdf(tables, [1] * len(case), montecarlo._GUIDE_BITS)
+        bins = table.guide.size // len(tables)
+        edges = np.arange(bins) / bins
+        for t, (lo, cdf) in enumerate(tables):
             assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0)
             # random u, u at each breakpoint, at each guide edge and just below it
             u = np.concatenate([
-                rng.random(20_000), cdf[:-1], edges, np.nextafter(edges[1:], 0.0), [1 - 2.0**-53],
+                rng.random(20_000), cdf[cdf < 1], edges, np.nextafter(edges[1:], 0.0), [1 - 2.0**-53],
             ])
-            cells = np.zeros((u.size, len(means)))
+            cells = np.zeros((u.size, len(tables)))
             cells[:, t] = u
-            got = poisson.invert(cells, np.empty(cells.shape, dtype=np.int64))[:, t]
+            got = table.invert(cells, np.empty(cells.shape, dtype=np.int64))[:, t]
             assert np.array_equal(got, lo + np.searchsorted(cdf, u, side="right"))
+            if isinstance(case, Pmf):  # u < 1 never reaches a zero-mass symbol
+                assert np.all(case.probs[got] > 0)
 
     @pytest.mark.parametrize("source", [uniform(2), biuniform_worst_case(2, 0.3)])
     @pytest.mark.parametrize("n", [8, 9])
