@@ -5,16 +5,16 @@ BLOCK_TRIALS, and block b of an estimation context draws from a Philox
 generator keyed by (seed, context, b).  Estimates are integer counts
 summed over blocks, so results are bit-identical for any stream count
 and any worker count; `streams` only chooses how blocks are distributed
-across threads.
+across threads, and event-path blocks all run on the calling thread.
 
 The sampling path is a fixed function of (source, n, m, tables), pinned
 in `_sampler_path`, and every path samples the exact multinomial law:
 
 - "tally" (uniform or two-band source, 4m <= n): a (b, m) count matrix,
   Poissonized.  With lam = max(n - 3 sqrt(n), 0), each cell draws
-  Y_j ~ Poisson(lam p_j) by inverting its band's CDF at one uniform
-  double; rows whose total N exceeds n are redrawn whole, and the other
-  n - N draws of a row are drawn directly (split on Binomial(n - N, w1)
+  Y_j ~ Poisson(lam p_j) by inverting its band's CDF bits first (see
+  `_GuidedCdf.draw`); rows whose total N exceeds n are redrawn whole, and
+  the other n - N draws of a row are drawn directly (split on Binomial(n - N, w1)
   for a two-band source) and counted by `bincount`.  Given N = k, Y is
   Multinomial(k, p), so adding Multinomial(n - k, p) gives the exact
   law at ~m + 3 sqrt(n) per row instead of n.
@@ -23,8 +23,9 @@ in `_sampler_path`, and every path samples the exact multinomial law:
   tally path to.
 - "sorted": all n symbols drawn and sorted per row, directly for uniform
   and two-band sources, else each by inverting the CDF table the `Pmf`
-  caches (`Pmf.inverse_cdf`) at one uniform double.  This is the general
-  path and the reference the tests hold the event path to.
+  caches (`Pmf.inverse_cdf`), bits first as on the tally path, into
+  int32 rows.  This is the general path and the reference the tests
+  hold the event path to.
 - "event" (uniform or two-band source, n >= 256, m >= 16n, every table
   shared by all symbols): only the repeat structure is drawn.  With D
   distinct symbols seen, the run of fresh draws before the next repeat
@@ -76,7 +77,7 @@ __all__ = [
 ]
 
 BLOCK_TRIALS = 2048
-RNG_ALGORITHM = f"philox4x64-block{BLOCK_TRIALS}-v5"
+RNG_ALGORITHM = f"philox4x64-block{BLOCK_TRIALS}-v6"
 
 _MASK64 = (1 << 64) - 1
 
@@ -222,7 +223,7 @@ def _tally_sampler(source: Pmf, n: int) -> Callable[[Generator, int], np.ndarray
     """Count matrices of n draws per row from a uniform or two-band source,
     Poissonized (see the module docstring).
 
-    Rows go in chunks of about 2^17 cells.  A chunk draws one uniform per
+    Rows go in chunks of about 2^17 cells.  A chunk inverts one uniform per
     cell, redraws its rows of total over n until none is left, then draws
     the remaining symbols of each row, split between the bands as the
     other direct paths do, and counts them by one `bincount` of symbols
@@ -240,9 +241,9 @@ def _tally_sampler(source: Pmf, n: int) -> Callable[[Generator, int], np.ndarray
         for lo in range(0, b, rows):
             chunk = counts[lo:lo + rows]
             c = chunk.shape[0]
-            total = poisson.invert(rng.random((c, m)), chunk).sum(axis=1)
+            total = poisson.draw(rng, chunk).sum(axis=1)
             while (over := np.flatnonzero(total > n)).size:
-                redo = poisson.invert(rng.random((over.size, m)), np.empty((over.size, m), np.int64))
+                redo = poisson.draw(rng, np.empty((over.size, m), np.int64))
                 chunk[over] = redo
                 total[over] = redo.sum(axis=1)
             offset = np.arange(c) * m
@@ -280,7 +281,7 @@ def _make_sampler(
 
     def draw_sorted(rng: Generator, b: int) -> np.ndarray:
         if bands is None:
-            x = table.invert(rng.random((b, n)), np.empty((b, n), dtype=np.int64))
+            x = table.draw(rng, np.empty((b, n), dtype=np.int32))
         else:
             # symbol order is irrelevant after sorting, so the first k
             # draws of a row come from the first band
@@ -490,7 +491,8 @@ def _run_blocks(
             for b in block_ids
         ]
 
-    if streams == 1 or len(sizes) <= 1:
+    # event blocks hold the GIL: 2 streams ran them 0.8-1.05x as fast as 1 (2 vCPUs, n <= 16000)
+    if streams == 1 or len(sizes) <= 1 or path == "event":
         return run(range(len(sizes)))
     first, *rest = np.array_split(np.arange(len(sizes)), min(streams, len(sizes)))
     # the calling thread runs one chunk itself: starting a worker while
@@ -542,11 +544,13 @@ def simulate_statistics(
 
 def sample_occupancy(p: Pmf, n: int, rng: Generator) -> OccupancyFingerprint:
     """Occupancy fingerprint of n i.i.d. draws from p: one row of the
-    Monte Carlo block sampler, with the same path choice and exact law."""
+    Monte Carlo block sampler (same path, exact law), drawn from a Philox
+    generator keyed by rng, as the samplers read 64 bits per raw word."""
     if n < 0:
         raise ValueError(f"sample size must be >= 0, got {n}")
     path, draw = _make_sampler(p, n, ())
-    return OccupancyFingerprint(n=n, m=p.m, phi=_fingerprints(path, draw(rng, 1), p.m, n)[0])
+    row = draw(Generator(Philox(key=rng.integers(1 << 64, size=2, dtype=np.uint64))), 1)
+    return OccupancyFingerprint(n=n, m=p.m, phi=_fingerprints(path, row, p.m, n)[0])
 
 
 def sweep(

@@ -124,7 +124,7 @@ class Pmf:
         # nor leave u room to reach a zero-mass tail
         cdf = np.minimum(np.cumsum(self.probs), 1.0)
         cdf[np.flatnonzero(self.probs)[-1]:] = 1.0
-        return _GuidedCdf([(0, cdf)], (), max(_GUIDE_BITS, (4 * self.m - 1).bit_length()))
+        return _GuidedCdf([(0, cdf)], (), max(_GUIDE_BITS, (4 * self.m - 1).bit_length()), np.int32)
 
     def __repr__(self) -> str:
         return f"Pmf({np.array2string(self.probs, threshold=8)})"
@@ -139,10 +139,10 @@ def _walk_up(keys: np.ndarray, end: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 class _GuidedCdf:
-    """Discrete inversion at uniform doubles u < 1 (Chen & Asau's guide
-    table): table t = (lo, cdf), whose cdf closes at 1, maps u to
-    lo + #{k : cdf[k] <= u}.  The last axis of u runs through the tables in
-    columns widths[t] wide; with fewer than two widths, all through table 0.
+    """Discrete inversion at uniform u < 1 on the 2^-53 grid (Chen & Asau's
+    guide table): table t = (lo, cdf), whose cdf closes at 1, maps u to
+    lo + #{k : cdf[k] <= u}.  The last axis of out runs through the tables
+    in columns widths[t] wide; with fewer than two widths, all through table 0.
 
     A guide over 2^bits equal bins of u per table holds the value itself
     for bins free of breakpoints, and -1 - (index of the bin's first key
@@ -150,12 +150,13 @@ class _GuidedCdf:
     """
 
     def __init__(self, tables: Sequence[tuple[int, np.ndarray]], widths: Sequence[int],
-                 bits: int) -> None:
+                 bits: int, dtype: type = np.int64) -> None:
+        assert bits <= 32, "bins are read from at most 32-bit slices"
         bins = 1 << bits
         self.bits = bits
         self.keys = np.concatenate([cdf for _, cdf in tables])
         self.values = np.concatenate([lo + np.arange(cdf.size) for lo, cdf in tables])
-        self.guide = np.empty((len(tables), bins), dtype=np.int64)
+        self.guide = np.empty((len(tables), bins), dtype=dtype)
         at = 0
         for guide, (lo, cdf) in zip(self.guide, tables):
             v = cdf * bins  # exact; bin j is [j, j + 1) in units of v
@@ -166,16 +167,26 @@ class _GuidedCdf:
         self.guide = self.guide.reshape(-1)
         self.column = np.repeat(np.arange(len(widths)) * bins, widths) if len(widths) > 1 else None
 
-    def invert(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Fill out (int64, u's shape) with the values at u."""
-        j = (u * (1 << self.bits)).astype(np.intp)  # exact: u is a multiple of 2^-53
+    def draw(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """Fill out (the guide's dtype) with the values at one u per cell,
+        bits first: the bin of u from the top of a 16- or 32-bit slice of a
+        raw word, and where the bin holds a breakpoint the other 53 - bits
+        bits of u from the top of one more word.  Given its bin, u is uniform
+        on the bin's points of the 2^-53 grid, so the law is exact when raw
+        words hold 64 random bits (Philox, PCG64; not MT19937's 32)."""
+        width = 16 if self.bits <= 16 else 32
+        # sliced little-endian, so the stream is the same on every platform
+        raw = rng.bit_generator.random_raw(-(-out.size * width // 64)).astype("<u8", copy=False)
+        j = raw.view(f"<u{width // 8}")[:out.size].reshape(out.shape) >> (width - self.bits)
         if self.column is not None:
-            j += self.column
+            j = j + self.column
         np.take(self.guide, j, out=out, mode="clip")  # j is in range; "raise" would buffer out
         flat = out.reshape(-1)
         walk = np.flatnonzero(flat < 0)
         if walk.size:
-            flat[walk] = self.values[_walk_up(self.keys, -1 - flat[walk], u.reshape(-1)[walk])]
+            low = rng.bit_generator.random_raw(walk.size) >> (11 + self.bits)
+            u = (j.reshape(-1)[walk] & ((1 << self.bits) - 1)) * 2.0**-self.bits + low * 2.0**-53
+            flat[walk] = self.values[_walk_up(self.keys, -1 - flat[walk], u)]
         return out
 
 

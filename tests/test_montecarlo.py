@@ -1,11 +1,12 @@
 """Unit tests for gee.montecarlo."""
 
+import hashlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from numpy.random import Generator, Philox
+from numpy.random import MT19937, Generator, Philox
 from pytest import approx
 
 from gee import montecarlo, pmf
@@ -75,17 +76,18 @@ class TestSampleOccupancy:
         built = []
 
         class CountingTable(pmf._GuidedCdf):
-            def __init__(self, tables, widths, bits):
+            def __init__(self, tables, *args):
                 built.append(tables[0][1].size)
-                super().__init__(tables, widths, bits)
+                super().__init__(tables, *args)
 
         monkeypatch.setattr(pmf, "_GuidedCdf", CountingTable)
         source = permuted_worst_case(50, 0.3, set(range(2, 27)))
         rng = np.random.default_rng(11)
         rows = [sample_occupancy(source, 30, rng).phi.tolist() for _ in range(3)]
         assert built == [50]
-        # the rows drawn when each call built its own table
-        assert rows == [[28, 16, 4, 2], [31, 11, 5, 3], [27, 18, 3, 2]]
+        # the rows pinned under RNG_ALGORITHM -v6 (bits-first table draws,
+        # each row from a Philox generator keyed by rng)
+        assert rows == [[30, 11, 8, 1], [29, 15, 4, 1, 1], [29, 16, 3, 1, 0, 1]]
 
     def test_fixed_seed_reproducible(self):
         a = [sample_occupancy(uniform(50), 10, np.random.default_rng(42)).phi for _ in range(1)]
@@ -135,6 +137,23 @@ class TestEstimates:
         pf_counts = {estimate_pf(p).exceed_count for p in plans}
         pm_counts = {estimate_pm(p).exceed_count for p in plans}
         assert len(pf_counts) == 1 and len(pm_counts) == 1
+
+    def test_event_blocks_stay_on_the_calling_thread(self, monkeypatch):
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a thread pool was started")
+
+        def counts(streams):
+            plan = coincidence_plan(300, 5000, 0.45, 0.2, 3 * montecarlo.BLOCK_TRIALS, seed=19,
+                                    streams=streams)
+            return estimate_pf(plan).exceed_count, estimate_pm(plan).exceed_count
+
+        assert coincidence_plan(300, 5000, 0.45, 0.2, 1, seed=19).sampler == {"pf": "event", "pm": "event"}
+        expected = counts(1)
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", NoPool)
+        assert counts(2) == expected
+        with pytest.raises(AssertionError, match="thread pool"):  # other paths still use one
+            estimate_pf(coincidence_plan(12, 30, 0.3, 0.2, 3 * montecarlo.BLOCK_TRIALS, seed=19, streams=2))
 
     def test_repeated_runs_identical(self):
         plan = coincidence_plan(12, 30, 0.3, 0.2, 20_000, seed=9)
@@ -334,18 +353,32 @@ def assert_tally_law(source, n, counts):
         assert x2 <= chi_square_bound(df), (stat.name, x2, df)
 
 
-class RowCountingRng:
-    """A Generator that records the rows of each `random((rows, m))` call."""
+class RawWords:
+    """A stand-in Generator from whose raw words `table.draw` reads
+    u = k / 2^53 in each cell of k: first each cell's bin in the top bits
+    of a 16- or 32-bit slice over random bits, then, for each cell
+    whose bin holds a breakpoint, the rest of k in the top bits of one
+    more word over random bits."""
 
-    def __init__(self, rng):
-        self.rng, self.rows = rng, []
+    def __init__(self, table, k, rng):
+        bits, k = table.bits, k.reshape(-1)
+        width = 16 if bits <= 16 else 32
+        bins = k >> np.uint64(53 - bits)
+        noise = rng.integers(0, 1 << (width - bits), size=k.size, dtype=np.uint64)
+        slices = (bins << np.uint64(width - bits) | noise).astype(f"<u{width // 8}")
+        slices = np.append(slices, np.zeros(-k.size % (64 // width), slices.dtype))
+        j = bins.astype(np.intp)
+        if table.column is not None:
+            j += np.tile(table.column, k.size // table.column.size)
+        rest = k[table.guide[j] < 0] & np.uint64((1 << (53 - bits)) - 1)
+        noise = rng.integers(0, 1 << (11 + bits), size=rest.size, dtype=np.uint64)
+        self.calls = [slices.view("<u8"), rest << np.uint64(11 + bits) | noise]
+        self.bit_generator = self
 
-    def random(self, size):
-        self.rows.append(size[0])
-        return self.rng.random(size)
-
-    def __getattr__(self, name):
-        return getattr(self.rng, name)
+    def random_raw(self, size):
+        words = self.calls.pop(0)
+        assert words.size == size
+        return words
 
 
 def moments_agree(x, y):
@@ -485,7 +518,9 @@ class TestSampleOccupancyPaths:
         assert chosen == path
         for seed in range(5):
             fp = sample_occupancy(source, n, np.random.default_rng(seed))
-            counts = rebuilt_counts(path, draw(np.random.default_rng(seed), 1), m)[0]
+            # sample_occupancy draws from a Philox generator keyed by its rng
+            key = np.random.default_rng(seed).integers(1 << 64, size=2, dtype=np.uint64)
+            counts = rebuilt_counts(path, draw(Generator(Philox(key=key)), 1), m)[0]
             # phi runs to the largest count seen, so n = 0 gives [m]
             assert fp.phi.tolist() == occupancy(counts).phi.tolist()
         data = draw(np.random.default_rng(n), 40)
@@ -500,6 +535,60 @@ class TestSampleOccupancyPaths:
             for row, got in zip(counts, phi):
                 fp = occupancy(row)
                 assert got.tolist() == [fp.level(c) for c in range(cut)] + [int(fp.phi[cut:].sum())]
+
+    @pytest.mark.parametrize("path,source,n", [
+        ("tally", uniform(12), 60),
+        ("sorted", permuted_worst_case(50, 0.3, set(range(2, 27))), 30),
+    ])
+    def test_law_under_a_32_bit_generator(self, path, source, n):
+        # MT19937's raw words hold 32 random bits, where the table draws read 64
+        assert _sampler_path(source, n, ()) == path
+        rng = Generator(MT19937(5))
+        phi = [sample_occupancy(source, n, rng).phi for _ in range(3000)]
+        for stat in (Coincidence(), PearsonTruncated()):
+            table = stat.table(n, source.m)
+            x = np.array([(p * table.f[0, np.minimum(np.arange(p.size), table.K)]).sum() for p in phi])
+            x2, df = chi_square(x / table.scale + table.shift, exact_distribution(stat, source, n))
+            assert x2 <= chi_square_bound(df), (stat.name, x2, df)
+
+
+class TestStreams:
+    """One block of each sampler path, hashed, against the digests pinned
+    to RNG_ALGORITHM: a stream may move only with a new RNG_ALGORITHM."""
+
+    RNG_ALGORITHM = "philox4x64-block2048-v6"
+    # sha256 prefix of the block's values as little-endian int64; the
+    # counts, band sorted and event digests are those under -v5
+    DIGESTS = {
+        "tally": (biuniform_worst_case(13, 0.3), 60, "72077518f929b7b2"),
+        "counts": (permuted_worst_case(12, 0.3, set(range(2, 8))), 60, "64b45ac4877a4681"),
+        "band sorted": (biuniform_worst_case(51, 0.3), 30, "1fbc636dcccf2467"),
+        "general sorted": (permuted_worst_case(50, 0.3, set(range(2, 27))), 30, "cf5f526438cc05e7"),
+        "event": (biuniform_worst_case(5000, 0.45), 300, "9a35cfe930ba9906"),
+    }
+
+    def test_block_digests(self):
+        assert montecarlo.RNG_ALGORITHM == self.RNG_ALGORITHM, "re-record DIGESTS for the new RNG_ALGORITHM"
+        moved = []
+        for name, (source, n, digest) in self.DIGESTS.items():
+            path, draw = _make_sampler(source, n, ())
+            assert path == name.split()[-1]
+            data = draw(montecarlo._block_rng(1, 0, 0), montecarlo.BLOCK_TRIALS)
+            rows = np.asarray(data.labels if path == "event" else data, dtype="<i8")
+            if hashlib.sha256(rows.tobytes()).hexdigest()[:16] != digest:
+                moved.append(name)
+        assert not moved, f"the {', '.join(moved)} streams moved: bump RNG_ALGORITHM"
+
+    def test_general_sorted_rows_are_int32(self):
+        source, n, b = drifting_pmf(5000, 5e-13), 300, 64
+        path, draw = _make_sampler(source, n, ())
+        assert path == "sorted"
+        rows = draw(np.random.default_rng(3), b)
+        assert rows.dtype == np.int32
+        table = source.inverse_cdf
+        wide = _GuidedCdf([(0, table.keys)], (), table.bits)  # an int64 guide
+        expected = wide.draw(np.random.default_rng(3), np.empty((b, n), dtype=np.int64))
+        assert np.array_equal(rows, np.sort(expected, axis=1))
 
 
 class TestTallySampler:
@@ -533,14 +622,14 @@ class TestTallySampler:
         assert np.all(counts.sum(axis=1) == n)
         assert np.all(counts[:, source.probs == 0.0] == 0)
         if source.two_band is not None:
-            # the block's first draws are one uniform per cell (one chunk,
-            # no row over n here), then the top-up's per-row band split
+            # the block's first draws are one guided draw per cell (one
+            # chunk, no row over n here), then the top-up's per-row band split
             s, w1 = source.two_band
             lam = n - 3 * math.sqrt(n)
             rng = np.random.default_rng(b)
             tables = [_poisson_cdf(lam * source.probs[0]), _poisson_cdf(lam * source.probs[-1])]
             poisson = _GuidedCdf(tables, [s, m - s], montecarlo._GUIDE_BITS)
-            y = poisson.invert(rng.random((b, m)), np.empty((b, m), dtype=np.int64))
+            y = poisson.draw(rng, np.empty((b, m), dtype=np.int64))
             assert np.all(y.sum(axis=1) <= n)
             k = rng.binomial(n - y.sum(axis=1), w1, size=b)
             assert np.array_equal(counts[:, :s].sum(axis=1), y[:, :s].sum(axis=1) + k)
@@ -565,6 +654,7 @@ class TestTallySampler:
         Pmf([0.5 + 5e-13, 0.5, 1e-14, 0.0]),  # the cumsum passes 1 before its last positive symbol
         drifting_pmf(5000, 5e-13),  # a 2^15-bin guide
         drifting_pmf(5000, -5e-13),
+        drifting_pmf(20000, 5e-13),  # a 2^17-bin guide: bins from 32-bit slices
     ])
     def test_guided_inversion_matches_binary_search(self, case, rng):
         if isinstance(case, Pmf):
@@ -575,18 +665,24 @@ class TestTallySampler:
         else:
             tables = [_poisson_cdf(mu) for mu in case]
             table = _GuidedCdf(tables, [1] * len(case), montecarlo._GUIDE_BITS)
-        bins = table.guide.size // len(tables)
-        edges = np.arange(bins) / bins
+        grid = 1 << 53  # u = k / grid, as `Generator.random` draws it
+        edges = np.arange(table.guide.size // len(tables), dtype=np.uint64) << np.uint64(53 - table.bits)
         for t, (lo, cdf) in enumerate(tables):
             assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0)
-            # random u, u at each breakpoint, at each guide edge and just below it
-            u = np.concatenate([
-                rng.random(20_000), cdf[cdf < 1], edges, np.nextafter(edges[1:], 0.0), [1 - 2.0**-53],
+            # random u, the grid points around each breakpoint, each guide
+            # edge and the grid point just below it
+            at = np.floor(cdf[cdf < 1] * grid).astype(np.uint64)
+            k = np.concatenate([
+                rng.integers(0, grid, size=20_000, dtype=np.uint64),
+                at, np.minimum(at + 1, grid - 1), np.maximum(at, 1) - 1,
+                edges, edges[1:] - 1, np.array([grid - 1], dtype=np.uint64),
             ])
-            cells = np.zeros((u.size, len(tables)))
-            cells[:, t] = u
-            got = table.invert(cells, np.empty(cells.shape, dtype=np.int64))[:, t]
-            assert np.array_equal(got, lo + np.searchsorted(cdf, u, side="right"))
+            cells = np.zeros((k.size, len(tables)), dtype=np.uint64)
+            cells[:, t] = k
+            raw = RawWords(table, cells, rng)
+            got = table.draw(raw, np.empty(cells.shape, dtype=table.guide.dtype))[:, t]
+            assert all(words.size == 0 for words in raw.calls)  # every word was read
+            assert np.array_equal(got, lo + np.searchsorted(cdf, k * 2.0**-53, side="right"))
             if isinstance(case, Pmf):  # u < 1 never reaches a zero-mass symbol
                 assert np.all(case.probs[got] > 0)
 
@@ -614,9 +710,10 @@ class TestTallySampler:
         # at slack 0 the Poisson mean is n and about half the rows redraw
         monkeypatch.setattr(montecarlo, "_TALLY_SLACK", slack)
         source, n, trials = biuniform_worst_case(12, 0.3), 60, 40_000
-        rng = RowCountingRng(np.random.default_rng(7))
-        counts = _tally_sampler(source, n)(rng, trials)
-        assert sum(rng.rows) > trials  # some rows were drawn twice
+        rows, draw = [], _GuidedCdf.draw
+        monkeypatch.setattr(_GuidedCdf, "draw", lambda self, rng, out: rows.append(len(out)) or draw(self, rng, out))
+        counts = _tally_sampler(source, n)(np.random.default_rng(7), trials)
+        assert sum(rows) > trials  # some rows were drawn twice
         assert np.all(counts.sum(axis=1) == n)
         assert_tally_law(source, n, counts)
 
