@@ -5,7 +5,7 @@ BLOCK_TRIALS, and block b of an estimation context draws from a Philox
 generator keyed by (seed, context, b).  Estimates are integer counts
 summed over blocks, so results are bit-identical for any stream count
 and any worker count; `streams` only chooses how blocks are distributed
-across threads, and event-path blocks all run on the calling thread.
+across threads, and fingerprint-path blocks all run on the calling thread.
 
 The sampling path is a fixed function of (source, n, m, tables), pinned
 in `_sampler_path`, and every path samples the exact multinomial law:
@@ -25,17 +25,16 @@ in `_sampler_path`, and every path samples the exact multinomial law:
   and two-band sources, else each by inverting the CDF table the `Pmf`
   caches (`Pmf.inverse_cdf`), bits first as on the tally path, into
   int32 rows.  This is the general path and the reference the tests
-  hold the event path to.
-- "event" (uniform or two-band source, n >= 256, m >= 16n, every table
-  shared by all symbols): only the repeat structure is drawn.  With D
-  distinct symbols seen, the run of fresh draws before the next repeat
-  has survival function prod_{i<g} (1 - (D+i)/m), so the repeat times
-  depend on the draw count and the number of repeats alone; given them,
-  a repeat taken with D symbols seen hits a symbol that is uniform among
-  those D, labelled by order of first appearance.  A symbol seen c times
-  leaves c - 1 labels, so the sorted label rows hold ~n^2/2m entries and
-  go through the same window loop as sorted symbols.  A two-band source
-  splits k ~ Binomial(n, w1) and runs one such chain per band.
+  hold the fingerprint path to.
+- "fingerprint" (uniform or two-band source, n >= 256, m >= 16n, every
+  table shared by all symbols): the fingerprints Phi, Poissonized as on
+  the tally path.  The Poisson(lam p) counts of a band's s symbols have
+  the fingerprint Multinomial(s, Poisson(lam p) pmf); rows with
+  N = sum_c c Phi_c > n are redrawn.  Of a band's share of the other
+  n - N draws, with D of its symbols seen, a run of g fresh ones
+  (survival function prod_{i<g} (1 - (D+i)/s)) moves g symbols from
+  class 0 to class 1, and the repeat after it moves a uniform one of the
+  D up one class.
 
 On every path a statistic whose table all symbols share is evaluated as
 sum_c Phi_c f(c) over the occupancy fingerprints Phi of the block's rows.
@@ -48,7 +47,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -77,7 +76,7 @@ __all__ = [
 ]
 
 BLOCK_TRIALS = 2048
-RNG_ALGORITHM = f"philox4x64-block{BLOCK_TRIALS}-v6"
+RNG_ALGORITHM = f"philox4x64-block{BLOCK_TRIALS}-v7"
 
 _MASK64 = (1 << 64) - 1
 
@@ -89,11 +88,11 @@ def _block_rng(seed: int, ctx: int, block: int) -> Generator:
 
 # ---------------------------------------------------------------------------
 # samplers: each returns a (b, m) count matrix ("tally", "counts"), a
-# row-sorted (b, n) symbol matrix ("sorted") or the sorted repeat
-# labels of each row ("event"); all are exact multinomial.
+# row-sorted (b, n) symbol matrix ("sorted") or (b, classes) occupancy
+# fingerprints ("fingerprint"); all are exact multinomial.
 
 _COUNT_PATHS = ("tally", "counts")
-_TALLY_SLACK = 3.0  # the tally path's Poisson mean is n - 3 sqrt(n): ~0.1% of rows redraw
+_TALLY_SLACK = 3.0  # the Poisson mean is n - 3 sqrt(n): ~0.1% of rows redraw
 _TALLY_CELLS = 1 << 17  # cells drawn at once: bounds the (rows, m) temporaries to ~1 MB
 
 
@@ -101,23 +100,16 @@ def _sampler_path(source: Pmf, n: int, tables: Sequence[FTable]) -> str:
     """The block sampler's path, pinned per release.
 
     Per-trial cost is ~4m for the conditional-binomial chain, ~m + 3 sqrt(n)
-    for the Poissonized tally, ~n log n to draw and sort, and ~(n^2/2m) log n for the
-    event chain, whose per-round overhead loses below n = 256 or m = 16n.
-    The event kernel needs every table to be shared by all symbols.
+    for the Poissonized tally, ~n log n to draw and sort, and ~3 n^1.5/m
+    repeats for the fingerprint chain, which needs every table shared.
+    Its cut is the region of the repeat-label chain it replaced, kept as
+    is: it loses at n <= 40 and near 4m = n, and a retune is open.
     """
     m = source.m
     if 4 * m <= n:
         return "counts" if source.bands is None else "tally"
-    event = n >= 256 and m >= 16 * n and all(t.group is None for t in tables)
-    return "event" if event and source.bands is not None else "sorted"
-
-
-class _Repeats(NamedTuple):
-    """An event-path block: n draws per row, and per row the label of the
-    symbol each repeat draw hit, sorted; -1 - column pads short rows."""
-
-    n: int
-    labels: np.ndarray
+    shared = n >= 256 and m >= 16 * n and all(t.group is None for t in tables)
+    return "fingerprint" if shared and source.bands is not None else "sorted"
 
 
 class _RepeatChain:
@@ -133,6 +125,7 @@ class _RepeatChain:
     """
 
     def __init__(self, size: int, n: int) -> None:
+        self.size = size
         i = np.minimum(np.arange(n + 1), size)
         with np.errstate(divide="ignore"):
             self.a = np.concatenate([[0.0], np.cumsum(-np.log1p(-i / size)), [np.inf]])
@@ -149,28 +142,31 @@ class _RepeatChain:
         j = np.minimum(np.sqrt(x) * self.inv_step, self.buckets).astype(np.int64)
         return _walk_up(self.a, self.guide[j], x)  # the closing inf stops every walk
 
-    def distinct(self, rng: Generator, draws: np.ndarray) -> np.ndarray:
-        """Row i of the result lists, for each repeat among its draws[i]
-        draws in order, the number of distinct symbols seen before it; 0
-        pads rows with fewer repeats.  Each round draws the fresh run of
-        every row still drawing from one Exp(1) variate."""
-        b = draws.size
+    def top_up(self, rng: Generator, phi: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        """Fingerprints phi (b, classes) of `size` symbols after draws[i] more
+        draws in row i, widened when a count outgrows them.  A round draws
+        each row's fresh run from one Exp(1) variate, then its repeat's class
+        from a uniform integer below D against the cumulative phi."""
         rows = np.flatnonzero(draws > 0)
         left = draws[rows].astype(np.int64)
-        seen = np.zeros(rows.size, dtype=np.int64)
-        cols = []
+        seen = self.size - phi[rows, 0]
         while rows.size:
             x = self.a[seen] + rng.standard_exponential(rows.size)
             fresh = np.minimum(self.count_le(x) - 1 - seen, left)
+            phi[rows, 0] -= fresh
+            phi[rows, 1] += fresh
             seen += fresh
             left -= fresh
             more = left > 0
             rows, seen, left = rows[more], seen[more], left[more] - 1
             if rows.size:
-                col = np.zeros(b, dtype=np.int64)
-                col[rows] = seen
-                cols.append(col)
-        return np.stack(cols, axis=1) if cols else np.zeros((b, 0), dtype=np.int64)
+                below = np.cumsum(phi[rows, 1:], axis=1) <= rng.integers(0, seen)[:, None]
+                c = 1 + below.view(np.uint8).sum(axis=1)
+                if c.max() + 1 == phi.shape[1]:
+                    phi = np.pad(phi, ((0, 0), (0, 1)))
+                phi[rows, c] -= 1
+                phi[rows, c + 1] += 1
+        return phi
 
 
 def _band_draws(rng: Generator, source: Pmf, n: int | np.ndarray, b: int) -> list[np.ndarray]:
@@ -181,25 +177,6 @@ def _band_draws(rng: Generator, source: Pmf, n: int | np.ndarray, b: int) -> lis
         return [np.full(b, n)]
     k = rng.binomial(n, source.two_band[1], size=b)
     return [k, n - k]
-
-
-def _event_sampler(source: Pmf, n: int) -> Callable[[Generator, int], _Repeats]:
-    """Event-path draws of n symbols from a uniform or two-band source."""
-    chains = [_RepeatChain(hi - lo, n) for lo, hi in source.bands]
-
-    def draw_event(rng: Generator, b: int) -> _Repeats:
-        split = _band_draws(rng, source, n, b)
-        parts = [chain.distinct(rng, k) for chain, k in zip(chains, split)]
-        seen = np.hstack(parts)
-        # band i labels its symbols i*n + (order of first appearance)
-        offset = np.repeat(np.arange(len(parts)) * n, [p.shape[1] for p in parts])
-        labels = np.broadcast_to(-1 - np.arange(seen.shape[1]), seen.shape).copy()
-        hit = seen > 0
-        labels[hit] = rng.integers(0, seen[hit]) + np.broadcast_to(offset, seen.shape)[hit]
-        labels.sort(axis=1)
-        return _Repeats(n, labels)
-
-    return draw_event
 
 
 def _poisson_cdf(mu: float) -> tuple[int, np.ndarray]:
@@ -257,23 +234,49 @@ def _tally_sampler(source: Pmf, n: int) -> Callable[[Generator, int], np.ndarray
     return draw_tally
 
 
+def _fingerprint_sampler(source: Pmf, n: int) -> Callable[[Generator, int], np.ndarray]:
+    """(b, classes) occupancy fingerprints, up to the block's largest count, of
+    n draws per row from a uniform or two-band source (see the module docstring)."""
+    lam = max(n - _TALLY_SLACK * math.sqrt(n), 0.0)
+    windows = [_poisson_cdf(lam * source.probs[lo]) for lo, _ in source.bands]
+    chains = [_RepeatChain(hi - lo, n) for lo, hi in source.bands]
+    weight = np.arange(1 + max(lo + cdf.size for lo, cdf in windows))  # a spare class
+
+    def poisson_part(rng: Generator, b: int) -> tuple[np.ndarray, np.ndarray]:
+        phi = np.zeros((len(chains), b, weight.size), dtype=np.int64)
+        for band, chain, (lo, cdf) in zip(phi, chains, windows):
+            band[:, lo:lo + cdf.size] = rng.multinomial(chain.size, np.diff(cdf, prepend=0.0), size=b)
+        return phi, (phi @ weight).sum(axis=0)
+
+    def draw_fingerprint(rng: Generator, b: int) -> np.ndarray:
+        phi, total = poisson_part(rng, b)  # (bands, b, classes), and each row's N
+        while (over := np.flatnonzero(total > n)).size:
+            phi[:, over], total[over] = poisson_part(rng, over.size)
+        parts = [chain.top_up(rng, band, k)
+                 for chain, band, k in zip(chains, phi, _band_draws(rng, source, n - total, b))]
+        width = max(part.shape[1] for part in parts)
+        out = sum(np.pad(part, ((0, 0), (0, width - part.shape[1]))) for part in parts)
+        return out[:, :np.flatnonzero(out.any(axis=0))[-1] + 1]
+
+    return draw_fingerprint
+
+
 def _make_sampler(
     source: Pmf, n: int, tables: Sequence[FTable]
-) -> tuple[str, Callable[[Generator, int], np.ndarray | _Repeats]]:
+) -> tuple[str, Callable[[Generator, int], np.ndarray]]:
     m = source.m
-    probs = source.probs
     path = _sampler_path(source, n, tables)
     if path == "counts":
         def draw_counts(rng: Generator, b: int) -> np.ndarray:
-            return rng.multinomial(n, probs, size=b)
+            return rng.multinomial(n, source.probs, size=b)
 
         return path, draw_counts
 
     if path == "tally":
         return path, _tally_sampler(source, n)
 
-    if path == "event":
-        return path, _event_sampler(source, n)
+    if path == "fingerprint":
+        return path, _fingerprint_sampler(source, n)
 
     dtype = np.uint32 if m <= 0xFFFFFFFF else np.uint64
     bands = source.bands
@@ -282,13 +285,11 @@ def _make_sampler(
     def draw_sorted(rng: Generator, b: int) -> np.ndarray:
         if bands is None:
             x = table.draw(rng, np.empty((b, n), dtype=np.int32))
-        else:
-            # symbol order is irrelevant after sorting, so the first k
-            # draws of a row come from the first band
-            k = _band_draws(rng, source, n, b)[0]
-            x, *rest = [rng.integers(lo, hi, size=(b, n), dtype=dtype) for lo, hi in bands]
-            if rest:
-                x = np.where(np.arange(n, dtype=dtype)[None, :] < k[:, None], x, rest[0])
+        else:  # rows get sorted, so the first k draws of a row can be the first band's
+            first = np.arange(n) < _band_draws(rng, source, n, b)[0][:, None]
+            x = np.empty((b, n), dtype=dtype)
+            for mask, (lo, hi) in zip((first, ~first), bands):
+                x[mask] = rng.integers(lo, hi, size=np.count_nonzero(mask), dtype=dtype)
         x.sort(axis=1)
         return x
 
@@ -299,43 +300,42 @@ def _make_sampler(
 # statistic kernels
 
 
-def _fingerprints(
-    path: str, data: np.ndarray | _Repeats, m: int, top: int, largest: int | None = None
-) -> np.ndarray:
+def _fingerprints(path: str, data: np.ndarray, m: int, top: int, largest: int | None = None) -> np.ndarray:
     """(b, top' + 1) fingerprints of a block: column c counts each row's
     symbols seen c times, and the last one those seen top' or more times,
     with top' = min(top, the block's largest count), which a count block
     reads itself unless the caller passes it as `largest`.
 
-    Count rows take one `bincount` of min(c, top') + row (top' + 1).  Else
-    E_l counts a row's windows of l equal draws: a symbol seen c times owns
-    max(c - l + 1, 0) of them, so E_1 = n and G_c = E_c - E_{c+1} symbols
-    are seen c or more times.  On sorted symbols W_l[:, i] marks x_i ==
-    x_{i+l-1}.  A symbol seen c times leaves c - 1 repeat labels, so on the
-    event path W_l marks the length-(l-1) windows of the sorted labels,
-    with W_2 the non-pad slots.  Each W_{l+1} is W_l AND the adjacent-equal
-    mask, shifted to the window's end; the levels stop at the first empty one.
+    A fingerprint block is cut at top'.  Count rows take one `bincount` of
+    min(c, top') + row (top' + 1).  On sorted symbols E_l counts a row's
+    windows of l equal draws: a symbol seen c times owns max(c - l + 1, 0)
+    of them, so E_1 = n and G_c = E_c - E_{c+1} symbols are seen c or more
+    times.  W_l[:, i] marks x_i == x_{i+l-1}; each W_{l+1} is W_l AND the
+    adjacent-equal mask, shifted to the window's end, and the levels stop
+    at the first empty one.
     """
+    if path == "fingerprint":
+        top = min(top, data.shape[1] - 1)
+        return np.concatenate([data[:, :top], data[:, top:].sum(axis=1, keepdims=True)], axis=1)
     if path in _COUNT_PATHS:
         b = data.shape[0]
         top = min(top, int(data.max(initial=0)) if largest is None else largest)
         keys = np.minimum(data, top)  # the one (b, m) temporary
         keys += np.arange(0, b * (top + 1), top + 1)[:, None]
         return np.bincount(keys.reshape(-1), minlength=b * (top + 1)).reshape(b, top + 1)
-    n, x, lag = (*data, 1) if path == "event" else (data.shape[1], data, 0)
-    eq = x[:, 1:] == x[:, :-1]
-    w = x >= 0 if lag else eq
-    e = [np.full(x.shape[0], n)] if n else []
+    b, n = data.shape
+    w = eq = data[:, 1:] == data[:, :-1]
+    e = [np.full(b, n)] if n else []
     for l in range(2, top + 2):
         if l > 2:
-            w = w[:, :-1] & eq[:, l - 2 - lag:]
+            w = w[:, :-1] & eq[:, l - 2:]
         # summing the mask's bytes is ~2.5x faster than count_nonzero(axis=1)
         el = w.view(np.uint8).sum(axis=1, dtype=np.int32)
         if not el.any():
             break
         e.append(el)
     top = min(top, len(e))
-    e = np.stack(e + [np.zeros(x.shape[0], np.int64)], axis=1)
+    e = np.stack(e + [np.zeros(b, np.int64)], axis=1)
     return -np.diff(e[:, :top] - e[:, 1:top + 1], axis=1, prepend=m, append=0)
 
 
@@ -354,12 +354,10 @@ def _run_sums(t: FTable, x: np.ndarray) -> np.ndarray:
     return core + np.einsum("i,i", np.bincount(t.group), t.f[:, 0])
 
 
-def _block_values(
-    tables: Sequence[FTable], path: str, data: np.ndarray | _Repeats, m: int
-) -> list[np.ndarray]:
+def _block_values(tables: Sequence[FTable], path: str, data: np.ndarray, m: int) -> list[np.ndarray]:
     """Statistic values on one block: a (b, m) count matrix on the "tally"
-    and "counts" paths, the sorted repeat labels on the "event" path, else
-    a row-sorted (b, n) symbol matrix.  A shared table's value is
+    and "counts" paths, the drawn fingerprints on the "fingerprint" path,
+    else a row-sorted (b, n) symbol matrix.  A shared table's value is
     sum_c Phi_c f(c) over the block's fingerprints, cut at the shared
     tables' largest K, unless that is wider than count rows (at n >> m^2);
     there, and for a reference-dependent table, each value reads
@@ -431,7 +429,7 @@ class SimPlan:
     @property
     def sampler(self) -> dict[str, str]:
         """The sampler path of each estimate: "tally", "counts", "sorted"
-        or "event", a fixed function of the source, n, m and statistic."""
+        or "fingerprint", a fixed function of the source, n, m and statistic."""
         tables = [self.rule.statistic.table(self.n, self.m)]
         return {
             "pf": _sampler_path(self.null, self.n, tables),
@@ -491,8 +489,9 @@ def _run_blocks(
             for b in block_ids
         ]
 
-    # event blocks hold the GIL: 2 streams ran them 0.8-1.05x as fast as 1 (2 vCPUs, n <= 16000)
-    if streams == 1 or len(sizes) <= 1 or path == "event":
+    # fingerprint blocks hold the GIL: in 8 alternating sweep passes a side, 2 streams
+    # took a median 0.099 s (0.090-0.109), 1 stream 0.093 s (0.082-0.122)
+    if streams == 1 or len(sizes) <= 1 or path == "fingerprint":
         return run(range(len(sizes)))
     first, *rest = np.array_split(np.arange(len(sizes)), min(streams, len(sizes)))
     # the calling thread runs one chunk itself: starting a worker while

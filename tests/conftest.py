@@ -11,10 +11,10 @@ def rng():
 
 @pytest.fixture()
 def reference_paths(monkeypatch):
-    """Send every event-path choice to the sorted reference path and every
+    """Send every fingerprint-path choice to the sorted reference path and every
     tally-path choice to the multinomial counts path."""
     choose = montecarlo._sampler_path
-    reference = {"event": "sorted", "tally": "counts"}
+    reference = {"fingerprint": "sorted", "tally": "counts"}
 
     def no_fast_path(*args):
         path = choose(*args)

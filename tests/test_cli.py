@@ -261,12 +261,13 @@ class TestSimulate:
 class TestSimulatePinned:
     """Exceed counts recorded before the statistics were rebuilt on their
     f tables, at a sparse (sorted-symbol) and a dense (counts) point; the
-    sparse point now takes the event path and the dense one the tally
-    path, so `test_counts` holds the sorted and multinomial reference
-    paths to their old counts, and `test_event_counts` and
-    `test_tally_counts` pin the fast paths' counts, recorded when each
-    path was added (the tally counts again when it was Poissonized and
-    when its CDF draws went bits first)."""
+    sparse point now takes the fingerprint path and the dense one the
+    tally path, so `test_counts` holds the sorted and multinomial
+    reference paths to their old counts, and `test_fingerprint_counts`
+    and `test_tally_counts` pin the fast paths' counts, recorded when
+    each path was added (the tally counts again when it was Poissonized
+    and when its CDF draws went bits first; the sparse p_M counts of the
+    two-band sorted path again when its rows drew exactly n symbols)."""
 
     SPARSE = ["--n", "1000", "--m", "31623", "--eps", "0.45", "--trials", "5000", "--seed", "5"]
     DENSE = ["--n", "120", "--m", "30", "--eps", "0.1", "--trials", "4000", "--seed", "6"]
@@ -281,11 +282,11 @@ class TestSimulatePinned:
         return (data["pf"]["count"], data["pm"]["count"]), data["sampler"]
 
     @pytest.mark.parametrize("stat,flags,sparse,dense", [
-        ("coincidence", [], (1017, 144), (1295, 3025)),
-        ("pearson", [], (234, 642), (1284, 1859)),
-        ("pearson-truncated", [], (143, 1152), (0, 4000)),
-        ("extended", ["--weights", "0,1,3"], (1093, 132), (1746, 2692)),
-        ("weighted", [], (266, 682), (1823, 2078)),
+        ("coincidence", [], (1017, 132), (1295, 3025)),
+        ("pearson", [], (234, 603), (1284, 1859)),
+        ("pearson-truncated", [], (143, 1131), (0, 4000)),
+        ("extended", ["--weights", "0,1,3"], (1093, 117), (1746, 2692)),
+        ("weighted", [], (266, 689), (1823, 2078)),
     ])
     def test_counts(self, capsys, reference_paths, stat, flags, sparse, dense):
         for point, tau, expected, path in (
@@ -296,15 +297,15 @@ class TestSimulatePinned:
             )
 
     @pytest.mark.parametrize("stat,flags,sparse", [
-        ("coincidence", [], (1097, 152)),
-        ("pearson", [], (275, 638)),
-        ("pearson-truncated", [], (176, 1189)),
-        ("extended", ["--weights", "0,1,3"], (1178, 134)),
-        ("weighted", [], (305, 704)),
+        ("coincidence", [], (1036, 135)),
+        ("pearson", [], (241, 610)),
+        ("pearson-truncated", [], (148, 1130)),
+        ("extended", ["--weights", "0,1,3"], (1110, 112)),
+        ("weighted", [], (260, 651)),
     ])
-    def test_event_counts(self, capsys, stat, flags, sparse):
+    def test_fingerprint_counts(self, capsys, stat, flags, sparse):
         assert self.simulate(capsys, stat, flags, self.SPARSE, "0.2") == (
-            sparse, {"pf": "event", "pm": "event"}
+            sparse, {"pf": "fingerprint", "pm": "fingerprint"}
         )
 
     @pytest.mark.parametrize("stat,flags,dense", [
@@ -354,7 +355,7 @@ class TestSweep:
             "--m-rule", "n^1.5", "--trials", "100", "--seed", "2", "--no-timestamp",
         )
         meta, header, rows = parse_csv(out)
-        assert "# sampler: n=12:pf=sorted,pm=sorted n=300:pf=event,pm=event" in meta
+        assert "# sampler: n=12:pf=sorted,pm=sorted n=300:pf=fingerprint,pm=fingerprint" in meta
         assert header == "n,m,r,pf_hat,pf_ci,pm_hat,pm_ci,flags"
         assert [row[0] for row in rows] == ["12", "300"]
 

@@ -12,7 +12,7 @@ from pytest import approx
 from gee import montecarlo, pmf
 from gee.montecarlo import (
     _block_values,
-    _event_sampler,
+    _fingerprint_sampler,
     _fingerprints,
     _make_sampler,
     _poisson_cdf,
@@ -138,7 +138,7 @@ class TestEstimates:
         pm_counts = {estimate_pm(p).exceed_count for p in plans}
         assert len(pf_counts) == 1 and len(pm_counts) == 1
 
-    def test_event_blocks_stay_on_the_calling_thread(self, monkeypatch):
+    def test_fingerprint_blocks_stay_on_the_calling_thread(self, monkeypatch):
         class NoPool:
             def __init__(self, *args, **kwargs):
                 raise AssertionError("a thread pool was started")
@@ -148,7 +148,8 @@ class TestEstimates:
                                     streams=streams)
             return estimate_pf(plan).exceed_count, estimate_pm(plan).exceed_count
 
-        assert coincidence_plan(300, 5000, 0.45, 0.2, 1, seed=19).sampler == {"pf": "event", "pm": "event"}
+        assert coincidence_plan(300, 5000, 0.45, 0.2, 1, seed=19).sampler == {
+            "pf": "fingerprint", "pm": "fingerprint"}
         expected = counts(1)
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", NoPool)
         assert counts(2) == expected
@@ -244,8 +245,8 @@ class TestKernelsMatchCounts:
         ("tally", biuniform_worst_case(13, 0.3), 60),
         ("sorted", permuted_worst_case(50, 0.3, set(range(2, 27))), 30),
         ("sorted", drifting_pmf(40, 5e-13), 30),
-        ("event", uniform(5000), 300),
-        ("event", biuniform_worst_case(5000, 0.45), 300),
+        ("fingerprint", uniform(5000), 300),
+        ("fingerprint", biuniform_worst_case(5000, 0.45), 300),
     ])
     def test_sampled_blocks(self, path, source, n):
         m = source.m
@@ -253,11 +254,11 @@ class TestKernelsMatchCounts:
         assert chosen == path
         data = draw(np.random.default_rng(n), 64)
         counts = rebuilt_counts(path, data, m)
-        if path != "event":  # zero-mass symbols never appear
+        if path != "fingerprint":  # zero-mass symbols never appear
             assert not counts[:, source.probs == 0.0].any()
         stats = self.statistics(m)
         tables = [stat.table(n, m) for stat in stats]
-        if path == "event":  # the event path carries no symbol identities
+        if path == "fingerprint":  # fingerprints carry no symbol identities
             stats, tables = zip(*[(s, t) for s, t in zip(stats, tables) if t.group is None])
         for stat, values in zip(stats, _block_values(tables, path, data, m)):
             expected = np.array([stat.from_counts(row) for row in counts])
@@ -282,7 +283,7 @@ class TestKernelsMatchCounts:
             assert np.array_equal(v, [stat.from_counts(row) for row in data]), stat.name
 
     def test_values_do_not_depend_on_blas_threads(self):
-        # one block per path: event, sorted (two-band and general) and tally
+        # one block per path: fingerprint, sorted (two-band and general) and tally
         script = """
             import hashlib
             from gee.montecarlo import simulate_statistics
@@ -301,23 +302,12 @@ class TestKernelsMatchCounts:
         assert len(digests) == 1
 
 
-def event_counts(data, m):
-    """Per event-path row, a count vector equal to the row's up to symbol order."""
-    out = []
-    for row in data.labels:
-        hits = np.unique(row[row >= 0], return_counts=True)[1]
-        seen = data.n - int(hits.sum())
-        assert hits.size <= seen <= m
-        out.append(np.concatenate([hits + 1, np.ones(seen - hits.size, int), np.zeros(m - seen, int)]))
-    return np.array(out)
-
-
 def rebuilt_counts(path, data, m):
     """Per row of a sampled block, a count vector equal to the row's up to symbol order."""
     if path in ("tally", "counts"):
         return data
-    if path == "event":
-        return event_counts(data, m)
+    if path == "fingerprint":
+        return np.array([np.repeat(np.arange(row.size), row) for row in data])
     return np.array([np.bincount(row, minlength=m) for row in data])
 
 
@@ -392,9 +382,33 @@ def moments_agree(x, y):
     return True
 
 
-class TestEventSampler:
-    """The event sampler, called directly, against the exact oracle and
-    the sorted reference path."""
+class RecordingRng:
+    """A Generator that records the rows of each of its multinomial draws."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.rows = []
+
+    def multinomial(self, n, pvals, size):
+        self.rows.append(size)
+        return self.rng.multinomial(n, pvals, size=size)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def assert_fingerprint_law(source, n, phi):
+    """Chi-square of three statistics of drawn fingerprints against their exact laws."""
+    m, stats = source.m, [Coincidence(), PearsonTruncated(), Pearson()]
+    values = _block_values([s.table(n, m) for s in stats], "fingerprint", phi, m)
+    for stat, x in zip(stats, values):
+        x2, df = chi_square(x, exact_distribution(stat, source, n))
+        assert x2 <= chi_square_bound(df), (stat.name, x2, df)
+
+
+class TestFingerprintSampler:
+    """The fingerprint sampler, called directly, against the exact oracle
+    and the sorted reference path."""
 
     @pytest.mark.parametrize("source,n", [
         (uniform(30), 12),
@@ -403,15 +417,12 @@ class TestEventSampler:
         # band mass 0.6: 2.6% of rows put all 4 draws in the low band, 13% in the high one
         (biuniform_worst_case(12, 0.1), 4),
         (biuniform_worst_case(20, 0.6), 9),  # the low band has no mass: k = n always
+        (uniform(400), 60),
+        (biuniform_worst_case(400, 0.3), 60),
     ])
     def test_law_matches_oracle(self, source, n):
-        m = source.m
-        stats = [Coincidence(), PearsonTruncated(), Pearson()]
-        data = _event_sampler(source, n)(np.random.default_rng(n * m), 40_000)
-        values = _block_values([s.table(n, m) for s in stats], "event", data, m)
-        for stat, x in zip(stats, values):
-            x2, df = chi_square(x, exact_distribution(stat, source, n))
-            assert x2 <= chi_square_bound(df), (stat.name, x2, df)
+        phi = _fingerprint_sampler(source, n)(np.random.default_rng(n * source.m), 40_000)
+        assert_fingerprint_law(source, n, phi)
 
     @pytest.mark.parametrize("size,n", [(715542, 8000), (4096, 256), (6, 10), (2, 1), (10**9, 300)])
     def test_guided_search_matches_binary_search(self, size, n, rng):
@@ -428,22 +439,44 @@ class TestEventSampler:
         (biuniform_worst_case(5000, 0.45), 300),
         (biuniform_worst_case(12, 0.1), 4),
         (uniform(6), 10),
+        (biuniform_worst_case(20, 0.6), 9),
     ])
     def test_rows_are_fingerprints(self, source, n):
         m = source.m
-        data = _event_sampler(source, n)(np.random.default_rng(7), 300)
-        counts = event_counts(data, m)
+        phi = _fingerprint_sampler(source, n)(np.random.default_rng(7), 300)
+        assert phi.min() >= 0 and phi[:, -1].any()  # cut after the block's largest count
+        assert np.all(phi.sum(axis=1) == m)
+        assert np.all(phi @ np.arange(phi.shape[1]) == n)
         stats = TestKernelsMatchCounts.statistics(m)[:6]
-        values = _block_values([s.table(n, m) for s in stats], "event", data, m)
-        for i, row in enumerate(counts):
-            fp = occupancy(row)  # checks sum_l Phi_l = m and sum_l l Phi_l = n
-            assert (fp.n, fp.m) == (n, m)
+        values = _block_values([s.table(n, m) for s in stats], "fingerprint", phi, m)
+        for i, row in enumerate(rebuilt_counts("fingerprint", phi, m)):
             for stat, x in zip(stats, values):
                 assert x[i] == approx(direct_value(stat, row), rel=1e-12, abs=1e-9)
 
+    @pytest.mark.parametrize("slack", [montecarlo._TALLY_SLACK, 0.0])
+    def test_redrawn_rows_keep_the_law(self, slack, monkeypatch):
+        # at slack 0 the Poisson mean is n and about half the rows redraw
+        monkeypatch.setattr(montecarlo, "_TALLY_SLACK", slack)
+        source, n, trials = biuniform_worst_case(400, 0.3), 60, 40_000
+        rng = RecordingRng(np.random.default_rng(7))
+        phi = _fingerprint_sampler(source, n)(rng, trials)
+        drawn = sum(rng.rows) // len(source.bands)  # one multinomial per band and round
+        assert drawn > trials  # some rows were drawn twice
+        assert np.all(phi @ np.arange(phi.shape[1]) == n)
+        assert_fingerprint_law(source, n, phi)
+
+    @pytest.mark.parametrize("source,n", [(uniform(6), 9), (biuniform_worst_case(8, 0.3), 9)])
+    def test_counts_grow_past_the_poisson_window(self, source, n):
+        # n - 3 sqrt(n) <= 0: the Poisson window is class 0 alone, and the
+        # top-up draws add every further class
+        assert n <= 3 * math.sqrt(n)
+        phi = _fingerprint_sampler(source, n)(np.random.default_rng(n), 40_000)
+        assert phi.shape[1] > 3
+        assert_fingerprint_law(source, n, phi)
+
     def test_null_mean_closed_form(self):
         n, m, trials = 1000, 31623, 40_960
-        assert _sampler_path(uniform(m), n, [Coincidence().table(n, m)]) == "event"
+        assert _sampler_path(uniform(m), n, [Coincidence().table(n, m)]) == "fingerprint"
         phi1 = -simulate_statistics(uniform(m), [Coincidence()], n, trials, seed=31)[0]
         se = phi1.std() / math.sqrt(trials)
         assert abs(phi1.mean() - n * (1 - 1 / m) ** (n - 1)) <= 5 * se
@@ -452,22 +485,22 @@ class TestEventSampler:
     def test_moments_match_sorted_path(self, source, request):
         n, m, trials = 1000, 31623, 20_480
         stats = TestKernelsMatchCounts.statistics(m)[:4] + [WeightedCoincidence(uniform(m))]
-        event = simulate_statistics(source, stats, n, trials, seed=41)
+        drawn = simulate_statistics(source, stats, n, trials, seed=41)
         request.getfixturevalue("reference_paths")
         reference = simulate_statistics(source, stats, n, trials, seed=43)
-        for stat, x, y in zip(stats, event, reference):
+        for stat, x, y in zip(stats, drawn, reference):
             assert moments_agree(x, y), stat.name
 
     def test_path_rule(self):
         coin = [Coincidence().table(1000, 16000)]
         ref = Pmf(np.arange(1, 5001) / (5000 * 5001 / 2))
-        assert _sampler_path(uniform(16000), 1000, coin) == "event"
-        assert _sampler_path(biuniform_worst_case(16000, 0.3), 1000, coin) == "event"
+        assert _sampler_path(uniform(16000), 1000, coin) == "fingerprint"
+        assert _sampler_path(biuniform_worst_case(16000, 0.3), 1000, coin) == "fingerprint"
         assert _sampler_path(uniform(15999), 1000, coin) == "sorted"
-        assert _sampler_path(uniform(4096), 256, coin) == "event"
+        assert _sampler_path(uniform(4096), 256, coin) == "fingerprint"
         assert _sampler_path(uniform(4096), 255, coin) == "sorted"
         assert _sampler_path(uniform(5000), 300, [Pearson(reference=ref).table(300, 5000)]) == "sorted"
-        assert _sampler_path(uniform(5000), 300, ()) == "event"
+        assert _sampler_path(uniform(5000), 300, ()) == "fingerprint"
         alt = permuted_worst_case(16000, 0.3, set(range(2, 8002)))
         assert _sampler_path(alt, 1000, coin) == "sorted"
         assert _sampler_path(uniform(250), 1000, coin) == "tally"
@@ -476,13 +509,27 @@ class TestEventSampler:
         dense = permuted_worst_case(250, 0.3, set(range(2, 127)))
         assert _sampler_path(dense, 1000, coin) == "counts"
 
+    def test_benchmark_traffic(self):
+        # the points of perfbench/workloads.py: a change to the path rule
+        # must not move the benchmark's traffic unnoticed
+        for n in (1000, 2000, 4000, 8000):  # sweep: coincidence, m = ceil(n^1.5)
+            m = math.ceil(n**1.5)
+            for source in (uniform(m), biuniform_worst_case(m, 0.45)):
+                assert _sampler_path(source, n, [Coincidence().table(n, m)]) == "fingerprint"
+        for (n, m), path in (((2000, 89443), "fingerprint"), ((4000, 500), "tally")):  # paired
+            stats = [Coincidence(), Pearson(), PearsonTruncated(),
+                     ExtendedCoincidence((0.0, 1.0, 3.0)), WeightedCoincidence(uniform(m))]
+            tables = [s.table(n, m) for s in stats]
+            for source in (uniform(m), biuniform_worst_case(m, 0.35)):
+                assert _sampler_path(source, n, tables) == path
+
     def test_plan_reports_paths(self):
         plan = coincidence_plan(1000, 31623, 0.45, 0.2, 10, seed=1)
-        assert plan.sampler == {"pf": "event", "pm": "event"}
+        assert plan.sampler == {"pf": "fingerprint", "pm": "fingerprint"}
         plan = coincidence_plan(12, 30, 0.45, 0.2, 10, seed=1)
         assert plan.sampler == {"pf": "sorted", "pm": "sorted"}
 
-    def test_sample_occupancy_event_row(self):
+    def test_sample_occupancy_fingerprint_row(self):
         rng = np.random.default_rng(3)
         phi1 = np.array([sample_occupancy(uniform(5000), 300, rng).level(1) for _ in range(100)])
         se = phi1.std() / math.sqrt(phi1.size)
@@ -507,8 +554,8 @@ class TestSampleOccupancyPaths:
         ("sorted", permuted_worst_case(50, 0.3, set(range(2, 27))), 30),
         ("sorted", permuted_worst_case(50, 0.3, set(range(2, 27))), 1),
         ("sorted", permuted_worst_case(50, 0.3, set(range(2, 27))), 0),
-        ("event", uniform(5000), 300),
-        ("event", biuniform_worst_case(5000, 0.45), 300),
+        ("fingerprint", uniform(5000), 300),
+        ("fingerprint", biuniform_worst_case(5000, 0.45), 300),
     ]
 
     @pytest.mark.parametrize("path,source,n", CASES)
@@ -520,7 +567,10 @@ class TestSampleOccupancyPaths:
             fp = sample_occupancy(source, n, np.random.default_rng(seed))
             # sample_occupancy draws from a Philox generator keyed by its rng
             key = np.random.default_rng(seed).integers(1 << 64, size=2, dtype=np.uint64)
-            counts = rebuilt_counts(path, draw(Generator(Philox(key=key)), 1), m)[0]
+            row = draw(Generator(Philox(key=key)), 1)
+            if path == "fingerprint":  # the drawn fingerprint itself
+                assert fp.phi.tolist() == row[0].tolist()
+            counts = rebuilt_counts(path, row, m)[0]
             # phi runs to the largest count seen, so n = 0 gives [m]
             assert fp.phi.tolist() == occupancy(counts).phi.tolist()
         data = draw(np.random.default_rng(n), 40)
@@ -539,6 +589,7 @@ class TestSampleOccupancyPaths:
     @pytest.mark.parametrize("path,source,n", [
         ("tally", uniform(12), 60),
         ("sorted", permuted_worst_case(50, 0.3, set(range(2, 27))), 30),
+        ("fingerprint", biuniform_worst_case(4096, 0.45), 256),
     ])
     def test_law_under_a_32_bit_generator(self, path, source, n):
         # MT19937's raw words hold 32 random bits, where the table draws read 64
@@ -556,15 +607,15 @@ class TestStreams:
     """One block of each sampler path, hashed, against the digests pinned
     to RNG_ALGORITHM: a stream may move only with a new RNG_ALGORITHM."""
 
-    RNG_ALGORITHM = "philox4x64-block2048-v6"
+    RNG_ALGORITHM = "philox4x64-block2048-v7"
     # sha256 prefix of the block's values as little-endian int64; the
-    # counts, band sorted and event digests are those under -v5
+    # counts digest is that under -v5, tally and general sorted under -v6
     DIGESTS = {
         "tally": (biuniform_worst_case(13, 0.3), 60, "72077518f929b7b2"),
         "counts": (permuted_worst_case(12, 0.3, set(range(2, 8))), 60, "64b45ac4877a4681"),
-        "band sorted": (biuniform_worst_case(51, 0.3), 30, "1fbc636dcccf2467"),
+        "band sorted": (biuniform_worst_case(51, 0.3), 30, "1f92b179cd2d85a0"),
         "general sorted": (permuted_worst_case(50, 0.3, set(range(2, 27))), 30, "cf5f526438cc05e7"),
-        "event": (biuniform_worst_case(5000, 0.45), 300, "9a35cfe930ba9906"),
+        "fingerprint": (biuniform_worst_case(5000, 0.45), 300, "559995e94a2e51ab"),
     }
 
     def test_block_digests(self):
@@ -574,10 +625,28 @@ class TestStreams:
             path, draw = _make_sampler(source, n, ())
             assert path == name.split()[-1]
             data = draw(montecarlo._block_rng(1, 0, 0), montecarlo.BLOCK_TRIALS)
-            rows = np.asarray(data.labels if path == "event" else data, dtype="<i8")
+            rows = np.asarray(data, dtype="<i8")
             if hashlib.sha256(rows.tobytes()).hexdigest()[:16] != digest:
                 moved.append(name)
         assert not moved, f"the {', '.join(moved)} streams moved: bump RNG_ALGORITHM"
+
+    @pytest.mark.parametrize("b", [1, 64])
+    def test_two_band_sorted_rows_draw_n_symbols(self, b):
+        # the band split, then k band-1 symbols per row in one call and the
+        # n - k band-2 symbols in another
+        source, n = biuniform_worst_case(51, 0.3), 30
+        path, draw = _make_sampler(source, n, ())
+        assert path == "sorted"
+        rows = draw(np.random.default_rng(b), b)
+        rng = np.random.default_rng(b)
+        k = rng.binomial(n, source.two_band[1], size=b)
+        first = rng.integers(0, 25, size=k.sum(), dtype=np.uint32)
+        second = rng.integers(25, 51, size=b * n - k.sum(), dtype=np.uint32)
+        starts = np.cumsum(k) - k
+        for i, row in enumerate(rows):
+            expected = np.concatenate([first[starts[i]:starts[i] + k[i]],
+                                       second[i * n - starts[i]:(i + 1) * n - starts[i] - k[i]]])
+            assert np.array_equal(row, np.sort(expected))
 
     def test_general_sorted_rows_are_int32(self):
         source, n, b = drifting_pmf(5000, 5e-13), 300, 64
