@@ -21,6 +21,8 @@ in `_sampler_path`, and every path samples the exact multinomial law:
 - "counts" (other sources, 4m <= n): the same count matrix from the
   conditional-binomial chain.  This is the reference the tests hold the
   tally path to.
+  Both count paths draw ~2^17 cells at a time; where every table is shared
+  and 16 n max_j p_j <= m, each chunk is fingerprinted as it is drawn.
 - "sorted": all n symbols drawn and sorted per row, directly for uniform
   and two-band sources, else each by inverting the CDF table the `Pmf`
   caches (`Pmf.inverse_cdf`), bits first as on the tally path, into
@@ -89,11 +91,11 @@ def _block_rng(seed: int, ctx: int, block: int) -> Generator:
 # ---------------------------------------------------------------------------
 # samplers: each returns a (b, m) count matrix ("tally", "counts"), a
 # row-sorted (b, n) symbol matrix ("sorted") or (b, classes) occupancy
-# fingerprints ("fingerprint"); all are exact multinomial.
+# fingerprints ("fingerprint", or a count path's); all are exact multinomial.
 
 _COUNT_PATHS = ("tally", "counts")
 _TALLY_SLACK = 3.0  # the Poisson mean is n - 3 sqrt(n): ~0.1% of rows redraw
-_TALLY_CELLS = 1 << 17  # cells drawn at once: bounds the (rows, m) temporaries to ~1 MB
+_TALLY_CELLS = 1 << 17  # count cells drawn at once: a fingerprinted count block holds ~1 MB of counts
 
 
 def _sampler_path(source: Pmf, n: int, tables: Sequence[FTable]) -> str:
@@ -196,42 +198,59 @@ def _poisson_cdf(mu: float) -> tuple[int, np.ndarray]:
     return lo, cdf
 
 
-def _tally_sampler(source: Pmf, n: int) -> Callable[[Generator, int], np.ndarray]:
-    """Count matrices of n draws per row from a uniform or two-band source,
-    Poissonized (see the module docstring).
+def _count_blocks(
+    fill: Callable[[Generator, np.ndarray], None], m: int, top: int | None
+) -> Callable[[Generator, int], np.ndarray]:
+    """Blocks of count rows that `fill` draws ~2^17 cells at a time: the
+    (b, m) counts, or given a cut `top` the block's fingerprints cut at
+    min(top, its largest count), each chunk drawn into one reused buffer
+    and fingerprinted while it is in cache."""
+    rows = max(1, _TALLY_CELLS // m)
 
-    Rows go in chunks of about 2^17 cells.  A chunk inverts one uniform per
-    cell, redraws its rows of total over n until none is left, then draws
-    the remaining symbols of each row, split between the bands as the
-    other direct paths do, and counts them by one `bincount` of symbols
-    offset by row * m.
+    def draw_block(rng: Generator, b: int) -> np.ndarray:
+        counts = np.empty((b if top is None else min(b, rows), m), dtype=np.int64)
+        parts = []
+        for lo in range(0, b, rows):
+            fill(rng, chunk := counts[lo:lo + rows] if top is None else counts[:b - lo])
+            parts.append(chunk if top is None else _fingerprints("tally", chunk, m, top))
+        if top is None:
+            return counts
+        width = max(phi.shape[1] for phi in parts)
+        return np.concatenate([np.pad(phi, ((0, 0), (0, width - phi.shape[1]))) for phi in parts])
+
+    return draw_block
+
+
+def _tally_sampler(source: Pmf, n: int, top: int | None = None) -> Callable[[Generator, int], np.ndarray]:
+    """Count blocks (see `_count_blocks`) of n draws per row from a uniform
+    or two-band source, Poissonized (see the module docstring).
+
+    A chunk inverts one uniform per cell, redraws its rows of total over n
+    until none is left, then draws the remaining symbols of each row, split
+    between the bands as the other direct paths do, and counts them by one
+    `bincount` of symbols offset by row * m.
     """
     m = source.m
     dtype = np.uint16 if m <= 0xFFFF else np.uint32
     lam = max(n - _TALLY_SLACK * math.sqrt(n), 0.0)
     cdfs = [_poisson_cdf(lam * source.probs[lo]) for lo, _ in source.bands]
     poisson = _GuidedCdf(cdfs, [hi - lo for lo, hi in source.bands], _GUIDE_BITS)
-    rows = max(1, _TALLY_CELLS // m)
 
-    def draw_tally(rng: Generator, b: int) -> np.ndarray:
-        counts = np.empty((b, m), dtype=np.int64)
-        for lo in range(0, b, rows):
-            chunk = counts[lo:lo + rows]
-            c = chunk.shape[0]
-            total = poisson.draw(rng, chunk).sum(axis=1)
-            while (over := np.flatnonzero(total > n)).size:
-                redo = poisson.draw(rng, np.empty((over.size, m), np.int64))
-                chunk[over] = redo
-                total[over] = redo.sum(axis=1)
-            offset = np.arange(c) * m
-            at = np.concatenate([
-                np.repeat(offset, d) + rng.integers(low, high, size=d.sum(), dtype=dtype)
-                for (low, high), d in zip(source.bands, _band_draws(rng, source, n - total, c))
-            ])
-            chunk += np.bincount(at, minlength=c * m).reshape(c, m)
-        return counts
+    def fill(rng: Generator, chunk: np.ndarray) -> None:
+        c = chunk.shape[0]
+        total = poisson.draw(rng, chunk).sum(axis=1)
+        while (over := np.flatnonzero(total > n)).size:
+            redo = poisson.draw(rng, np.empty((over.size, m), np.int64))
+            chunk[over] = redo
+            total[over] = redo.sum(axis=1)
+        offset = np.arange(c) * m
+        at = np.concatenate([
+            np.repeat(offset, d) + rng.integers(low, high, size=d.sum(), dtype=dtype)
+            for (low, high), d in zip(source.bands, _band_draws(rng, source, n - total, c))
+        ])
+        chunk += np.bincount(at, minlength=c * m).reshape(c, m)
 
-    return draw_tally
+    return _count_blocks(fill, m, top)
 
 
 def _fingerprint_sampler(source: Pmf, n: int) -> Callable[[Generator, int], np.ndarray]:
@@ -263,20 +282,21 @@ def _fingerprint_sampler(source: Pmf, n: int) -> Callable[[Generator, int], np.n
 
 def _make_sampler(
     source: Pmf, n: int, tables: Sequence[FTable]
-) -> tuple[str, Callable[[Generator, int], np.ndarray]]:
+) -> tuple[str, str, Callable[[Generator, int], np.ndarray]]:
+    """(path, kind, draw): the sampler of `_sampler_path` and what its blocks
+    hold, "fingerprint" on a count path whose tables are all shared and whose
+    heaviest symbol's mean count is at most m/16, so no fingerprint is m wide."""
     m = source.m
     path = _sampler_path(source, n, tables)
-    if path == "counts":
-        def draw_counts(rng: Generator, b: int) -> np.ndarray:
-            return rng.multinomial(n, source.probs, size=b)
-
-        return path, draw_counts
-
-    if path == "tally":
-        return path, _tally_sampler(source, n)
+    if path in _COUNT_PATHS:
+        shared = bool(tables) and all(t.group is None for t in tables) and 16 * n * source.probs.max() <= m
+        top = max(t.K for t in tables) if shared else None
+        draw = _tally_sampler(source, n, top) if path == "tally" else _count_blocks(
+            lambda rng, chunk: np.copyto(chunk, rng.multinomial(n, source.probs, size=len(chunk))), m, top)
+        return path, "fingerprint" if shared else path, draw
 
     if path == "fingerprint":
-        return path, _fingerprint_sampler(source, n)
+        return path, path, _fingerprint_sampler(source, n)
 
     dtype = np.uint32 if m <= 0xFFFFFFFF else np.uint64
     bands = source.bands
@@ -293,7 +313,7 @@ def _make_sampler(
         x.sort(axis=1)
         return x
 
-    return path, draw_sorted
+    return path, path, draw_sorted
 
 
 # ---------------------------------------------------------------------------
@@ -354,23 +374,23 @@ def _run_sums(t: FTable, x: np.ndarray) -> np.ndarray:
     return core + np.einsum("i,i", np.bincount(t.group), t.f[:, 0])
 
 
-def _block_values(tables: Sequence[FTable], path: str, data: np.ndarray, m: int) -> list[np.ndarray]:
-    """Statistic values on one block: a (b, m) count matrix on the "tally"
-    and "counts" paths, the drawn fingerprints on the "fingerprint" path,
-    else a row-sorted (b, n) symbol matrix.  A shared table's value is
+def _block_values(tables: Sequence[FTable], kind: str, data: np.ndarray, m: int) -> list[np.ndarray]:
+    """Statistic values on one block of the given kind: a (b, m) count
+    matrix ("tally", "counts"), fingerprints ("fingerprint") or a
+    row-sorted (b, n) symbol matrix ("sorted").  A shared table's value is
     sum_c Phi_c f(c) over the block's fingerprints, cut at the shared
     tables' largest K, unless that is wider than count rows (at n >> m^2);
     there, and for a reference-dependent table, each value reads
     f[group, min(c, K)] of the counts, or `_run_sums` of sorted symbols.
     """
     top = max((t.K for t in tables if t.group is None), default=None)
-    largest = int(data.max(initial=0)) if top is not None and path in _COUNT_PATHS else None
+    largest = int(data.max(initial=0)) if top is not None and kind in _COUNT_PATHS else None
     if largest is not None and min(top, largest) >= m:
         top = None
-    phi = None if top is None else _fingerprints(path, data, m, top, largest)
+    phi = None if top is None else _fingerprints(kind, data, m, top, largest)
     return [
         t.fingerprint_values(phi) if phi is not None and t.group is None
-        else t.values(data) if path in _COUNT_PATHS
+        else t.values(data) if kind in _COUNT_PATHS
         else _run_sums(t, data) / t.scale + t.shift
         for t in tables
     ]
@@ -479,13 +499,13 @@ def _run_blocks(
     from source, in block order.  Block b draws from the Philox generator
     keyed by (seed, ctx, b), whichever of the `streams` threads runs it.
     """
-    path, draw = _make_sampler(source, n, tables)
+    path, kind, draw = _make_sampler(source, n, tables)
     sizes = [min(BLOCK_TRIALS, trials - lo) for lo in range(0, trials, BLOCK_TRIALS)]
 
     def run(block_ids: Iterable[int]) -> list:
         # each block's draw is dropped before the next one is made
         return [
-            reduce(_block_values(tables, path, draw(_block_rng(seed, ctx, b), sizes[b]), source.m))
+            reduce(_block_values(tables, kind, draw(_block_rng(seed, ctx, b), sizes[b]), source.m))
             for b in block_ids
         ]
 
@@ -547,9 +567,9 @@ def sample_occupancy(p: Pmf, n: int, rng: Generator) -> OccupancyFingerprint:
     generator keyed by rng, as the samplers read 64 bits per raw word."""
     if n < 0:
         raise ValueError(f"sample size must be >= 0, got {n}")
-    path, draw = _make_sampler(p, n, ())
+    _, kind, draw = _make_sampler(p, n, ())
     row = draw(Generator(Philox(key=rng.integers(1 << 64, size=2, dtype=np.uint64))), 1)
-    return OccupancyFingerprint(n=n, m=p.m, phi=_fingerprints(path, row, p.m, n)[0])
+    return OccupancyFingerprint(n=n, m=p.m, phi=_fingerprints(kind, row, p.m, n)[0])
 
 
 def sweep(

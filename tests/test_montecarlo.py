@@ -156,6 +156,19 @@ class TestEstimates:
         with pytest.raises(AssertionError, match="thread pool"):  # other paths still use one
             estimate_pf(coincidence_plan(12, 30, 0.3, 0.2, 3 * montecarlo.BLOCK_TRIALS, seed=19, streams=2))
 
+    def test_fingerprinted_tally_blocks_use_the_thread_pool(self, monkeypatch):
+        def count(streams):
+            plan = coincidence_plan(4000, 500, 0.35, 0.2, 3 * montecarlo.BLOCK_TRIALS, seed=19,
+                                    streams=streams)
+            return estimate_pf(plan).exceed_count
+
+        table = Coincidence().table(4000, 500)
+        assert _make_sampler(uniform(500), 4000, [table])[:2] == ("tally", "fingerprint")
+        expected = count(1)
+        pools, pool = [], montecarlo.ThreadPoolExecutor
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", lambda **kw: pools.append(kw) or pool(**kw))
+        assert count(2) == expected and pools == [{"max_workers": 1}]
+
     def test_repeated_runs_identical(self):
         plan = coincidence_plan(12, 30, 0.3, 0.2, 20_000, seed=9)
         assert estimate_pf(plan) == estimate_pf(plan)
@@ -250,7 +263,7 @@ class TestKernelsMatchCounts:
     ])
     def test_sampled_blocks(self, path, source, n):
         m = source.m
-        chosen, draw = _make_sampler(source, n, ())
+        chosen, _, draw = _make_sampler(source, n, ())
         assert chosen == path
         data = draw(np.random.default_rng(n), 64)
         counts = rebuilt_counts(path, data, m)
@@ -269,7 +282,7 @@ class TestKernelsMatchCounts:
         # cut at Pearson's K = n, fingerprints of these rows would take
         # 2048 x ~10^4 int64 cells (160 MB); the values come off the (2048, 2) counts
         n, m = 20000, 2
-        path, draw = _make_sampler(uniform(m), n, ())
+        path, _, draw = _make_sampler(uniform(m), n, ())
         data = draw(np.random.default_rng(3), montecarlo.BLOCK_TRIALS)
         stats = [Pearson(), Coincidence()]
         tracemalloc.start()
@@ -281,6 +294,32 @@ class TestKernelsMatchCounts:
         assert peak < 1 << 20
         for stat, v in zip(stats, values):
             assert np.array_equal(v, [stat.from_counts(row) for row in data]), stat.name
+
+    @pytest.mark.parametrize("source", [uniform(500), biuniform_worst_case(500, 0.35)])
+    def test_paired_dense_block_builds_no_count_matrix(self, source):
+        # a (2048, 500) int64 count matrix is 8 MB and its fingerprint keys
+        # 8 MB more; chunk by chunk a block holds ~1 MB of counts
+        n, m = 4000, 500
+        stats = [Coincidence(), Pearson(), PearsonTruncated(),
+                 ExtendedCoincidence((0.0, 1.0, 3.0)), WeightedCoincidence(uniform(m))]
+        tracemalloc.start()
+        try:
+            simulate_statistics(source, stats, n, montecarlo.BLOCK_TRIALS, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 << 20
+
+    @pytest.mark.parametrize("source,n,stats", [
+        (uniform(64), 4095, [Coincidence(), Pearson()]),  # 16n > m^2
+        (uniform(2), 20000, [Coincidence(), Pearson()]),
+        (biuniform_worst_case(500, 0.99), 4000, [Coincidence(), Pearson()]),  # counts of ~800 > m
+        (uniform(500), 4000, [Coincidence(), Pearson(reference=biuniform_worst_case(500, 0.3))]),
+    ])
+    def test_count_blocks_keep_their_rows(self, source, n, stats):
+        path, kind, draw = _make_sampler(source, n, [s.table(n, source.m) for s in stats])
+        assert kind == path == "tally"
+        assert draw(np.random.default_rng(1), 64).shape == (64, source.m)
 
     def test_values_do_not_depend_on_blas_threads(self):
         # one block per path: fingerprint, sorted (two-band and general) and tally
@@ -522,6 +561,8 @@ class TestFingerprintSampler:
             tables = [s.table(n, m) for s in stats]
             for source in (uniform(m), biuniform_worst_case(m, 0.35)):
                 assert _sampler_path(source, n, tables) == path
+                if path == "tally":  # its blocks are fingerprinted chunk by chunk
+                    assert _make_sampler(source, n, tables)[1] == "fingerprint"
 
     def test_plan_reports_paths(self):
         plan = coincidence_plan(1000, 31623, 0.45, 0.2, 10, seed=1)
@@ -561,7 +602,7 @@ class TestSampleOccupancyPaths:
     @pytest.mark.parametrize("path,source,n", CASES)
     def test_matches_rebuilt_counts(self, path, source, n):
         m = source.m
-        chosen, draw = _make_sampler(source, n, ())
+        chosen, _, draw = _make_sampler(source, n, ())
         assert chosen == path
         for seed in range(5):
             fp = sample_occupancy(source, n, np.random.default_rng(seed))
@@ -622,7 +663,7 @@ class TestStreams:
         assert montecarlo.RNG_ALGORITHM == self.RNG_ALGORITHM, "re-record DIGESTS for the new RNG_ALGORITHM"
         moved = []
         for name, (source, n, digest) in self.DIGESTS.items():
-            path, draw = _make_sampler(source, n, ())
+            path, _, draw = _make_sampler(source, n, ())
             assert path == name.split()[-1]
             data = draw(montecarlo._block_rng(1, 0, 0), montecarlo.BLOCK_TRIALS)
             rows = np.asarray(data, dtype="<i8")
@@ -635,7 +676,7 @@ class TestStreams:
         # the band split, then k band-1 symbols per row in one call and the
         # n - k band-2 symbols in another
         source, n = biuniform_worst_case(51, 0.3), 30
-        path, draw = _make_sampler(source, n, ())
+        path, _, draw = _make_sampler(source, n, ())
         assert path == "sorted"
         rows = draw(np.random.default_rng(b), b)
         rng = np.random.default_rng(b)
@@ -650,7 +691,7 @@ class TestStreams:
 
     def test_general_sorted_rows_are_int32(self):
         source, n, b = drifting_pmf(5000, 5e-13), 300, 64
-        path, draw = _make_sampler(source, n, ())
+        path, _, draw = _make_sampler(source, n, ())
         assert path == "sorted"
         rows = draw(np.random.default_rng(3), b)
         assert rows.dtype == np.int32
@@ -794,6 +835,36 @@ class TestTallySampler:
         phi0 = np.array([fp.level(0) for fp in fps])
         expected = m * (1 - 1 / m) ** (4 * m)
         assert np.all(np.abs(phi0 - expected) <= 5 * math.sqrt(expected))
+
+
+class TestFingerprintedCountBlocks:
+    """Count-path blocks fingerprinted chunk by chunk against the
+    fingerprints of the count block drawn from the same stream."""
+
+    @pytest.mark.parametrize("source", [uniform(500), biuniform_worst_case(500, 0.35),
+                                        permuted_worst_case(500, 0.3, set(range(2, 252)))])
+    @pytest.mark.parametrize("stats", [
+        [Coincidence()],  # top 2
+        [Coincidence(), PearsonTruncated(), ExtendedCoincidence((0.1, -0.3, 0.7))],  # top 5
+        [Coincidence(), Pearson(), ExtendedCoincidence((0.1, -0.3, 0.7)),
+         WeightedCoincidence(uniform(500))],  # top n
+    ])
+    def test_blocks_are_the_count_blocks_fingerprints(self, source, stats):
+        n, m, b = 4000, 500, montecarlo.BLOCK_TRIALS
+        tables = [s.table(n, m) for s in stats]
+        top = max(t.K for t in tables)
+        path, kind, draw = _make_sampler(source, n, tables)
+        assert kind == "fingerprint" and _make_sampler(source, n, ())[:2] == (path, path)
+        phi = draw(montecarlo._block_rng(5, 0, 0), b)
+        counts = _make_sampler(source, n, ())[2](montecarlo._block_rng(5, 0, 0), b)
+        if path == "counts":  # one multinomial call per chunk keeps one call's stream
+            assert np.array_equal(counts, montecarlo._block_rng(5, 0, 0).multinomial(n, source.probs, size=b))
+        rows = montecarlo._TALLY_CELLS // m
+        cuts = {min(top, int(counts[lo:lo + rows].max())) for lo in range(0, b, rows)}
+        assert -(-b // rows) == 8 and (top < n or len(cuts) > 1), cuts  # chunks cut apart
+        assert phi.dtype == np.int64 and np.array_equal(phi, _fingerprints(path, counts, m, top))
+        for got, expected in zip(_block_values(tables, kind, phi, m), _block_values(tables, path, counts, m)):
+            assert np.array_equal(got, expected)
 
 
 class TestReferenceChecks:
