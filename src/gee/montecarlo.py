@@ -21,8 +21,8 @@ in `_sampler_path`, and every path samples the exact multinomial law:
 - "counts" (other sources, 4m <= n): the same count matrix from the
   conditional-binomial chain.  This is the reference the tests hold the
   tally path to.
-  Both count paths draw ~2^17 cells at a time; where every table is shared
-  and 16 n max_j p_j <= m, each chunk is fingerprinted as it is drawn.
+  Both count paths draw ~2^17 cells at a time into one reused buffer, and
+  each chunk is evaluated before the next one is drawn.
 - "sorted": all n symbols drawn and sorted per row, directly for uniform
   and two-band sources, else each by inverting the CDF table the `Pmf`
   caches (`Pmf.inverse_cdf`), bits first as on the tally path, into
@@ -49,7 +49,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -89,13 +89,15 @@ def _block_rng(seed: int, ctx: int, block: int) -> Generator:
 
 
 # ---------------------------------------------------------------------------
-# samplers: each returns a (b, m) count matrix ("tally", "counts"), a
-# row-sorted (b, n) symbol matrix ("sorted") or (b, classes) occupancy
-# fingerprints ("fingerprint", or a count path's); all are exact multinomial.
+# samplers: each yields the pieces of a block, read in turn: chunks of a
+# (b, m) count matrix ("tally", "counts"), or one row-sorted (b, n) symbol
+# matrix ("sorted") or (b, classes) occupancy fingerprints ("fingerprint");
+# all are exact multinomial.
 
 _COUNT_PATHS = ("tally", "counts")
 _TALLY_SLACK = 3.0  # the Poisson mean is n - 3 sqrt(n): ~0.1% of rows redraw
-_TALLY_CELLS = 1 << 17  # count cells drawn at once: a fingerprinted count block holds ~1 MB of counts
+_TALLY_CELLS = 1 << 17  # count cells drawn at once: a count block holds ~1 MB of counts
+_Sampler = Callable[[Generator, int], Iterator[np.ndarray]]
 
 
 def _sampler_path(source: Pmf, n: int, tables: Sequence[FTable]) -> str:
@@ -198,30 +200,22 @@ def _poisson_cdf(mu: float) -> tuple[int, np.ndarray]:
     return lo, cdf
 
 
-def _count_blocks(
-    fill: Callable[[Generator, np.ndarray], None], m: int, top: int | None
-) -> Callable[[Generator, int], np.ndarray]:
-    """Blocks of count rows that `fill` draws ~2^17 cells at a time: the
-    (b, m) counts, or given a cut `top` the block's fingerprints cut at
-    min(top, its largest count), each chunk drawn into one reused buffer
-    and fingerprinted while it is in cache."""
+def _count_blocks(fill: Callable[[Generator, np.ndarray], None], m: int) -> _Sampler:
+    """Blocks of count rows that `fill` draws ~2^17 cells at a time into one
+    reused buffer: each chunk yielded is overwritten by the next, so the
+    caller reads it first."""
     rows = max(1, _TALLY_CELLS // m)
 
-    def draw_block(rng: Generator, b: int) -> np.ndarray:
-        counts = np.empty((b if top is None else min(b, rows), m), dtype=np.int64)
-        parts = []
+    def draw_block(rng: Generator, b: int) -> Iterator[np.ndarray]:
+        counts = np.empty((min(b, rows), m), dtype=np.int64)
         for lo in range(0, b, rows):
-            fill(rng, chunk := counts[lo:lo + rows] if top is None else counts[:b - lo])
-            parts.append(chunk if top is None else _fingerprints("tally", chunk, m, top))
-        if top is None:
-            return counts
-        width = max(phi.shape[1] for phi in parts)
-        return np.concatenate([np.pad(phi, ((0, 0), (0, width - phi.shape[1]))) for phi in parts])
+            fill(rng, chunk := counts[:b - lo])
+            yield chunk
 
     return draw_block
 
 
-def _tally_sampler(source: Pmf, n: int, top: int | None = None) -> Callable[[Generator, int], np.ndarray]:
+def _tally_sampler(source: Pmf, n: int) -> _Sampler:
     """Count blocks (see `_count_blocks`) of n draws per row from a uniform
     or two-band source, Poissonized (see the module docstring).
 
@@ -250,12 +244,13 @@ def _tally_sampler(source: Pmf, n: int, top: int | None = None) -> Callable[[Gen
         ])
         chunk += np.bincount(at, minlength=c * m).reshape(c, m)
 
-    return _count_blocks(fill, m, top)
+    return _count_blocks(fill, m)
 
 
-def _fingerprint_sampler(source: Pmf, n: int) -> Callable[[Generator, int], np.ndarray]:
-    """(b, classes) occupancy fingerprints, up to the block's largest count, of
-    n draws per row from a uniform or two-band source (see the module docstring)."""
+def _fingerprint_sampler(source: Pmf, n: int) -> _Sampler:
+    """Blocks of (b, classes) occupancy fingerprints, up to the block's largest
+    count, of n draws per row from a uniform or two-band source (see the
+    module docstring), each in one piece."""
     lam = max(n - _TALLY_SLACK * math.sqrt(n), 0.0)
     windows = [_poisson_cdf(lam * source.probs[lo]) for lo, _ in source.bands]
     chains = [_RepeatChain(hi - lo, n) for lo, hi in source.bands]
@@ -267,7 +262,7 @@ def _fingerprint_sampler(source: Pmf, n: int) -> Callable[[Generator, int], np.n
             band[:, lo:lo + cdf.size] = rng.multinomial(chain.size, np.diff(cdf, prepend=0.0), size=b)
         return phi, (phi @ weight).sum(axis=0)
 
-    def draw_fingerprint(rng: Generator, b: int) -> np.ndarray:
+    def draw_fingerprint(rng: Generator, b: int) -> Iterator[np.ndarray]:
         phi, total = poisson_part(rng, b)  # (bands, b, classes), and each row's N
         while (over := np.flatnonzero(total > n)).size:
             phi[:, over], total[over] = poisson_part(rng, over.size)
@@ -275,34 +270,28 @@ def _fingerprint_sampler(source: Pmf, n: int) -> Callable[[Generator, int], np.n
                  for chain, band, k in zip(chains, phi, _band_draws(rng, source, n - total, b))]
         width = max(part.shape[1] for part in parts)
         out = sum(np.pad(part, ((0, 0), (0, width - part.shape[1]))) for part in parts)
-        return out[:, :np.flatnonzero(out.any(axis=0))[-1] + 1]
+        yield out[:, :np.flatnonzero(out.any(axis=0))[-1] + 1]
 
     return draw_fingerprint
 
 
-def _make_sampler(
-    source: Pmf, n: int, tables: Sequence[FTable]
-) -> tuple[str, str, Callable[[Generator, int], np.ndarray]]:
-    """(path, kind, draw): the sampler of `_sampler_path` and what its blocks
-    hold, "fingerprint" on a count path whose tables are all shared and whose
-    heaviest symbol's mean count is at most m/16, so no fingerprint is m wide."""
+def _make_sampler(source: Pmf, n: int, tables: Sequence[FTable]) -> tuple[str, _Sampler]:
+    """(path, draw): the path of `_sampler_path` and its block sampler."""
     m = source.m
     path = _sampler_path(source, n, tables)
-    if path in _COUNT_PATHS:
-        shared = bool(tables) and all(t.group is None for t in tables) and 16 * n * source.probs.max() <= m
-        top = max(t.K for t in tables) if shared else None
-        draw = _tally_sampler(source, n, top) if path == "tally" else _count_blocks(
-            lambda rng, chunk: np.copyto(chunk, rng.multinomial(n, source.probs, size=len(chunk))), m, top)
-        return path, "fingerprint" if shared else path, draw
-
+    if path == "tally":
+        return path, _tally_sampler(source, n)
+    if path == "counts":
+        return path, _count_blocks(
+            lambda rng, chunk: np.copyto(chunk, rng.multinomial(n, source.probs, size=len(chunk))), m)
     if path == "fingerprint":
-        return path, path, _fingerprint_sampler(source, n)
+        return path, _fingerprint_sampler(source, n)
 
     dtype = np.uint32 if m <= 0xFFFFFFFF else np.uint64
     bands = source.bands
     table = source.inverse_cdf if bands is None else None  # built before any stream draws
 
-    def draw_sorted(rng: Generator, b: int) -> np.ndarray:
+    def draw_sorted(rng: Generator, b: int) -> Iterator[np.ndarray]:
         if bands is None:
             x = table.draw(rng, np.empty((b, n), dtype=np.int32))
         else:  # rows get sorted, so the first k draws of a row can be the first band's
@@ -311,9 +300,9 @@ def _make_sampler(
             for mask, (lo, hi) in zip((first, ~first), bands):
                 x[mask] = rng.integers(lo, hi, size=np.count_nonzero(mask), dtype=dtype)
         x.sort(axis=1)
-        return x
+        yield x
 
-    return path, path, draw_sorted
+    return path, draw_sorted
 
 
 # ---------------------------------------------------------------------------
@@ -374,23 +363,24 @@ def _run_sums(t: FTable, x: np.ndarray) -> np.ndarray:
     return core + np.einsum("i,i", np.bincount(t.group), t.f[:, 0])
 
 
-def _block_values(tables: Sequence[FTable], kind: str, data: np.ndarray, m: int) -> list[np.ndarray]:
-    """Statistic values on one block of the given kind: a (b, m) count
-    matrix ("tally", "counts"), fingerprints ("fingerprint") or a
-    row-sorted (b, n) symbol matrix ("sorted").  A shared table's value is
-    sum_c Phi_c f(c) over the block's fingerprints, cut at the shared
-    tables' largest K, unless that is wider than count rows (at n >> m^2);
+def _block_values(tables: Sequence[FTable], path: str, data: np.ndarray, m: int) -> list[np.ndarray]:
+    """Statistic values on a piece of a block drawn on `path`: count rows
+    ("tally", "counts"), fingerprints ("fingerprint") or row-sorted
+    symbols ("sorted").  A shared table's value is sum_c Phi_c f(c) over
+    the piece's fingerprints, cut at the shared tables' largest K, unless
+    that is wider than its count rows (at n >> m^2, or a heavy symbol);
     there, and for a reference-dependent table, each value reads
     f[group, min(c, K)] of the counts, or `_run_sums` of sorted symbols.
+    Both sums agree exactly for an integer core, else to rounding.
     """
     top = max((t.K for t in tables if t.group is None), default=None)
-    largest = int(data.max(initial=0)) if top is not None and kind in _COUNT_PATHS else None
+    largest = int(data.max(initial=0)) if top is not None and path in _COUNT_PATHS else None
     if largest is not None and min(top, largest) >= m:
         top = None
-    phi = None if top is None else _fingerprints(kind, data, m, top, largest)
+    phi = None if top is None else _fingerprints(path, data, m, top, largest)
     return [
         t.fingerprint_values(phi) if phi is not None and t.group is None
-        else t.values(data) if kind in _COUNT_PATHS
+        else t.values(data) if path in _COUNT_PATHS
         else _run_sums(t, data) / t.scale + t.shift
         for t in tables
     ]
@@ -499,15 +489,16 @@ def _run_blocks(
     from source, in block order.  Block b draws from the Philox generator
     keyed by (seed, ctx, b), whichever of the `streams` threads runs it.
     """
-    path, kind, draw = _make_sampler(source, n, tables)
+    path, draw = _make_sampler(source, n, tables)
     sizes = [min(BLOCK_TRIALS, trials - lo) for lo in range(0, trials, BLOCK_TRIALS)]
 
+    def values(b: int) -> list[np.ndarray]:
+        # each piece is evaluated before the next one is drawn into its buffer
+        pieces = [_block_values(tables, path, data, source.m) for data in draw(_block_rng(seed, ctx, b), sizes[b])]
+        return [np.concatenate(v) for v in zip(*pieces)]
+
     def run(block_ids: Iterable[int]) -> list:
-        # each block's draw is dropped before the next one is made
-        return [
-            reduce(_block_values(tables, kind, draw(_block_rng(seed, ctx, b), sizes[b]), source.m))
-            for b in block_ids
-        ]
+        return [reduce(values(b)) for b in block_ids]
 
     # fingerprint blocks hold the GIL: in 8 alternating sweep passes a side, 2 streams
     # took a median 0.099 s (0.090-0.109), 1 stream 0.093 s (0.082-0.122)
@@ -556,6 +547,8 @@ def simulate_statistics(
     across statistics (and across thresholds) is exact because all are
     computed from identical samples.
     """
+    if n < 0 or trials < 1:
+        raise ValueError(f"need n >= 0 and trials >= 1, got n={n}, trials={trials}")
     tables = [stat.table(n, source.m) for stat in statistics]
     blocks = _run_blocks(source, tables, n, trials, seed, ctx, 1, lambda values: values)
     return [np.concatenate(chunks) for chunks in zip(*blocks)]
@@ -567,9 +560,9 @@ def sample_occupancy(p: Pmf, n: int, rng: Generator) -> OccupancyFingerprint:
     generator keyed by rng, as the samplers read 64 bits per raw word."""
     if n < 0:
         raise ValueError(f"sample size must be >= 0, got {n}")
-    _, kind, draw = _make_sampler(p, n, ())
-    row = draw(Generator(Philox(key=rng.integers(1 << 64, size=2, dtype=np.uint64))), 1)
-    return OccupancyFingerprint(n=n, m=p.m, phi=_fingerprints(kind, row, p.m, n)[0])
+    path, draw = _make_sampler(p, n, ())
+    row, = draw(Generator(Philox(key=rng.integers(1 << 64, size=2, dtype=np.uint64))), 1)
+    return OccupancyFingerprint(n=n, m=p.m, phi=_fingerprints(path, row, p.m, n)[0])
 
 
 def sweep(

@@ -162,8 +162,7 @@ class TestEstimates:
                                     streams=streams)
             return estimate_pf(plan).exceed_count
 
-        table = Coincidence().table(4000, 500)
-        assert _make_sampler(uniform(500), 4000, [table])[:2] == ("tally", "fingerprint")
+        assert _sampler_path(uniform(500), 4000, [Coincidence().table(4000, 500)]) == "tally"
         expected = count(1)
         pools, pool = [], montecarlo.ThreadPoolExecutor
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", lambda **kw: pools.append(kw) or pool(**kw))
@@ -263,9 +262,9 @@ class TestKernelsMatchCounts:
     ])
     def test_sampled_blocks(self, path, source, n):
         m = source.m
-        chosen, _, draw = _make_sampler(source, n, ())
+        chosen, draw = _make_sampler(source, n, ())
         assert chosen == path
-        data = draw(np.random.default_rng(n), 64)
+        data = drawn(draw, np.random.default_rng(n), 64)
         counts = rebuilt_counts(path, data, m)
         if path != "fingerprint":  # zero-mass symbols never appear
             assert not counts[:, source.probs == 0.0].any()
@@ -282,8 +281,8 @@ class TestKernelsMatchCounts:
         # cut at Pearson's K = n, fingerprints of these rows would take
         # 2048 x ~10^4 int64 cells (160 MB); the values come off the (2048, 2) counts
         n, m = 20000, 2
-        path, _, draw = _make_sampler(uniform(m), n, ())
-        data = draw(np.random.default_rng(3), montecarlo.BLOCK_TRIALS)
+        path, draw = _make_sampler(uniform(m), n, ())
+        data = drawn(draw, np.random.default_rng(3), montecarlo.BLOCK_TRIALS)
         stats = [Pearson(), Coincidence()]
         tracemalloc.start()
         try:
@@ -310,16 +309,24 @@ class TestKernelsMatchCounts:
             tracemalloc.stop()
         assert peak < 6 << 20
 
-    @pytest.mark.parametrize("source,n,stats", [
-        (uniform(64), 4095, [Coincidence(), Pearson()]),  # 16n > m^2
-        (uniform(2), 20000, [Coincidence(), Pearson()]),
-        (biuniform_worst_case(500, 0.99), 4000, [Coincidence(), Pearson()]),  # counts of ~800 > m
-        (uniform(500), 4000, [Coincidence(), Pearson(reference=biuniform_worst_case(500, 0.3))]),
+    @pytest.mark.parametrize("source,stats", [
+        (biuniform_worst_case(500, 0.99), [Coincidence(), Pearson()]),  # counts of ~800 > m
+        (uniform(500), [Coincidence(), Pearson(reference=biuniform_worst_case(500, 0.3))]),
     ])
-    def test_count_blocks_keep_their_rows(self, source, n, stats):
-        path, kind, draw = _make_sampler(source, n, [s.table(n, source.m) for s in stats])
-        assert kind == path == "tally"
-        assert draw(np.random.default_rng(1), 64).shape == (64, source.m)
+    def test_count_blocks_stay_within_a_chunk(self, source, stats):
+        # these blocks read per-symbol entries off their count rows, one
+        # ~1 MB chunk at a time, never off a whole 8 MB count matrix
+        n, m, b = 4000, 500, montecarlo.BLOCK_TRIALS
+        tracemalloc.start()
+        try:
+            values = simulate_statistics(source, stats, n, b, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 << 20
+        counts = drawn(_make_sampler(source, n, ())[1], montecarlo._block_rng(2, 0, 0), b)
+        for stat, v in zip(stats, values):
+            assert np.array_equal(v, [stat.from_counts(row) for row in counts]), stat.name
 
     def test_values_do_not_depend_on_blas_threads(self):
         # one block per path: fingerprint, sorted (two-band and general) and tally
@@ -339,6 +346,12 @@ class TestKernelsMatchCounts:
         digests = {run_python(script, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                               MKL_NUM_THREADS=threads) for threads in ("1", "2")}
         assert len(digests) == 1
+
+
+def drawn(draw, rng, b):
+    """A sampler's block of b rows, each piece copied before the next one
+    is drawn into the same buffer."""
+    return np.concatenate([piece.copy() for piece in draw(rng, b)])
 
 
 def rebuilt_counts(path, data, m):
@@ -460,7 +473,7 @@ class TestFingerprintSampler:
         (biuniform_worst_case(400, 0.3), 60),
     ])
     def test_law_matches_oracle(self, source, n):
-        phi = _fingerprint_sampler(source, n)(np.random.default_rng(n * source.m), 40_000)
+        phi = drawn(_fingerprint_sampler(source, n), np.random.default_rng(n * source.m), 40_000)
         assert_fingerprint_law(source, n, phi)
 
     @pytest.mark.parametrize("size,n", [(715542, 8000), (4096, 256), (6, 10), (2, 1), (10**9, 300)])
@@ -482,7 +495,7 @@ class TestFingerprintSampler:
     ])
     def test_rows_are_fingerprints(self, source, n):
         m = source.m
-        phi = _fingerprint_sampler(source, n)(np.random.default_rng(7), 300)
+        phi = drawn(_fingerprint_sampler(source, n), np.random.default_rng(7), 300)
         assert phi.min() >= 0 and phi[:, -1].any()  # cut after the block's largest count
         assert np.all(phi.sum(axis=1) == m)
         assert np.all(phi @ np.arange(phi.shape[1]) == n)
@@ -498,9 +511,9 @@ class TestFingerprintSampler:
         monkeypatch.setattr(montecarlo, "_TALLY_SLACK", slack)
         source, n, trials = biuniform_worst_case(400, 0.3), 60, 40_000
         rng = RecordingRng(np.random.default_rng(7))
-        phi = _fingerprint_sampler(source, n)(rng, trials)
-        drawn = sum(rng.rows) // len(source.bands)  # one multinomial per band and round
-        assert drawn > trials  # some rows were drawn twice
+        phi = drawn(_fingerprint_sampler(source, n), rng, trials)
+        rows = sum(rng.rows) // len(source.bands)  # one multinomial per band and round
+        assert rows > trials  # some rows were drawn twice
         assert np.all(phi @ np.arange(phi.shape[1]) == n)
         assert_fingerprint_law(source, n, phi)
 
@@ -509,7 +522,7 @@ class TestFingerprintSampler:
         # n - 3 sqrt(n) <= 0: the Poisson window is class 0 alone, and the
         # top-up draws add every further class
         assert n <= 3 * math.sqrt(n)
-        phi = _fingerprint_sampler(source, n)(np.random.default_rng(n), 40_000)
+        phi = drawn(_fingerprint_sampler(source, n), np.random.default_rng(n), 40_000)
         assert phi.shape[1] > 3
         assert_fingerprint_law(source, n, phi)
 
@@ -561,8 +574,6 @@ class TestFingerprintSampler:
             tables = [s.table(n, m) for s in stats]
             for source in (uniform(m), biuniform_worst_case(m, 0.35)):
                 assert _sampler_path(source, n, tables) == path
-                if path == "tally":  # its blocks are fingerprinted chunk by chunk
-                    assert _make_sampler(source, n, tables)[1] == "fingerprint"
 
     def test_plan_reports_paths(self):
         plan = coincidence_plan(1000, 31623, 0.45, 0.2, 10, seed=1)
@@ -602,19 +613,19 @@ class TestSampleOccupancyPaths:
     @pytest.mark.parametrize("path,source,n", CASES)
     def test_matches_rebuilt_counts(self, path, source, n):
         m = source.m
-        chosen, _, draw = _make_sampler(source, n, ())
+        chosen, draw = _make_sampler(source, n, ())
         assert chosen == path
         for seed in range(5):
             fp = sample_occupancy(source, n, np.random.default_rng(seed))
             # sample_occupancy draws from a Philox generator keyed by its rng
             key = np.random.default_rng(seed).integers(1 << 64, size=2, dtype=np.uint64)
-            row = draw(Generator(Philox(key=key)), 1)
+            row = drawn(draw, Generator(Philox(key=key)), 1)
             if path == "fingerprint":  # the drawn fingerprint itself
                 assert fp.phi.tolist() == row[0].tolist()
             counts = rebuilt_counts(path, row, m)[0]
             # phi runs to the largest count seen, so n = 0 gives [m]
             assert fp.phi.tolist() == occupancy(counts).phi.tolist()
-        data = draw(np.random.default_rng(n), 40)
+        data = drawn(draw, np.random.default_rng(n), 40)
         counts = rebuilt_counts(path, data, m)
         largest = int(counts.max())
         # top = n keeps every level; one below the largest count folds the
@@ -650,10 +661,13 @@ class TestStreams:
 
     RNG_ALGORITHM = "philox4x64-block2048-v7"
     # sha256 prefix of the block's values as little-endian int64; the
-    # counts digest is that under -v5, tally and general sorted under -v6
+    # counts digest is that under -v5, tally and general sorted under -v6;
+    # the chunked ones span 8 chunks of 256 count rows
     DIGESTS = {
         "tally": (biuniform_worst_case(13, 0.3), 60, "72077518f929b7b2"),
         "counts": (permuted_worst_case(12, 0.3, set(range(2, 8))), 60, "64b45ac4877a4681"),
+        "chunked tally": (biuniform_worst_case(500, 0.35), 4000, "eca87c681ef14db4"),
+        "chunked counts": (permuted_worst_case(500, 0.3, set(range(2, 252))), 4000, "e74a4a73193da7f0"),
         "band sorted": (biuniform_worst_case(51, 0.3), 30, "1f92b179cd2d85a0"),
         "general sorted": (permuted_worst_case(50, 0.3, set(range(2, 27))), 30, "cf5f526438cc05e7"),
         "fingerprint": (biuniform_worst_case(5000, 0.45), 300, "559995e94a2e51ab"),
@@ -663,9 +677,9 @@ class TestStreams:
         assert montecarlo.RNG_ALGORITHM == self.RNG_ALGORITHM, "re-record DIGESTS for the new RNG_ALGORITHM"
         moved = []
         for name, (source, n, digest) in self.DIGESTS.items():
-            path, _, draw = _make_sampler(source, n, ())
+            path, draw = _make_sampler(source, n, ())
             assert path == name.split()[-1]
-            data = draw(montecarlo._block_rng(1, 0, 0), montecarlo.BLOCK_TRIALS)
+            data = drawn(draw, montecarlo._block_rng(1, 0, 0), montecarlo.BLOCK_TRIALS)
             rows = np.asarray(data, dtype="<i8")
             if hashlib.sha256(rows.tobytes()).hexdigest()[:16] != digest:
                 moved.append(name)
@@ -676,9 +690,9 @@ class TestStreams:
         # the band split, then k band-1 symbols per row in one call and the
         # n - k band-2 symbols in another
         source, n = biuniform_worst_case(51, 0.3), 30
-        path, _, draw = _make_sampler(source, n, ())
+        path, draw = _make_sampler(source, n, ())
         assert path == "sorted"
-        rows = draw(np.random.default_rng(b), b)
+        rows = drawn(draw, np.random.default_rng(b), b)
         rng = np.random.default_rng(b)
         k = rng.binomial(n, source.two_band[1], size=b)
         first = rng.integers(0, 25, size=k.sum(), dtype=np.uint32)
@@ -691,9 +705,9 @@ class TestStreams:
 
     def test_general_sorted_rows_are_int32(self):
         source, n, b = drifting_pmf(5000, 5e-13), 300, 64
-        path, _, draw = _make_sampler(source, n, ())
+        path, draw = _make_sampler(source, n, ())
         assert path == "sorted"
-        rows = draw(np.random.default_rng(3), b)
+        rows = drawn(draw, np.random.default_rng(3), b)
         assert rows.dtype == np.int32
         table = source.inverse_cdf
         wide = _GuidedCdf([(0, table.keys)], (), table.bits)  # an int64 guide
@@ -717,7 +731,7 @@ class TestTallySampler:
         n, m = 60, source.m
         assert _sampler_path(source, n, ()) == "tally"
         stats = [Coincidence(), PearsonTruncated()]
-        counts = _tally_sampler(source, n)(np.random.default_rng(m), 40_000)
+        counts = drawn(_tally_sampler(source, n), np.random.default_rng(m), 40_000)
         values = _block_values([s.table(n, m) for s in stats], "tally", counts, m)
         for stat, x in zip(stats, values):
             x2, df = chi_square(x, exact_distribution(stat, source, n))
@@ -727,7 +741,7 @@ class TestTallySampler:
     @pytest.mark.parametrize("b", [1, 63, 65])
     def test_rows_are_count_vectors(self, source, b):
         n, m = 60, source.m
-        counts = _tally_sampler(source, n)(np.random.default_rng(b), b)
+        counts = drawn(_tally_sampler(source, n), np.random.default_rng(b), b)
         assert counts.shape == (b, m) and counts.min() >= 0
         assert np.all(counts.sum(axis=1) == n)
         assert np.all(counts[:, source.probs == 0.0] == 0)
@@ -801,13 +815,13 @@ class TestTallySampler:
     def test_pure_top_up_law(self, source, n):
         # n - 3 sqrt(n) <= 0: no Poisson part, every draw is topped up
         assert _sampler_path(source, n, ()) == "tally" and n <= 3 * math.sqrt(n)
-        assert_tally_law(source, n, _tally_sampler(source, n)(np.random.default_rng(n), 40_000))
+        assert_tally_law(source, n, drawn(_tally_sampler(source, n), np.random.default_rng(n), 40_000))
 
     @pytest.mark.parametrize("source", [uniform(2), biuniform_worst_case(2, 0.3)])
     def test_binomial_marginal_at_large_mean(self, source):
         # per-symbol Poisson means near 10^4: the CDF window starts far above 0
         n, trials = 20_000, 20_000
-        counts = _tally_sampler(source, n)(np.random.default_rng(17), trials)
+        counts = drawn(_tally_sampler(source, n), np.random.default_rng(17), trials)
         k = np.arange(n + 1)
         logfact = np.array([math.lgamma(i + 1) for i in k])
         p = source.probs[0]
@@ -822,7 +836,7 @@ class TestTallySampler:
         source, n, trials = biuniform_worst_case(12, 0.3), 60, 40_000
         rows, draw = [], _GuidedCdf.draw
         monkeypatch.setattr(_GuidedCdf, "draw", lambda self, rng, out: rows.append(len(out)) or draw(self, rng, out))
-        counts = _tally_sampler(source, n)(np.random.default_rng(7), trials)
+        counts = drawn(_tally_sampler(source, n), np.random.default_rng(7), trials)
         assert sum(rows) > trials  # some rows were drawn twice
         assert np.all(counts.sum(axis=1) == n)
         assert_tally_law(source, n, counts)
@@ -837,9 +851,9 @@ class TestTallySampler:
         assert np.all(np.abs(phi0 - expected) <= 5 * math.sqrt(expected))
 
 
-class TestFingerprintedCountBlocks:
-    """Count-path blocks fingerprinted chunk by chunk against the
-    fingerprints of the count block drawn from the same stream."""
+class TestChunkedCountBlocks:
+    """Count-path blocks evaluated chunk by chunk against the values of the
+    whole count block drawn from the same key."""
 
     @pytest.mark.parametrize("source", [uniform(500), biuniform_worst_case(500, 0.35),
                                         permuted_worst_case(500, 0.3, set(range(2, 252)))])
@@ -848,23 +862,24 @@ class TestFingerprintedCountBlocks:
         [Coincidence(), PearsonTruncated(), ExtendedCoincidence((0.1, -0.3, 0.7))],  # top 5
         [Coincidence(), Pearson(), ExtendedCoincidence((0.1, -0.3, 0.7)),
          WeightedCoincidence(uniform(500))],  # top n
+        [ExtendedCoincidence((0.1, -0.3, 0.7)), Pearson(reference=biuniform_worst_case(500, 0.3))],
     ])
-    def test_blocks_are_the_count_blocks_fingerprints(self, source, stats):
+    def test_chunk_values_are_the_block_values(self, source, stats):
         n, m, b = 4000, 500, montecarlo.BLOCK_TRIALS
         tables = [s.table(n, m) for s in stats]
-        top = max(t.K for t in tables)
-        path, kind, draw = _make_sampler(source, n, tables)
-        assert kind == "fingerprint" and _make_sampler(source, n, ())[:2] == (path, path)
-        phi = draw(montecarlo._block_rng(5, 0, 0), b)
-        counts = _make_sampler(source, n, ())[2](montecarlo._block_rng(5, 0, 0), b)
+        top = max(t.K for t in tables if t.group is None)
+        path, draw = _make_sampler(source, n, tables)
+        assert path in ("tally", "counts") and _make_sampler(source, n, ())[0] == path
+        counts = drawn(draw, montecarlo._block_rng(5, 0, 0), b)
         if path == "counts":  # one multinomial call per chunk keeps one call's stream
             assert np.array_equal(counts, montecarlo._block_rng(5, 0, 0).multinomial(n, source.probs, size=b))
         rows = montecarlo._TALLY_CELLS // m
         cuts = {min(top, int(counts[lo:lo + rows].max())) for lo in range(0, b, rows)}
         assert -(-b // rows) == 8 and (top < n or len(cuts) > 1), cuts  # chunks cut apart
-        assert phi.dtype == np.int64 and np.array_equal(phi, _fingerprints(path, counts, m, top))
-        for got, expected in zip(_block_values(tables, kind, phi, m), _block_values(tables, path, counts, m)):
-            assert np.array_equal(got, expected)
+        # a chunk read after the next one was drawn into its buffer would differ
+        got = simulate_statistics(source, stats, n, b, seed=5)
+        for stat, x, expected in zip(stats, got, _block_values(tables, path, counts, m)):
+            assert np.array_equal(x, expected), stat.name
 
 
 class TestReferenceChecks:
@@ -892,6 +907,15 @@ class TestReferenceChecks:
 
 
 class TestPairedProperties:
+    @pytest.mark.parametrize("n,trials", [(12, -3), (12, 0), (-1, 10)])
+    def test_rejects_bad_sizes(self, n, trials):
+        with pytest.raises(ValueError, match="n >= 0 and trials >= 1"):
+            simulate_statistics(uniform(30), [Coincidence()], n, trials, seed=1)
+
+    def test_zero_draws(self):
+        (values,) = simulate_statistics(uniform(30), [Coincidence()], 0, 3, seed=1)
+        assert values.tolist() == [Coincidence().from_counts(np.zeros(30, dtype=int))] * 3
+
     def test_threshold_monotonicity_on_shared_trials(self):
         values = simulate_statistics(uniform(30), [Coincidence()], 12, 20_000, seed=21)[0]
         base = make_threshold(Coincidence(), 12, 30, tau=0.0).cut
