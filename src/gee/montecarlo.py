@@ -8,14 +8,17 @@ and any worker count; `streams` only chooses how blocks are distributed
 across threads, and fingerprint-path blocks all run on the calling thread.
 
 The sampling path is a fixed function of (source, n, m, tables), pinned
-in `_sampler_path`, and every path samples the exact multinomial law:
+in `_sampler_path`, and every path samples the exact multinomial law.
+The direct paths take sources of at most two levels (`Pmf.groups`) in any
+symbol order, and draw each level as one label range (`Pmf.level_ranges`);
+`_run_blocks` re-indexes reference-dependent tables to those labels.
 
-- "tally" (uniform or two-band source, 4m <= n): a (b, m) count matrix,
+- "tally" (at most two levels, 4m <= n): a (b, m) count matrix,
   Poissonized.  With lam = max(n - 3 sqrt(n), 0), each cell draws
-  Y_j ~ Poisson(lam p_j) by inverting its band's CDF bits first (see
+  Y_j ~ Poisson(lam p_j) by inverting its level's CDF bits first (see
   `_GuidedCdf.draw`); rows whose total N exceeds n are redrawn whole, and
-  the other n - N draws of a row are drawn directly (split on Binomial(n - N, w1)
-  for a two-band source) and counted by `bincount`.  Given N = k, Y is
+  the other n - N draws of a row are drawn directly (split on Binomial(n - N, w)
+  at two levels) and counted by `bincount`.  Given N = k, Y is
   Multinomial(k, p), so adding Multinomial(n - k, p) gives the exact
   law at ~m + 3 sqrt(n) per row instead of n.
 - "counts" (other sources, 4m <= n): the same count matrix from the
@@ -23,16 +26,16 @@ in `_sampler_path`, and every path samples the exact multinomial law:
   tally path to.
   Both count paths draw ~2^17 cells at a time into one reused buffer, and
   each chunk is evaluated before the next one is drawn.
-- "sorted": all n symbols drawn and sorted per row, directly for uniform
-  and two-band sources, else each by inverting the CDF table the `Pmf`
-  caches (`Pmf.inverse_cdf`), bits first as on the tally path, into
-  int32 rows.  This is the general path and the reference the tests
-  hold the fingerprint path to.
-- "fingerprint" (uniform or two-band source, n >= 256, m >= 16n, every
-  table shared by all symbols): the fingerprints Phi, Poissonized as on
-  the tally path.  The Poisson(lam p) counts of a band's s symbols have
+- "sorted": all n symbols drawn and sorted per row, directly at most two
+  levels, else each by inverting the CDF table the `Pmf` caches
+  (`Pmf.inverse_cdf`), bits first as on the tally path, into int32 rows.
+  This is the general path and the reference the tests hold the
+  fingerprint path to.
+- "fingerprint" (at most two levels, n >= 256, m >= 16n, every table
+  shared by all symbols): the fingerprints Phi, Poissonized as on the
+  tally path.  The Poisson(lam p) counts of a level's s symbols have
   the fingerprint Multinomial(s, Poisson(lam p) pmf); rows with
-  N = sum_c c Phi_c > n are redrawn.  Of a band's share of the other
+  N = sum_c c Phi_c > n are redrawn.  Of a level's share of the other
   n - N draws, with D of its symbols seen, a run of g fresh ones
   (survival function prod_{i<g} (1 - (D+i)/s)) moves g symbols from
   class 0 to class 1, and the repeat after it moves a uniform one of the
@@ -47,7 +50,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -78,7 +81,7 @@ __all__ = [
 ]
 
 BLOCK_TRIALS = 2048
-RNG_ALGORITHM = f"philox4x64-block{BLOCK_TRIALS}-v7"
+RNG_ALGORITHM = f"philox4x64-block{BLOCK_TRIALS}-v8"
 
 _MASK64 = (1 << 64) - 1
 
@@ -109,11 +112,11 @@ def _sampler_path(source: Pmf, n: int, tables: Sequence[FTable]) -> str:
     Its cut is the region of the repeat-label chain it replaced, kept as
     is: it loses at n <= 40 and near 4m = n, and a retune is open.
     """
-    m = source.m
+    m, direct = source.m, source.groups[0].size <= 2
     if 4 * m <= n:
-        return "counts" if source.bands is None else "tally"
+        return "tally" if direct else "counts"
     shared = n >= 256 and m >= 16 * n and all(t.group is None for t in tables)
-    return "fingerprint" if shared and source.bands is not None else "sorted"
+    return "fingerprint" if shared and direct else "sorted"
 
 
 class _RepeatChain:
@@ -173,14 +176,12 @@ class _RepeatChain:
         return phi
 
 
-def _band_draws(rng: Generator, source: Pmf, n: int | np.ndarray, b: int) -> list[np.ndarray]:
-    """Per band of source.bands, the draws of each of b rows of n draws (an
-    int, or one per row): n for a uniform source, else k ~ Binomial(n, w1)
-    in the first band and n - k in the second."""
-    if len(source.bands) == 1:
-        return [np.full(b, n)]
-    k = rng.binomial(n, source.two_band[1], size=b)
-    return [k, n - k]
+def _level_draws(rng: Generator, source: Pmf, n: int | np.ndarray, b: int) -> list[np.ndarray]:
+    """Per level of source.level_ranges, the draws of each of b rows of n (an int,
+    or one per row): n at one level, else k ~ Binomial(n, w), w the first's mass, and n - k."""
+    ranges, w = source.level_ranges
+    k = rng.binomial(n, w, size=b) if len(ranges) == 2 else np.full(b, n)
+    return [k, n - k][:len(ranges)]
 
 
 def _poisson_cdf(mu: float) -> tuple[int, np.ndarray]:
@@ -216,19 +217,19 @@ def _count_blocks(fill: Callable[[Generator, np.ndarray], None], m: int) -> _Sam
 
 
 def _tally_sampler(source: Pmf, n: int) -> _Sampler:
-    """Count blocks (see `_count_blocks`) of n draws per row from a uniform
-    or two-band source, Poissonized (see the module docstring).
+    """Count blocks (see `_count_blocks`) of n draws per row from a source
+    of at most two levels, Poissonized (see the module docstring).
 
     A chunk inverts one uniform per cell, redraws its rows of total over n
-    until none is left, then draws the remaining symbols of each row, split
-    between the bands as the other direct paths do, and counts them by one
-    `bincount` of symbols offset by row * m.
+    until none is left, then draws the remaining labels of each row, split
+    between the levels as the other direct paths do, and counts them by
+    one `bincount` of labels offset by row * m.
     """
     m = source.m
     dtype = np.uint16 if m <= 0xFFFF else np.uint32
     lam = max(n - _TALLY_SLACK * math.sqrt(n), 0.0)
-    cdfs = [_poisson_cdf(lam * source.probs[lo]) for lo, _ in source.bands]
-    poisson = _GuidedCdf(cdfs, [hi - lo for lo, hi in source.bands], _GUIDE_BITS)
+    cdfs = [_poisson_cdf(lam * p) for p in source.groups[0]]
+    poisson = _GuidedCdf(cdfs, [hi - lo for lo, hi in source.level_ranges[0]], _GUIDE_BITS)
 
     def fill(rng: Generator, chunk: np.ndarray) -> None:
         c = chunk.shape[0]
@@ -240,7 +241,7 @@ def _tally_sampler(source: Pmf, n: int) -> _Sampler:
         offset = np.arange(c) * m
         at = np.concatenate([
             np.repeat(offset, d) + rng.integers(low, high, size=d.sum(), dtype=dtype)
-            for (low, high), d in zip(source.bands, _band_draws(rng, source, n - total, c))
+            for (low, high), d in zip(source.level_ranges[0], _level_draws(rng, source, n - total, c))
         ])
         chunk += np.bincount(at, minlength=c * m).reshape(c, m)
 
@@ -249,25 +250,25 @@ def _tally_sampler(source: Pmf, n: int) -> _Sampler:
 
 def _fingerprint_sampler(source: Pmf, n: int) -> _Sampler:
     """Blocks of (b, classes) occupancy fingerprints, up to the block's largest
-    count, of n draws per row from a uniform or two-band source (see the
+    count, of n draws per row from a source of at most two levels (see the
     module docstring), each in one piece."""
     lam = max(n - _TALLY_SLACK * math.sqrt(n), 0.0)
-    windows = [_poisson_cdf(lam * source.probs[lo]) for lo, _ in source.bands]
-    chains = [_RepeatChain(hi - lo, n) for lo, hi in source.bands]
+    windows = [_poisson_cdf(lam * p) for p in source.groups[0]]
+    chains = [_RepeatChain(hi - lo, n) for lo, hi in source.level_ranges[0]]
     weight = np.arange(1 + max(lo + cdf.size for lo, cdf in windows))  # a spare class
 
     def poisson_part(rng: Generator, b: int) -> tuple[np.ndarray, np.ndarray]:
         phi = np.zeros((len(chains), b, weight.size), dtype=np.int64)
-        for band, chain, (lo, cdf) in zip(phi, chains, windows):
-            band[:, lo:lo + cdf.size] = rng.multinomial(chain.size, np.diff(cdf, prepend=0.0), size=b)
+        for level, chain, (lo, cdf) in zip(phi, chains, windows):
+            level[:, lo:lo + cdf.size] = rng.multinomial(chain.size, np.diff(cdf, prepend=0.0), size=b)
         return phi, (phi @ weight).sum(axis=0)
 
     def draw_fingerprint(rng: Generator, b: int) -> Iterator[np.ndarray]:
-        phi, total = poisson_part(rng, b)  # (bands, b, classes), and each row's N
+        phi, total = poisson_part(rng, b)  # (levels, b, classes), and each row's N
         while (over := np.flatnonzero(total > n)).size:
             phi[:, over], total[over] = poisson_part(rng, over.size)
-        parts = [chain.top_up(rng, band, k)
-                 for chain, band, k in zip(chains, phi, _band_draws(rng, source, n - total, b))]
+        parts = [chain.top_up(rng, level, k)
+                 for chain, level, k in zip(chains, phi, _level_draws(rng, source, n - total, b))]
         width = max(part.shape[1] for part in parts)
         out = sum(np.pad(part, ((0, 0), (0, width - part.shape[1]))) for part in parts)
         yield out[:, :np.flatnonzero(out.any(axis=0))[-1] + 1]
@@ -288,16 +289,16 @@ def _make_sampler(source: Pmf, n: int, tables: Sequence[FTable]) -> tuple[str, _
         return path, _fingerprint_sampler(source, n)
 
     dtype = np.uint32 if m <= 0xFFFFFFFF else np.uint64
-    bands = source.bands
-    table = source.inverse_cdf if bands is None else None  # built before any stream draws
+    ranges = source.level_ranges[0] if source.groups[0].size <= 2 else None
+    table = source.inverse_cdf if ranges is None else None  # built before any stream draws
 
     def draw_sorted(rng: Generator, b: int) -> Iterator[np.ndarray]:
-        if bands is None:
+        if ranges is None:
             x = table.draw(rng, np.empty((b, n), dtype=np.int32))
-        else:  # rows get sorted, so the first k draws of a row can be the first band's
-            first = np.arange(n) < _band_draws(rng, source, n, b)[0][:, None]
+        else:  # rows get sorted, so the first k draws of a row can be the first level's
+            first = np.arange(n) < _level_draws(rng, source, n, b)[0][:, None]
             x = np.empty((b, n), dtype=dtype)
-            for mask, (lo, hi) in zip((first, ~first), bands):
+            for mask, (lo, hi) in zip((first, ~first), ranges):
                 x[mask] = rng.integers(lo, hi, size=np.count_nonzero(mask), dtype=dtype)
         x.sort(axis=1)
         yield x
@@ -490,6 +491,9 @@ def _run_blocks(
     keyed by (seed, ctx, b), whichever of the `streams` threads runs it.
     """
     path, draw = _make_sampler(source, n, tables)
+    if path != "counts" and source.groups[0].size <= 2:  # re-index tables to level-ordered labels
+        tables = [t if t.group is None else replace(t, group=t.group[np.argsort(source.groups[1], kind="stable")])
+                  for t in tables]
     sizes = [min(BLOCK_TRIALS, trials - lo) for lo in range(0, trials, BLOCK_TRIALS)]
 
     def values(b: int) -> list[np.ndarray]:

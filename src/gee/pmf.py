@@ -90,31 +90,32 @@ class Pmf:
         """Number of symbols carrying positive mass (the k of a restricted null)."""
         return int(np.count_nonzero(self.probs))
 
-    def is_uniform(self) -> bool:
-        return bool(np.all(self.probs == self.probs[0]))
-
     @cached_property
-    def two_band(self) -> tuple[int, float] | None:
-        """(s, mass of the first s symbols) when probs is [hi]*s + [lo]*(m-s)
-        with hi > lo, else None; checked in O(m) and once per instance."""
+    def groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """(levels, index): the distinct probabilities in order of first
+        appearance, and each symbol's position in levels, as uint8 with at
+        most two levels (found in O(m)), else intp; built once per instance."""
         probs = self.probs
-        hi, lo = probs[0], probs[-1]
-        if not hi > lo:
-            return None
-        s = int(np.argmax(probs != hi))
-        if not np.all(probs[s:] == lo):
-            return None
-        return s, float(probs[:s].sum())
+        other = probs != probs[0]
+        j = int(other.argmax())  # 0 when uniform
+        if j == 0 or np.array_equal(other, probs == probs[j]):
+            levels, index = probs[[0, j] if j else [0]], other.view(np.uint8)
+        else:
+            levels, first, index = np.unique(probs, return_index=True, return_inverse=True)
+            order = np.argsort(first)
+            levels, index = levels[order], np.argsort(order)[index]
+        levels.flags.writeable = index.flags.writeable = False
+        return levels, index
 
     @cached_property
-    def bands(self) -> list[tuple[int, int]] | None:
-        """Symbol ranges [lo, hi) of equal probability a sampler can draw
-        from directly: [(0, m)] when uniform, [(0, s), (s, m)] when
-        two-band, else None; computed once per instance."""
-        if self.is_uniform():
-            return [(0, self.m)]
-        band = self.two_band
-        return None if band is None else [(0, band[0]), (band[0], self.m)]
+    def level_ranges(self) -> tuple[list[tuple[int, int]], float]:
+        """For at most two `groups` levels: each level's labels [lo, hi) when relabelled
+        in level order, and the first level's mass (1 alone, else a float sum clamped to 1)."""
+        first = self.groups[1] == 0
+        if (s := int(np.count_nonzero(first))) == self.m:
+            return [(0, s)], 1.0
+        mass = (self.probs[:s] if first[:s].all() else self.probs[first]).sum()  # no copy if contiguous
+        return [(0, s), (s, self.m)], min(float(mass), 1.0)
 
     @cached_property
     def inverse_cdf(self) -> _GuidedCdf:

@@ -160,11 +160,9 @@ class SeparableStatistic:
         ref = getattr(self, "reference", None)
         if ref is not None and ref.m != m:
             raise ValueError(f"reference has {ref.m} symbols, data has {m}")
-        group = None
-        q = np.ones((1, 1))
-        if ref is not None and not ref.is_uniform():
-            probs, group = np.unique(ref.probs, return_inverse=True)
-            q = m * probs[:, None]
+        q, group = np.ones((1, 1)), None
+        if ref is not None and ref.groups[0].size > 1:  # rows in first-appearance order
+            q, group = m * ref.groups[0][:, None], ref.groups[1].astype(np.intp)
         f, scale, shift = self.core(n, m, q)
         return FTable(np.atleast_2d(np.asarray(f, dtype=np.float64)), scale, shift, group)
 

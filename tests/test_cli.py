@@ -250,6 +250,21 @@ class TestSimulate:
         )
         assert code == 0
 
+    def test_first_level_mass_past_one(self, capsys):
+        # biuniform_worst_case(51, 0.6) puts 1/20 on 20 symbols, a float sum
+        # past 1 that the direct samplers' level split once passed to binomial
+        point = ["--n", "30", "--m", "51", "--eps", "0.6", "--tau", "0.2", "--no-timestamp"]
+        code, out = run_cli(capsys, "simulate", *point, "--trials", "2048")
+        assert code == 0
+        sim = json.loads(out)
+        assert sim["sampler"] == {"pf": "sorted", "pm": "sorted"}
+        code, out = run_cli(capsys, "oracle", *point)
+        assert code == 0
+        exact = json.loads(out)
+        for key in ("pf", "pm"):
+            p = exact[key]
+            assert abs(sim[key]["p_hat"] - p) <= 4 * math.sqrt(p * (1 - p) / 2048), key
+
     def test_pearson_with_tau_is_usage_error(self, capsys):
         code = main([
             "simulate", "--stat", "pearson", "--n", "12", "--m", "30",

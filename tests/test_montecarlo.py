@@ -28,7 +28,7 @@ from gee.montecarlo import (
     simulate_statistics,
     sweep,
 )
-from gee.oracle import ExactDistribution, exact_distribution, exact_error_probs
+from gee.oracle import ExactDistribution, exact_distribution, exact_error_probs, exact_expectation
 from gee.pmf import Pmf, _GuidedCdf, biuniform_worst_case, permuted_worst_case, uniform
 from gee.statistics import (
     Coincidence,
@@ -53,6 +53,13 @@ def drifting_pmf(m, drift, seed=0):
     w /= w.sum()
     w[1] += drift
     return Pmf(w)
+
+
+def three_level_pmf(m):
+    """Probabilities in the ratio 3 : 1 : 2, repeated along the m symbols:
+    three levels, interleaved, so the general paths draw it."""
+    w = np.resize([3.0, 1.0, 2.0], m)
+    return Pmf(w / w.sum())
 
 
 def coincidence_plan(n, m, eps, tau, trials, seed, streams=1, alternative=None):
@@ -81,13 +88,13 @@ class TestSampleOccupancy:
                 super().__init__(tables, *args)
 
         monkeypatch.setattr(pmf, "_GuidedCdf", CountingTable)
-        source = permuted_worst_case(50, 0.3, set(range(2, 27)))
+        source = three_level_pmf(50)
         rng = np.random.default_rng(11)
         rows = [sample_occupancy(source, 30, rng).phi.tolist() for _ in range(3)]
         assert built == [50]
-        # the rows pinned under RNG_ALGORITHM -v6 (bits-first table draws,
+        # the rows recorded under RNG_ALGORITHM -v7 (bits-first table draws,
         # each row from a Philox generator keyed by rng)
-        assert rows == [[30, 11, 8, 1], [29, 15, 4, 1, 1], [29, 16, 3, 1, 0, 1]]
+        assert rows == [[29, 14, 5, 2], [31, 10, 7, 2], [28, 15, 6, 1]]
 
     def test_fixed_seed_reproducible(self):
         a = [sample_occupancy(uniform(50), 10, np.random.default_rng(42)).phi for _ in range(1)]
@@ -188,12 +195,13 @@ class TestEstimates:
         pf = estimate_pf(plan)
         assert abs(pf.p_hat - pf_exact) <= 4 * math.sqrt(pf_exact * (1 - pf_exact) / trials)
 
-    def test_permuted_alternative_uses_alias_path(self):
-        # permuted worst case is neither uniform nor banded; the inverse-CDF
-        # sampler must still produce the right acceptance probability
+    def test_permuted_alternative_takes_the_direct_path(self):
+        # the permuted worst case has two levels out of symbol order; its
+        # direct draws of level-ordered labels keep the acceptance probability
         n, m, eps, tau, trials = 12, 30, 0.3, 0.2, 50_000
         alt = permuted_worst_case(m, eps, set(range(2, 2 + m // 2)))
         plan = coincidence_plan(n, m, eps, tau, trials, seed=13, alternative=alt)
+        assert plan.sampler == {"pf": "sorted", "pm": "sorted"} and alt.groups[0].size == 2
         # symmetric statistic: permuting symbols leaves the law unchanged
         _, pm_exact = exact_error_probs(
             plan.statistic, plan.rule, uniform(m), biuniform_worst_case(m, eps), n
@@ -255,7 +263,9 @@ class TestKernelsMatchCounts:
     @pytest.mark.parametrize("path,source,n", [
         ("tally", uniform(12), 60),
         ("tally", biuniform_worst_case(13, 0.3), 60),
+        ("tally", permuted_worst_case(12, 0.3, set(range(2, 13, 2))), 60),
         ("sorted", permuted_worst_case(50, 0.3, set(range(2, 27))), 30),
+        ("sorted", three_level_pmf(50), 30),
         ("sorted", drifting_pmf(40, 5e-13), 30),
         ("fingerprint", uniform(5000), 300),
         ("fingerprint", biuniform_worst_case(5000, 0.45), 300),
@@ -276,6 +286,35 @@ class TestKernelsMatchCounts:
             expected = np.array([stat.from_counts(row) for row in counts])
             scale = max(1.0, float(np.abs(expected).max()))
             assert np.abs(values - expected).max() <= 1e-12 * scale, stat.name
+
+    @pytest.mark.parametrize("path,source,n", [
+        ("tally", biuniform_worst_case(12, 0.3), 60),
+        ("tally", uniform(50), 1700),  # 19 of 64 rows hold a count of m or more
+        ("counts", three_level_pmf(12), 60),
+        ("counts", three_level_pmf(50), 1200),  # 14 of 64 rows
+        ("sorted", permuted_worst_case(50, 0.3, set(range(2, 51, 2))), 30),
+        ("sorted", three_level_pmf(50), 30),
+        ("fingerprint", uniform(5000), 300),
+        ("fingerprint", biuniform_worst_case(5000, 0.45), 300),
+    ])
+    def test_integer_cores_are_row_exact(self, path, source, n):
+        # a piece's values of an integer-core table equal each row's alone,
+        # whether the piece and the row sum fingerprints or per-symbol entries
+        m = source.m
+        ref = Pmf(np.resize([1.5, 0.5], m) / m)  # m p_j of 3/2 and 1/2: an integer core
+        stats = [Coincidence(), Pearson(), PearsonTruncated(), ExtendedCoincidence((0.0, 1.0, 3.0)),
+                 WeightedCoincidence(uniform(m)), WeightedCoincidence(ref)]
+        if path == "fingerprint":  # fingerprints carry no symbol identities
+            stats = stats[:-1]
+        tables = [stat.table(n, m) for stat in stats]
+        assert all(np.array_equal(t.f, np.rint(t.f)) for t in tables)
+        chosen, draw = _make_sampler(source, n, tables)
+        assert chosen == path
+        data = drawn(draw, np.random.default_rng(n), 64)
+        values = _block_values(tables, path, data, m)
+        for i in range(len(data)):
+            for stat, v, alone in zip(stats, values, _block_values(tables, path, data[i:i + 1], m)):
+                assert v[i] == alone[0], (stat.name, i)
 
     def test_count_blocks_far_past_the_alphabet(self):
         # cut at Pearson's K = n, fingerprints of these rows would take
@@ -329,15 +368,17 @@ class TestKernelsMatchCounts:
             assert np.array_equal(v, [stat.from_counts(row) for row in counts]), stat.name
 
     def test_values_do_not_depend_on_blas_threads(self):
-        # one block per path: fingerprint, sorted (two-band and general) and tally
+        # one block per path: fingerprint, sorted (two levels and three) and tally
         script = """
             import hashlib
             from gee.montecarlo import simulate_statistics
-            from gee.pmf import biuniform_worst_case, permuted_worst_case, uniform
+            import numpy as np
+            from gee.pmf import Pmf, biuniform_worst_case, uniform
             from gee.statistics import ExtendedCoincidence
             stat = ExtendedCoincidence((0.1, -0.3, 0.7))
+            w = np.resize([3.0, 1.0, 2.0], 50)
             sources = [(uniform(5000), 300), (biuniform_worst_case(51, 0.3), 30),
-                       (permuted_worst_case(50, 0.3, set(range(2, 27))), 30), (uniform(12), 60)]
+                       (Pmf(w / w.sum()), 30), (uniform(12), 60)]
             digest = hashlib.sha256()
             for source, n in sources:
                 digest.update(simulate_statistics(source, [stat], n, 2048, seed=17)[0].tobytes())
@@ -512,7 +553,7 @@ class TestFingerprintSampler:
         source, n, trials = biuniform_worst_case(400, 0.3), 60, 40_000
         rng = RecordingRng(np.random.default_rng(7))
         phi = drawn(_fingerprint_sampler(source, n), rng, trials)
-        rows = sum(rng.rows) // len(source.bands)  # one multinomial per band and round
+        rows = sum(rng.rows) // len(source.level_ranges[0])  # one multinomial per level and round
         assert rows > trials  # some rows were drawn twice
         assert np.all(phi @ np.arange(phi.shape[1]) == n)
         assert_fingerprint_law(source, n, phi)
@@ -554,12 +595,14 @@ class TestFingerprintSampler:
         assert _sampler_path(uniform(5000), 300, [Pearson(reference=ref).table(300, 5000)]) == "sorted"
         assert _sampler_path(uniform(5000), 300, ()) == "fingerprint"
         alt = permuted_worst_case(16000, 0.3, set(range(2, 8002)))
-        assert _sampler_path(alt, 1000, coin) == "sorted"
+        assert _sampler_path(alt, 1000, coin) == "fingerprint"  # two levels in any order
+        assert _sampler_path(three_level_pmf(16000), 1000, coin) == "sorted"
         assert _sampler_path(uniform(250), 1000, coin) == "tally"
         assert _sampler_path(biuniform_worst_case(250, 0.3), 1000, coin) == "tally"
         assert _sampler_path(uniform(251), 1000, coin) == "sorted"
         dense = permuted_worst_case(250, 0.3, set(range(2, 127)))
-        assert _sampler_path(dense, 1000, coin) == "counts"
+        assert _sampler_path(dense, 1000, coin) == "tally"
+        assert _sampler_path(three_level_pmf(250), 1000, coin) == "counts"
 
     def test_benchmark_traffic(self):
         # the points of perfbench/workloads.py: a change to the path rule
@@ -596,18 +639,21 @@ class TestSampleOccupancyPaths:
     CASES = [
         ("tally", uniform(12), 60),
         ("tally", biuniform_worst_case(12, 0.3), 60),
-        ("counts", permuted_worst_case(12, 0.3, set(range(2, 8))), 60),
+        ("tally", permuted_worst_case(12, 0.3, set(range(2, 8))), 60),
+        ("counts", three_level_pmf(12), 60),
         ("sorted", uniform(50), 30),
         ("sorted", uniform(50), 1),
         ("sorted", uniform(50), 0),
         ("sorted", biuniform_worst_case(51, 0.3), 30),
         ("sorted", biuniform_worst_case(51, 0.3), 1),
         ("sorted", biuniform_worst_case(51, 0.3), 0),
-        ("sorted", permuted_worst_case(50, 0.3, set(range(2, 27))), 30),
-        ("sorted", permuted_worst_case(50, 0.3, set(range(2, 27))), 1),
-        ("sorted", permuted_worst_case(50, 0.3, set(range(2, 27))), 0),
+        ("sorted", permuted_worst_case(50, 0.3, set(range(2, 51, 2))), 30),
+        ("sorted", three_level_pmf(50), 30),
+        ("sorted", three_level_pmf(50), 1),
+        ("sorted", three_level_pmf(50), 0),
         ("fingerprint", uniform(5000), 300),
         ("fingerprint", biuniform_worst_case(5000, 0.45), 300),
+        ("fingerprint", permuted_worst_case(5000, 0.45, set(range(2, 5001, 2))), 300),
     ]
 
     @pytest.mark.parametrize("path,source,n", CASES)
@@ -640,7 +686,7 @@ class TestSampleOccupancyPaths:
 
     @pytest.mark.parametrize("path,source,n", [
         ("tally", uniform(12), 60),
-        ("sorted", permuted_worst_case(50, 0.3, set(range(2, 27))), 30),
+        ("sorted", three_level_pmf(50), 30),
         ("fingerprint", biuniform_worst_case(4096, 0.45), 256),
     ])
     def test_law_under_a_32_bit_generator(self, path, source, n):
@@ -659,18 +705,23 @@ class TestStreams:
     """One block of each sampler path, hashed, against the digests pinned
     to RNG_ALGORITHM: a stream may move only with a new RNG_ALGORITHM."""
 
-    RNG_ALGORITHM = "philox4x64-block2048-v7"
+    RNG_ALGORITHM = "philox4x64-block2048-v8"
     # sha256 prefix of the block's values as little-endian int64; the
-    # counts digest is that under -v5, tally and general sorted under -v6;
-    # the chunked ones span 8 chunks of 256 count rows
+    # chunked ones span 8 chunks of 256 count rows.  All but the permuted
+    # ones were recorded under -v7, the counts and general sorted ones on
+    # the three-level source; the permuted ones under -v8, where
+    # two-level sources in any symbol order took the direct paths
     DIGESTS = {
         "tally": (biuniform_worst_case(13, 0.3), 60, "72077518f929b7b2"),
-        "counts": (permuted_worst_case(12, 0.3, set(range(2, 8))), 60, "64b45ac4877a4681"),
+        "counts": (three_level_pmf(12), 60, "fa63a6ad6620af6d"),
         "chunked tally": (biuniform_worst_case(500, 0.35), 4000, "eca87c681ef14db4"),
-        "chunked counts": (permuted_worst_case(500, 0.3, set(range(2, 252))), 4000, "e74a4a73193da7f0"),
+        "chunked counts": (three_level_pmf(500), 4000, "131f2224def5c125"),
         "band sorted": (biuniform_worst_case(51, 0.3), 30, "1f92b179cd2d85a0"),
-        "general sorted": (permuted_worst_case(50, 0.3, set(range(2, 27))), 30, "cf5f526438cc05e7"),
+        "general sorted": (three_level_pmf(50), 30, "89631ab6ec45ce0e"),
         "fingerprint": (biuniform_worst_case(5000, 0.45), 300, "559995e94a2e51ab"),
+        "permuted tally": (permuted_worst_case(13, 0.3, set(range(2, 13, 2))), 60, "d1ea03da7baf7340"),
+        "permuted sorted": (permuted_worst_case(51, 0.3, set(range(2, 51, 2))), 30, "fdf16690d09e690e"),
+        "permuted fingerprint": (permuted_worst_case(5000, 0.45, set(range(2, 5001, 2))), 300, "b5c985d4020415b6"),
     }
 
     def test_block_digests(self):
@@ -685,18 +736,21 @@ class TestStreams:
                 moved.append(name)
         assert not moved, f"the {', '.join(moved)} streams moved: bump RNG_ALGORITHM"
 
+    @pytest.mark.parametrize("source", [biuniform_worst_case(51, 0.3),
+                                        permuted_worst_case(51, 0.3, set(range(2, 51, 2)))])
     @pytest.mark.parametrize("b", [1, 64])
-    def test_two_band_sorted_rows_draw_n_symbols(self, b):
-        # the band split, then k band-1 symbols per row in one call and the
-        # n - k band-2 symbols in another
-        source, n = biuniform_worst_case(51, 0.3), 30
+    def test_two_level_sorted_rows_draw_n_symbols(self, source, b):
+        # the level split, then k first-level labels per row in one call and
+        # the n - k second-level ones in another
+        n = 30
         path, draw = _make_sampler(source, n, ())
         assert path == "sorted"
         rows = drawn(draw, np.random.default_rng(b), b)
         rng = np.random.default_rng(b)
-        k = rng.binomial(n, source.two_band[1], size=b)
-        first = rng.integers(0, 25, size=k.sum(), dtype=np.uint32)
-        second = rng.integers(25, 51, size=b * n - k.sum(), dtype=np.uint32)
+        [(_, s), (_, m)], w = source.level_ranges
+        k = rng.binomial(n, w, size=b)
+        first = rng.integers(0, s, size=k.sum(), dtype=np.uint32)
+        second = rng.integers(s, m, size=b * n - k.sum(), dtype=np.uint32)
         starts = np.cumsum(k) - k
         for i, row in enumerate(rows):
             expected = np.concatenate([first[starts[i]:starts[i] + k[i]],
@@ -722,8 +776,9 @@ class TestTallySampler:
     SOURCES = [
         uniform(12),
         biuniform_worst_case(12, 0.3),
-        biuniform_worst_case(13, 0.3),  # bands of 6 and 7 symbols
-        biuniform_worst_case(12, 0.6),  # the low band has no mass: k = n always
+        biuniform_worst_case(13, 0.3),  # levels of 6 and 7 symbols
+        biuniform_worst_case(12, 0.6),  # the low level has no mass: k = n always
+        permuted_worst_case(13, 0.3, set(range(2, 13, 2))),  # the light level first
     ]
 
     @pytest.mark.parametrize("source", SOURCES)
@@ -745,17 +800,17 @@ class TestTallySampler:
         assert counts.shape == (b, m) and counts.min() >= 0
         assert np.all(counts.sum(axis=1) == n)
         assert np.all(counts[:, source.probs == 0.0] == 0)
-        if source.two_band is not None:
+        (_, s), *rest = source.level_ranges[0]
+        if rest:
             # the block's first draws are one guided draw per cell (one
-            # chunk, no row over n here), then the top-up's per-row band split
-            s, w1 = source.two_band
+            # chunk, no row over n here), then the top-up's per-row level split
             lam = n - 3 * math.sqrt(n)
             rng = np.random.default_rng(b)
-            tables = [_poisson_cdf(lam * source.probs[0]), _poisson_cdf(lam * source.probs[-1])]
+            tables = [_poisson_cdf(lam * p) for p in source.groups[0]]
             poisson = _GuidedCdf(tables, [s, m - s], montecarlo._GUIDE_BITS)
             y = poisson.draw(rng, np.empty((b, m), dtype=np.int64))
             assert np.all(y.sum(axis=1) <= n)
-            k = rng.binomial(n - y.sum(axis=1), w1, size=b)
+            k = rng.binomial(n - y.sum(axis=1), source.level_ranges[1], size=b)
             assert np.array_equal(counts[:, :s].sum(axis=1), y[:, :s].sum(axis=1) + k)
 
     @pytest.mark.parametrize("source", [uniform(500), biuniform_worst_case(500, 0.35)])
@@ -855,8 +910,7 @@ class TestChunkedCountBlocks:
     """Count-path blocks evaluated chunk by chunk against the values of the
     whole count block drawn from the same key."""
 
-    @pytest.mark.parametrize("source", [uniform(500), biuniform_worst_case(500, 0.35),
-                                        permuted_worst_case(500, 0.3, set(range(2, 252)))])
+    @pytest.mark.parametrize("source", [uniform(500), biuniform_worst_case(500, 0.35), three_level_pmf(500)])
     @pytest.mark.parametrize("stats", [
         [Coincidence()],  # top 2
         [Coincidence(), PearsonTruncated(), ExtendedCoincidence((0.1, -0.3, 0.7))],  # top 5
@@ -1035,3 +1089,43 @@ class TestPartitionMap:
     def test_monotonicity_required(self):
         with pytest.raises(ValueError):
             PartitionMap(lambda t: -t, 4)
+
+
+class TestTwoLevelSources:
+    """Sources of at most two probability levels, in any symbol order, on
+    the direct paths, which draw each level as one range of labels."""
+
+    @pytest.mark.parametrize("path,n,m", [("tally", 60, 13), ("sorted", 30, 51), ("fingerprint", 256, 4096)])
+    def test_permuted_law_matches_oracle(self, path, n, m):
+        source = permuted_worst_case(m, 0.3, set(range(2, m + 1, 2)))
+        stats = [Coincidence(), PearsonTruncated()]
+        assert _sampler_path(source, n, [s.table(n, m) for s in stats]) == path
+        for stat, x in zip(stats, simulate_statistics(source, stats, n, 40_960, seed=m)):
+            x2, df = chi_square(x, exact_distribution(stat, source, n))
+            assert x2 <= chi_square_bound(df), (stat.name, x2, df)
+
+    @pytest.mark.parametrize("path,n,m", [("tally", 4000, 500), ("sorted", 200, 1000), ("sorted", 300, 5000)])
+    def test_reference_table_means(self, path, n, m):
+        # a reference-dependent table is re-indexed to the drawn labels: read
+        # by symbol, Pearson's mean at (4000, 500) sits 19104 standard errors off
+        rng = np.random.default_rng(m)
+        source, ref = (permuted_worst_case(m, eps, rng.choice(np.arange(1, m + 1), m // 2, replace=False))
+                       for eps in (0.35, 0.2))
+        stats = [Pearson(reference=ref), WeightedCoincidence(ref)]
+        assert _sampler_path(source, n, [s.table(n, m) for s in stats]) == path
+        for stat, x in zip(stats, simulate_statistics(source, stats, n, 8192, seed=3)):
+            se = x.std() / math.sqrt(x.size)
+            assert abs(x.mean() - exact_expectation(stat, source, n)) <= 5 * se, stat.name
+
+    @pytest.mark.parametrize("path,n,m,eps", [
+        ("tally", 600, 51, 0.6), ("fingerprint", 256, 4096, 0.9), ("sorted", 30, 4096, 0.9)])
+    def test_first_level_mass_past_one(self, path, n, m, eps):
+        # the heavy level's float mass passes 1 by an ulp, which rng.binomial
+        # refused on every direct path
+        source = biuniform_worst_case(m, eps)
+        assert float(source.probs[source.probs > 0].sum()) > 1.0
+        stats = [Coincidence(), PearsonTruncated()]
+        assert _sampler_path(source, n, [s.table(n, m) for s in stats]) == path
+        for stat, x in zip(stats, simulate_statistics(source, stats, n, 20_480, seed=n)):
+            x2, df = chi_square(x, exact_distribution(stat, source, n))
+            assert x2 <= chi_square_bound(df), (stat.name, x2, df)

@@ -51,6 +51,13 @@ class TestPmfType:
         assert biuniform_worst_case(5, 0.6).support_size == 2
         assert uniform(7).support_size == 7
 
+    @staticmethod
+    def unique_groups(probs):
+        """(levels, index) by np.unique, levels in order of first appearance."""
+        levels, first, index = np.unique(probs, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        return levels[order], np.argsort(order)[index]
+
     @pytest.mark.parametrize("p", [
         uniform(7),
         biuniform_worst_case(12, 0.3),
@@ -64,17 +71,47 @@ class TestPmfType:
         Pmf([0.4, 0.1, 0.4, 0.1]),
         Pmf([0.25, 0.25, 0.5]),
         Pmf([1.0, 0.0]),
+        Pmf([0.0, 0.5, 0.0, 0.5]),
     ])
-    def test_two_band(self, p):
-        # reference: exactly two distinct values, never increasing
-        vals = np.unique(p.probs)
-        if vals.size != 2 or np.any(np.diff(p.probs) > 0.0):
-            assert p.two_band is None
-            assert p.bands == ([(0, p.m)] if vals.size == 1 else None)
-        else:
-            s = int(np.count_nonzero(p.probs == vals[1]))
-            assert p.two_band == (s, float(p.probs[:s].sum()))
-            assert p.bands == [(0, s), (s, p.m)]
+    def test_groups(self, p):
+        levels, index = p.groups
+        expected = self.unique_groups(p.probs)
+        assert levels.tolist() == expected[0].tolist() and index.tolist() == expected[1].tolist()
+        assert index.dtype == (np.uint8 if levels.size <= 2 else np.intp)
+        assert np.array_equal(levels[index], p.probs)
+        assert not levels.flags.writeable and not index.flags.writeable
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_groups_of_random_pmfs(self, count, rng):
+        for _ in range(50):
+            m = int(rng.integers(count, 40))
+            weights = rng.integers(1, 6, size=count).astype(float)
+            while np.unique(weights).size < count:
+                weights = rng.integers(1, 6, size=count).astype(float)
+            index = rng.permutation(np.arange(m) % count)
+            p = Pmf(weights[index] / weights[index].sum())
+            levels, got = p.groups
+            expected = self.unique_groups(p.probs)
+            assert levels.size == np.unique(p.probs).size <= count
+            assert levels.tolist() == expected[0].tolist() and got.tolist() == expected[1].tolist()
+
+    @pytest.mark.parametrize("p,ranges", [
+        (uniform(7), [(0, 7)]),
+        (biuniform_worst_case(13, 0.3), [(0, 6), (6, 13)]),
+        (permuted_worst_case(12, 0.3, {2, 3, 4, 5, 6, 7}), [(0, 6), (6, 12)]),
+        (Pmf([0.1, 0.3, 0.1, 0.1, 0.3, 0.1]), [(0, 4), (4, 6)]),
+    ])
+    def test_level_ranges(self, p, ranges):
+        levels, index = p.groups
+        mass = min(float(p.probs[index == 0].sum()), 1.0) if levels.size == 2 else 1.0
+        assert p.level_ranges == (ranges, mass)
+
+    @pytest.mark.parametrize("m,eps", [(51, 0.6), (4096, 0.9)])
+    def test_first_level_mass_is_clamped(self, m, eps):
+        # the float sum of the heavy level passes 1 by an ulp
+        p = biuniform_worst_case(m, eps)
+        assert float(p.probs[p.probs > 0].sum()) > 1.0
+        assert p.level_ranges[1] == 1.0
 
 
 class TestConstructors:
