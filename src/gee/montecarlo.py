@@ -14,13 +14,13 @@ symbol order, and draw each level as one label range (`Pmf.level_ranges`);
 `_run_blocks` re-indexes reference-dependent tables to those labels.
 
 - "tally" (at most two levels, 4m <= n): a (b, m) count matrix,
-  Poissonized.  With lam = max(n - 3 sqrt(n), 0), each cell draws
+  Poissonized.  With lam = max(n - 1.25 sqrt(n), 0), each cell draws
   Y_j ~ Poisson(lam p_j) by inverting its level's CDF bits first (see
   `_GuidedCdf.draw`); rows whose total N exceeds n are redrawn whole, and
   the other n - N draws of a row are drawn directly (split on Binomial(n - N, w)
   at two levels) and counted by `bincount`.  Given N = k, Y is
   Multinomial(k, p), so adding Multinomial(n - k, p) gives the exact
-  law at ~m + 3 sqrt(n) per row instead of n.
+  law at ~m + 1.25 sqrt(n) per row instead of n; ~10% of rows redraw.
 - "counts" (other sources, 4m <= n): the same count matrix from the
   conditional-binomial chain.  This is the reference the tests hold the
   tally path to.
@@ -38,8 +38,9 @@ symbol order, and draw each level as one label range (`Pmf.level_ranges`);
   N = sum_c c Phi_c > n are redrawn.  Of a level's share of the other
   n - N draws, with D of its symbols seen, a run of g fresh ones
   (survival function prod_{i<g} (1 - (D+i)/s)) moves g symbols from
-  class 0 to class 1, and the repeat after it moves a uniform one of the
-  D up one class.
+  class 0 to class 1, and the repeat after it lands on a uniform one of
+  the D, which moves up one class.  The repeats' targets are drawn after
+  the runs (see `_RepeatChain.top_up`).
 
 On every path a statistic whose table all symbols share is evaluated as
 sum_c Phi_c f(c) over the occupancy fingerprints Phi of the block's rows.
@@ -81,7 +82,7 @@ __all__ = [
 ]
 
 BLOCK_TRIALS = 2048
-RNG_ALGORITHM = f"philox4x64-block{BLOCK_TRIALS}-v8"
+RNG_ALGORITHM = f"philox4x64-block{BLOCK_TRIALS}-v9"
 
 _MASK64 = (1 << 64) - 1
 
@@ -98,7 +99,10 @@ def _block_rng(seed: int, ctx: int, block: int) -> Generator:
 # all are exact multinomial.
 
 _COUNT_PATHS = ("tally", "counts")
-_TALLY_SLACK = 3.0  # the Poisson mean is n - 3 sqrt(n): ~0.1% of rows redraw
+# the Poisson mean is n - 1.25 sqrt(n): ~10% of rows redraw, and ~1.25 sqrt(n)
+# draws per row are topped up; of 1, 1.25 and 1.5, 1.25 timed at or near the
+# fastest on both the sweep and the tally path's dense point
+_TALLY_SLACK = 1.25
 _TALLY_CELLS = 1 << 17  # count cells drawn at once: a count block holds ~1 MB of counts
 _Sampler = Callable[[Generator, int], Iterator[np.ndarray]]
 
@@ -106,8 +110,8 @@ _Sampler = Callable[[Generator, int], Iterator[np.ndarray]]
 def _sampler_path(source: Pmf, n: int, tables: Sequence[FTable]) -> str:
     """The block sampler's path, pinned per release.
 
-    Per-trial cost is ~4m for the conditional-binomial chain, ~m + 3 sqrt(n)
-    for the Poissonized tally, ~n log n to draw and sort, and ~3 n^1.5/m
+    Per-trial cost is ~4m for the conditional-binomial chain, ~m + 1.25 sqrt(n)
+    for the Poissonized tally, ~n log n to draw and sort, and ~1.25 n^1.5/m
     repeats for the fingerprint chain, which needs every table shared.
     Its cut is the region of the repeat-label chain it replaced, kept as
     is: it loses at n <= 40 and near 4m = n, and a retune is open.
@@ -150,29 +154,48 @@ class _RepeatChain:
         return _walk_up(self.a, self.guide[j], x)  # the closing inf stops every walk
 
     def top_up(self, rng: Generator, phi: np.ndarray, draws: np.ndarray) -> np.ndarray:
-        """Fingerprints phi (b, classes) of `size` symbols after draws[i] more
-        draws in row i, widened when a count outgrows them.  A round draws
-        each row's fresh run from one Exp(1) variate, then its repeat's class
-        from a uniform integer below D against the cumulative phi."""
+        """Fingerprints phi (b, classes >= 2) of `size` symbols after draws[i]
+        more draws in row i, widened when a count outgrows them.
+
+        A round draws each row's run of fresh symbols from one Exp(1) variate
+        and records the seen count D of the repeat that ends it.  D moves
+        only on a fresh draw, and given D a repeat lands on a uniform one of
+        the D seen symbols whatever the fresh/repeat pattern was, so the
+        repeats' targets are drawn after the last round, with the same law:
+        a uniform label below D each.  Labels below the row's D0 before the
+        top-up are its seen symbols in class order, and the others its fresh
+        symbols in the order they were made, each of class 1.  A symbol hit
+        h times moves from its class c to c + h.
+        """
         rows = np.flatnonzero(draws > 0)
-        left = draws[rows].astype(np.int64)
-        seen = self.size - phi[rows, 0]
-        while rows.size:
-            x = self.a[seen] + rng.standard_exponential(rows.size)
-            fresh = np.minimum(self.count_le(x) - 1 - seen, left)
-            phi[rows, 0] -= fresh
-            phi[rows, 1] += fresh
-            seen += fresh
-            left -= fresh
-            more = left > 0
-            rows, seen, left = rows[more], seen[more], left[more] - 1
-            if rows.size:
-                below = np.cumsum(phi[rows, 1:], axis=1) <= rng.integers(0, seen)[:, None]
-                c = 1 + below.view(np.uint8).sum(axis=1)
-                if c.max() + 1 == phi.shape[1]:
-                    phi = np.pad(phi, ((0, 0), (0, 1)))
-                phi[rows, c] -= 1
-                phi[rows, c + 1] += 1
+        if not rows.size:
+            return phi
+        seen0 = self.size - phi[rows, 0]
+        # cap: D once every draw left is fresh; a repeat lowers it by one
+        at, seen, cap = np.arange(rows.size), seen0, seen0 + draws[rows]
+        repeats, d = [], []  # each round's repeats: index into rows, and D (never updated in place)
+        while at.size:
+            x = self.a[seen] + rng.standard_exponential(at.size)
+            end = np.minimum(self.count_le(x) - 1, cap)  # D after the fresh run
+            more = end < cap
+            at, seen, cap = at[more], end[more], cap[more] - 1
+            repeats.append(at)
+            d.append(seen)
+        repeats = np.concatenate(repeats)
+        fresh = draws[rows] - np.bincount(repeats, minlength=rows.size)
+        key, hits = np.unique(repeats * self.size + rng.integers(0, np.concatenate(d)), return_counts=True)
+        at, label = np.divmod(key, self.size)
+        row = rows[at]
+        c = np.ones(key.size, dtype=np.int64)
+        # most labels are class 1: only those past phi_1 and below D0 read the cumulative phi
+        deep = np.flatnonzero((label >= phi[row, 1]) & (label < seen0[at]))
+        c[deep] += np.count_nonzero(np.cumsum(phi[row[deep], 1:], axis=1) <= label[deep, None], axis=1)
+        phi[rows, 0] -= fresh  # after the class lookup, which reads the Poisson part's phi
+        phi[rows, 1] += fresh
+        if (width := int((c + hits).max(initial=0)) + 1) > phi.shape[1]:
+            phi = np.pad(phi, ((0, 0), (0, width - phi.shape[1])))
+        np.subtract.at(phi, (row, c), 1)
+        np.add.at(phi, (row, c + hits), 1)
         return phi
 
 
@@ -329,9 +352,14 @@ def _fingerprints(path: str, data: np.ndarray, m: int, top: int, largest: int | 
         return np.concatenate([data[:, :top], data[:, top:].sum(axis=1, keepdims=True)], axis=1)
     if path in _COUNT_PATHS:
         b = data.shape[0]
-        top = min(top, int(data.max(initial=0)) if largest is None else largest)
-        keys = np.minimum(data, top)  # the one (b, m) temporary
-        keys += np.arange(0, b * (top + 1), top + 1)[:, None]
+        largest = int(data.max(initial=0)) if largest is None else largest
+        top = min(top, largest)
+        offsets = np.arange(0, b * (top + 1), top + 1)[:, None]
+        if top < largest:
+            keys = np.minimum(data, top)  # the one (b, m) temporary
+            keys += offsets
+        else:  # no count to cut (Pearson's K is n)
+            keys = data + offsets
         return np.bincount(keys.reshape(-1), minlength=b * (top + 1)).reshape(b, top + 1)
     b, n = data.shape
     w = eq = data[:, 1:] == data[:, :-1]

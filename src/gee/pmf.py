@@ -70,9 +70,11 @@ class Pmf:
             raise AlphabetSizeError(
                 f"alphabet needs at least 2 symbols, got shape {probs.shape}"
             )
-        if not np.all(np.isfinite(probs)) or np.any(probs < 0.0):
+        # two reductions: a NaN or negative entry fails the min (so -inf never
+        # meets +inf in the sum), and a +inf makes the sum inf
+        total = float(probs.sum()) if probs.min() >= 0.0 else math.nan
+        if not math.isfinite(total):
             raise ValueError("probabilities must be finite and non-negative")
-        total = float(probs.sum())
         if abs(total - 1.0) > _SUM_TOL:
             if abs(total - 1.0) > _RENORM_TOL:
                 raise ValueError(f"probabilities sum to {total}, too far from 1")

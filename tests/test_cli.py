@@ -282,7 +282,11 @@ class TestSimulatePinned:
     and `test_tally_counts` pin the fast paths' counts, recorded when
     each path was added (the tally counts again when it was Poissonized
     and when its CDF draws went bits first; the sparse p_M counts of the
-    two-band sorted path again when its rows drew exactly n symbols)."""
+    two-band sorted path again when its rows drew exactly n symbols; both
+    again when the Poisson slack moved to 1.25 and the fingerprint top-up
+    drew its repeat targets after the fresh runs, each new count within
+    1.7 standard errors of a two-sample difference from the one it
+    replaced)."""
 
     SPARSE = ["--n", "1000", "--m", "31623", "--eps", "0.45", "--trials", "5000", "--seed", "5"]
     DENSE = ["--n", "120", "--m", "30", "--eps", "0.1", "--trials", "4000", "--seed", "6"]
@@ -312,11 +316,11 @@ class TestSimulatePinned:
             )
 
     @pytest.mark.parametrize("stat,flags,sparse", [
-        ("coincidence", [], (1036, 135)),
-        ("pearson", [], (241, 610)),
-        ("pearson-truncated", [], (148, 1130)),
-        ("extended", ["--weights", "0,1,3"], (1110, 112)),
-        ("weighted", [], (260, 651)),
+        ("coincidence", [], (1034, 150)),
+        ("pearson", [], (256, 577)),
+        ("pearson-truncated", [], (156, 1107)),
+        ("extended", ["--weights", "0,1,3"], (1114, 133)),
+        ("weighted", [], (278, 638)),
     ])
     def test_fingerprint_counts(self, capsys, stat, flags, sparse):
         assert self.simulate(capsys, stat, flags, self.SPARSE, "0.2") == (
@@ -324,11 +328,11 @@ class TestSimulatePinned:
         )
 
     @pytest.mark.parametrize("stat,flags,dense", [
-        ("coincidence", [], (1348, 3015)),
-        ("pearson", [], (1252, 1826)),
+        ("coincidence", [], (1382, 3056)),
+        ("pearson", [], (1289, 1846)),
         ("pearson-truncated", [], (0, 4000)),
-        ("extended", ["--weights", "0,1,3"], (1751, 2737)),
-        ("weighted", [], (1817, 2155)),
+        ("extended", ["--weights", "0,1,3"], (1712, 2668)),
+        ("weighted", [], (1885, 2147)),
     ])
     def test_tally_counts(self, capsys, stat, flags, dense):
         assert self.simulate(capsys, stat, flags, self.DENSE, "0.002") == (

@@ -34,6 +34,14 @@ class TestPmfType:
         with pytest.raises(ValueError):
             Pmf(np.array([1.1, -0.1]))
 
+    @pytest.mark.parametrize("probs", [
+        [np.nan, 1.0], [np.inf, 0.5], [-np.inf, 1.0, 1.0], [np.inf, -np.inf, 0.5],
+        [0.5, -1e-300, 0.5],
+    ])
+    def test_non_finite_and_negative_entries_rejected(self, probs):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            Pmf(np.array(probs))
+
     def test_small_drift_rescaled(self):
         p = Pmf(np.array([0.5, 0.5 + 5e-10]))
         assert p.probs.sum() == approx(1.0, abs=1e-15)
