@@ -9,11 +9,11 @@ across threads, and fingerprint-path blocks all run on the calling thread.
 
 The sampling path is a fixed function of (source, n, m, tables), pinned
 in `_sampler_path`, and every path samples the exact multinomial law.
-The direct paths take sources of at most two levels (`Pmf.groups`) in any
-symbol order, and draw each level as one label range (`Pmf.level_ranges`);
-`_run_blocks` re-indexes reference-dependent tables to those labels.
+The Poissonized paths take sources of at most two levels (`Pmf.groups`) in
+any symbol order, and draw each level as one label range; `_run_blocks`
+re-indexes reference-dependent tables to those labels on the tally path.
 
-- "tally" (at most two levels, 4m <= n): a (b, m) count matrix,
+- "tally" (at most two levels, 2m <= n): a (b, m) count matrix,
   Poissonized.  With lam = max(n - 1.25 sqrt(n), 0), each cell draws
   Y_j ~ Poisson(lam p_j) by inverting its level's CDF bits first (see
   `_GuidedCdf.draw`); rows whose total N exceeds n are redrawn whole, and
@@ -21,17 +21,16 @@ symbol order, and draw each level as one label range (`Pmf.level_ranges`);
   at two levels) and counted by `bincount`.  Given N = k, Y is
   Multinomial(k, p), so adding Multinomial(n - k, p) gives the exact
   law at ~m + 1.25 sqrt(n) per row instead of n; ~10% of rows redraw.
-- "counts" (other sources, 4m <= n): the same count matrix from the
+- "counts" (other sources, 16m <= n): the same count matrix from the
   conditional-binomial chain.  This is the reference the tests hold the
   tally path to.
   Both count paths draw ~2^17 cells at a time into one reused buffer, and
   each chunk is evaluated before the next one is drawn.
-- "sorted": all n symbols drawn and sorted per row, directly at most two
-  levels, else each by inverting the CDF table the `Pmf` caches
-  (`Pmf.inverse_cdf`), bits first as on the tally path, into int32 rows.
-  This is the general path and the reference the tests hold the
-  fingerprint path to.
-- "fingerprint" (at most two levels, n >= 256, m >= 16n, every table
+- "sorted" (the rest): all n symbols drawn, each by inverting the CDF
+  table the `Pmf` caches (`Pmf.inverse_cdf`), bits first as on the tally
+  path, into int32 rows, and sorted per row.  This is the general path
+  and the reference the tests hold the fingerprint path to.
+- "fingerprint" (at most two levels, 2m > n, n >= 100, m >= 768, every table
   shared by all symbols): the fingerprints Phi, Poissonized as on the
   tally path.  The Poisson(lam p) counts of a level's s symbols have
   the fingerprint Multinomial(s, Poisson(lam p) pmf); rows with
@@ -82,7 +81,7 @@ __all__ = [
 ]
 
 BLOCK_TRIALS = 2048
-RNG_ALGORITHM = f"philox4x64-block{BLOCK_TRIALS}-v9"
+RNG_ALGORITHM = f"philox4x64-block{BLOCK_TRIALS}-v10"
 
 _MASK64 = (1 << 64) - 1
 
@@ -104,23 +103,31 @@ _COUNT_PATHS = ("tally", "counts")
 # fastest on both the sweep and the tally path's dense point
 _TALLY_SLACK = 1.25
 _TALLY_CELLS = 1 << 17  # count cells drawn at once: a count block holds ~1 MB of counts
+# path cuts fitted to one-block timings (the cost table in CHANGES.md): tally
+# from n = 2m, counts from n = 16m, fingerprint from m = 768 at n >= 100
+_TALLY_RATIO = 2
+_COUNTS_RATIO = 16
+_FINGERPRINT_N = 100
+_FINGERPRINT_M = 768
 _Sampler = Callable[[Generator, int], Iterator[np.ndarray]]
 
 
 def _sampler_path(source: Pmf, n: int, tables: Sequence[FTable]) -> str:
     """The block sampler's path, pinned per release.
 
-    Per-trial cost is ~4m for the conditional-binomial chain, ~m + 1.25 sqrt(n)
-    for the Poissonized tally, ~n log n to draw and sort, and ~1.25 n^1.5/m
-    repeats for the fingerprint chain, which needs every table shared.
-    Its cut is the region of the repeat-label chain it replaced, kept as
-    is: it loses at n <= 40 and near 4m = n, and a retune is open.
+    Per-trial cost is ~m + 1.25 sqrt(n) for the Poissonized tally, ~4m for
+    the conditional-binomial chain, ~n log n to draw and sort, and ~1.25 n^1.5/m
+    repeats for the fingerprint chain, which needs every table shared.  On
+    two-level sources the cuts keep within 2x of the fastest path wherever
+    n >= 100 or m <= 16000; at n < 100, m >= 65536 (r < 0.15) within 2.9x.
     """
-    m, direct = source.m, source.groups[0].size <= 2
-    if 4 * m <= n:
-        return "tally" if direct else "counts"
-    shared = n >= 256 and m >= 16 * n and all(t.group is None for t in tables)
-    return "fingerprint" if shared and direct else "sorted"
+    m = source.m
+    if source.groups[0].size > 2:
+        return "counts" if _COUNTS_RATIO * m <= n else "sorted"
+    if _TALLY_RATIO * m <= n:
+        return "tally"
+    shared = all(t.group is None for t in tables)
+    return "fingerprint" if shared and n >= _FINGERPRINT_N and m >= _FINGERPRINT_M else "sorted"
 
 
 class _RepeatChain:
@@ -199,11 +206,11 @@ class _RepeatChain:
         return phi
 
 
-def _level_draws(rng: Generator, source: Pmf, n: int | np.ndarray, b: int) -> list[np.ndarray]:
-    """Per level of source.level_ranges, the draws of each of b rows of n (an int,
-    or one per row): n at one level, else k ~ Binomial(n, w), w the first's mass, and n - k."""
+def _level_draws(rng: Generator, source: Pmf, n: np.ndarray) -> list[np.ndarray]:
+    """Per level of source.level_ranges, the draws of each row, n[i] in row i:
+    n at one level, else k ~ Binomial(n, w), w the first's mass, and n - k."""
     ranges, w = source.level_ranges
-    k = rng.binomial(n, w, size=b) if len(ranges) == 2 else np.full(b, n)
+    k = rng.binomial(n, w) if len(ranges) == 2 else n
     return [k, n - k][:len(ranges)]
 
 
@@ -264,7 +271,7 @@ def _tally_sampler(source: Pmf, n: int) -> _Sampler:
         offset = np.arange(c) * m
         at = np.concatenate([
             np.repeat(offset, d) + rng.integers(low, high, size=d.sum(), dtype=dtype)
-            for (low, high), d in zip(source.level_ranges[0], _level_draws(rng, source, n - total, c))
+            for (low, high), d in zip(source.level_ranges[0], _level_draws(rng, source, n - total))
         ])
         chunk += np.bincount(at, minlength=c * m).reshape(c, m)
 
@@ -291,7 +298,7 @@ def _fingerprint_sampler(source: Pmf, n: int) -> _Sampler:
         while (over := np.flatnonzero(total > n)).size:
             phi[:, over], total[over] = poisson_part(rng, over.size)
         parts = [chain.top_up(rng, level, k)
-                 for chain, level, k in zip(chains, phi, _level_draws(rng, source, n - total, b))]
+                 for chain, level, k in zip(chains, phi, _level_draws(rng, source, n - total))]
         width = max(part.shape[1] for part in parts)
         out = sum(np.pad(part, ((0, 0), (0, width - part.shape[1]))) for part in parts)
         yield out[:, :np.flatnonzero(out.any(axis=0))[-1] + 1]
@@ -311,18 +318,10 @@ def _make_sampler(source: Pmf, n: int, tables: Sequence[FTable]) -> tuple[str, _
     if path == "fingerprint":
         return path, _fingerprint_sampler(source, n)
 
-    dtype = np.uint32 if m <= 0xFFFFFFFF else np.uint64
-    ranges = source.level_ranges[0] if source.groups[0].size <= 2 else None
-    table = source.inverse_cdf if ranges is None else None  # built before any stream draws
+    table = source.inverse_cdf  # built before any stream draws
 
     def draw_sorted(rng: Generator, b: int) -> Iterator[np.ndarray]:
-        if ranges is None:
-            x = table.draw(rng, np.empty((b, n), dtype=np.int32))
-        else:  # rows get sorted, so the first k draws of a row can be the first level's
-            first = np.arange(n) < _level_draws(rng, source, n, b)[0][:, None]
-            x = np.empty((b, n), dtype=dtype)
-            for mask, (lo, hi) in zip((first, ~first), ranges):
-                x[mask] = rng.integers(lo, hi, size=np.count_nonzero(mask), dtype=dtype)
+        x = table.draw(rng, np.empty((b, n), dtype=np.int32))
         x.sort(axis=1)
         yield x
 
@@ -519,7 +518,7 @@ def _run_blocks(
     keyed by (seed, ctx, b), whichever of the `streams` threads runs it.
     """
     path, draw = _make_sampler(source, n, tables)
-    if path != "counts" and source.groups[0].size <= 2:  # re-index tables to level-ordered labels
+    if path == "tally":  # re-index tables to level-ordered labels
         tables = [t if t.group is None else replace(t, group=t.group[np.argsort(source.groups[1], kind="stable")])
                   for t in tables]
     sizes = [min(BLOCK_TRIALS, trials - lo) for lo in range(0, trials, BLOCK_TRIALS)]

@@ -291,7 +291,7 @@ class TestKernelsMatchCounts:
     @pytest.mark.parametrize("path,source,n", [
         ("tally", biuniform_worst_case(12, 0.3), 60),
         ("tally", uniform(50), 1700),  # 19 of 64 rows hold a count of m or more
-        ("counts", three_level_pmf(12), 60),
+        ("counts", three_level_pmf(12), 200),
         ("counts", three_level_pmf(50), 1200),  # 14 of 64 rows
         ("sorted", permuted_worst_case(50, 0.3, set(range(2, 51, 2))), 30),
         ("sorted", three_level_pmf(50), 30),
@@ -618,24 +618,30 @@ class TestFingerprintSampler:
             assert moments_agree(x, y), stat.name
 
     def test_path_rule(self):
-        coin = [Coincidence().table(1000, 16000)]
+        # each cut from both sides: tally from n = 2m, fingerprint from m = 768
+        # at n >= 100 with every table shared, counts from n = 16m
+        coin = [Coincidence().table(1000, 768)]
         ref = Pmf(np.arange(1, 5001) / (5000 * 5001 / 2))
-        assert _sampler_path(uniform(16000), 1000, coin) == "fingerprint"
-        assert _sampler_path(biuniform_worst_case(16000, 0.3), 1000, coin) == "fingerprint"
-        assert _sampler_path(uniform(15999), 1000, coin) == "sorted"
-        assert _sampler_path(uniform(4096), 256, coin) == "fingerprint"
-        assert _sampler_path(uniform(4096), 255, coin) == "sorted"
+        assert _sampler_path(uniform(500), 1000, coin) == "tally"
+        assert _sampler_path(biuniform_worst_case(500, 0.3), 1000, coin) == "tally"
+        assert _sampler_path(uniform(501), 1000, coin) == "sorted"
+        assert _sampler_path(uniform(767), 1000, coin) == "sorted"
+        assert _sampler_path(uniform(768), 1000, coin) == "fingerprint"
+        assert _sampler_path(biuniform_worst_case(768, 0.3), 1000, coin) == "fingerprint"
+        assert _sampler_path(uniform(768), 1535, coin) == "fingerprint"
+        assert _sampler_path(uniform(768), 1536, coin) == "tally"
+        assert _sampler_path(uniform(4096), 100, coin) == "fingerprint"
+        assert _sampler_path(uniform(4096), 99, coin) == "sorted"
         assert _sampler_path(uniform(5000), 300, [Pearson(reference=ref).table(300, 5000)]) == "sorted"
         assert _sampler_path(uniform(5000), 300, ()) == "fingerprint"
         alt = permuted_worst_case(16000, 0.3, set(range(2, 8002)))
         assert _sampler_path(alt, 1000, coin) == "fingerprint"  # two levels in any order
-        assert _sampler_path(three_level_pmf(16000), 1000, coin) == "sorted"
-        assert _sampler_path(uniform(250), 1000, coin) == "tally"
-        assert _sampler_path(biuniform_worst_case(250, 0.3), 1000, coin) == "tally"
-        assert _sampler_path(uniform(251), 1000, coin) == "sorted"
-        dense = permuted_worst_case(250, 0.3, set(range(2, 127)))
+        dense = permuted_worst_case(500, 0.3, set(range(2, 252)))
         assert _sampler_path(dense, 1000, coin) == "tally"
-        assert _sampler_path(three_level_pmf(250), 1000, coin) == "counts"
+        assert _sampler_path(three_level_pmf(16000), 1000, coin) == "sorted"
+        assert _sampler_path(three_level_pmf(500), 1000, coin) == "sorted"
+        assert _sampler_path(three_level_pmf(63), 1000, coin) == "sorted"
+        assert _sampler_path(three_level_pmf(62), 1000, coin) == "counts"
 
     def test_benchmark_traffic(self):
         # the points of perfbench/workloads.py: a change to the path rule
@@ -650,6 +656,10 @@ class TestFingerprintSampler:
             tables = [s.table(n, m) for s in stats]
             for source in (uniform(m), biuniform_worst_case(m, 0.35)):
                 assert _sampler_path(source, n, tables) == path
+        for n in (12, 16):  # sweep set-up: byte-identical rows, m = ceil(n^1.5)
+            m = math.ceil(n**1.5)
+            for source in (uniform(m), biuniform_worst_case(m, 0.45)):
+                assert _sampler_path(source, n, [Coincidence().table(n, m)]) == "sorted"
 
     def test_plan_reports_paths(self):
         plan = coincidence_plan(1000, 31623, 0.45, 0.2, 10, seed=1)
@@ -673,7 +683,7 @@ class TestSampleOccupancyPaths:
         ("tally", uniform(12), 60),
         ("tally", biuniform_worst_case(12, 0.3), 60),
         ("tally", permuted_worst_case(12, 0.3, set(range(2, 8))), 60),
-        ("counts", three_level_pmf(12), 60),
+        ("counts", three_level_pmf(12), 200),
         ("sorted", uniform(50), 30),
         ("sorted", uniform(50), 1),
         ("sorted", uniform(50), 0),
@@ -738,23 +748,24 @@ class TestStreams:
     """One block of each sampler path, hashed, against the digests pinned
     to RNG_ALGORITHM: a stream may move only with a new RNG_ALGORITHM."""
 
-    RNG_ALGORITHM = "philox4x64-block2048-v9"
+    RNG_ALGORITHM = "philox4x64-block2048-v10"
     # sha256 prefix of the block's values as little-endian int64; the
-    # chunked ones span 8 chunks of 256 count rows.  The counts and sorted
-    # ones were recorded under -v7 (-v8 for permuted sorted), the counts
-    # and general sorted ones on the three-level source; the tally and
-    # fingerprint ones under -v9, with the Poisson slack at 1.25 and the
-    # fingerprint top-up drawing its repeat targets after the fresh runs
+    # chunked ones span 8 chunks of 256 count rows.  The counts ones, on
+    # the three-level source, were recorded under -v10 at points past the
+    # counts cut of n = 16m; the three-level sorted one under -v7, and the
+    # two-level one under -v10, when every source drew through its
+    # inverse-CDF table; the tally and fingerprint ones under -v9, with the
+    # Poisson slack at 1.25 and the fingerprint top-up drawing its repeat
+    # targets after the fresh runs
     DIGESTS = {
         "tally": (biuniform_worst_case(13, 0.3), 60, "72276ddba970198c"),
-        "counts": (three_level_pmf(12), 60, "fa63a6ad6620af6d"),
+        "counts": (three_level_pmf(12), 200, "509eeee254b4206d"),
         "chunked tally": (biuniform_worst_case(500, 0.35), 4000, "ea91faa13bacf371"),
-        "chunked counts": (three_level_pmf(500), 4000, "131f2224def5c125"),
-        "band sorted": (biuniform_worst_case(51, 0.3), 30, "1f92b179cd2d85a0"),
+        "chunked counts": (three_level_pmf(500), 8000, "87552b8f577b255f"),
+        "two-level sorted": (permuted_worst_case(51, 0.3, set(range(2, 51, 2))), 30, "57f3ae0176f340b9"),
         "general sorted": (three_level_pmf(50), 30, "89631ab6ec45ce0e"),
         "fingerprint": (biuniform_worst_case(5000, 0.45), 300, "f3e41c80090ad435"),
         "permuted tally": (permuted_worst_case(13, 0.3, set(range(2, 13, 2))), 60, "60bd9cec60090c6d"),
-        "permuted sorted": (permuted_worst_case(51, 0.3, set(range(2, 51, 2))), 30, "fdf16690d09e690e"),
         "permuted fingerprint": (permuted_worst_case(5000, 0.45, set(range(2, 5001, 2))), 300, "a70cf3cd15d80047"),
     }
 
@@ -770,29 +781,15 @@ class TestStreams:
                 moved.append(name)
         assert not moved, f"the {', '.join(moved)} streams moved: bump RNG_ALGORITHM"
 
-    @pytest.mark.parametrize("source", [biuniform_worst_case(51, 0.3),
-                                        permuted_worst_case(51, 0.3, set(range(2, 51, 2)))])
-    @pytest.mark.parametrize("b", [1, 64])
-    def test_two_level_sorted_rows_draw_n_symbols(self, source, b):
-        # the level split, then k first-level labels per row in one call and
-        # the n - k second-level ones in another
-        n = 30
-        path, draw = _make_sampler(source, n, ())
-        assert path == "sorted"
-        rows = drawn(draw, np.random.default_rng(b), b)
-        rng = np.random.default_rng(b)
-        [(_, s), (_, m)], w = source.level_ranges
-        k = rng.binomial(n, w, size=b)
-        first = rng.integers(0, s, size=k.sum(), dtype=np.uint32)
-        second = rng.integers(s, m, size=b * n - k.sum(), dtype=np.uint32)
-        starts = np.cumsum(k) - k
-        for i, row in enumerate(rows):
-            expected = np.concatenate([first[starts[i]:starts[i] + k[i]],
-                                       second[i * n - starts[i]:(i + 1) * n - starts[i] - k[i]]])
-            assert np.array_equal(row, np.sort(expected))
-
-    def test_general_sorted_rows_are_int32(self):
-        source, n, b = drifting_pmf(5000, 5e-13), 300, 64
+    @pytest.mark.parametrize("source,n", [
+        (drifting_pmf(5000, 5e-13), 300),
+        (uniform(50), 30),
+        (biuniform_worst_case(51, 0.3), 30),
+        (permuted_worst_case(51, 0.3, set(range(2, 51, 2))), 30),
+    ])
+    def test_general_sorted_rows_are_int32(self, source, n):
+        # every source, of any number of levels, draws through its inverse-CDF table
+        b = 64
         path, draw = _make_sampler(source, n, ())
         assert path == "sorted"
         rows = drawn(draw, np.random.default_rng(3), b)
@@ -956,7 +953,7 @@ class TestChunkedCountBlocks:
         [ExtendedCoincidence((0.1, -0.3, 0.7)), Pearson(reference=biuniform_worst_case(500, 0.3))],
     ])
     def test_chunk_values_are_the_block_values(self, source, stats):
-        n, m, b = 4000, 500, montecarlo.BLOCK_TRIALS
+        n, m, b = 8000, 500, montecarlo.BLOCK_TRIALS
         tables = [s.table(n, m) for s in stats]
         top = max(t.K for t in tables if t.group is None)
         path, draw = _make_sampler(source, n, tables)
