@@ -781,23 +781,32 @@ class TestStreams:
                 moved.append(name)
         assert not moved, f"the {', '.join(moved)} streams moved: bump RNG_ALGORITHM"
 
-    @pytest.mark.parametrize("source,n", [
-        (drifting_pmf(5000, 5e-13), 300),
-        (uniform(50), 30),
-        (biuniform_worst_case(51, 0.3), 30),
-        (permuted_worst_case(51, 0.3, set(range(2, 51, 2))), 30),
-    ])
-    def test_general_sorted_rows_are_int32(self, source, n):
+    @staticmethod
+    def assert_sorted_inverse_cdf_rows(source, n, b, seed):
         # every source, of any number of levels, draws through its inverse-CDF table
-        b = 64
         path, draw = _make_sampler(source, n, ())
         assert path == "sorted"
-        rows = drawn(draw, np.random.default_rng(3), b)
+        rows = drawn(draw, np.random.default_rng(seed), b)
         assert rows.dtype == np.int32
+        assert rows.shape == (b, n)
         table = source.inverse_cdf
         wide = _GuidedCdf([(0, table.keys)], (), table.bits)  # an int64 guide
-        expected = wide.draw(np.random.default_rng(3), np.empty((b, n), dtype=np.int64))
+        expected = wide.draw(np.random.default_rng(seed), np.empty((b, n), dtype=np.int64))
         assert np.array_equal(rows, np.sort(expected, axis=1))
+
+    @pytest.mark.parametrize("source", [biuniform_worst_case(51, 0.3),
+                                        permuted_worst_case(51, 0.3, set(range(2, 51, 2)))])
+    @pytest.mark.parametrize("b", [1, 64])
+    def test_two_level_sorted_rows_draw_n_symbols(self, source, b):
+        # no level split: n symbols per row from the one guided table, in
+        # contiguous or permuted level order, down to a block of one row
+        self.assert_sorted_inverse_cdf_rows(source, 30, b, b)
+
+    def test_uniform_sorted_rows_draw_n_symbols(self):
+        self.assert_sorted_inverse_cdf_rows(uniform(50), 30, 64, 3)
+
+    def test_general_sorted_rows_are_int32(self):
+        self.assert_sorted_inverse_cdf_rows(drifting_pmf(5000, 5e-13), 300, 64, 3)
 
 
 class TestTallySampler:
