@@ -148,17 +148,18 @@ class _RepeatChain:
         with np.errstate(divide="ignore"):
             self.a = np.concatenate([[0.0], np.cumsum(-np.log1p(-i / size)), [np.inf]])
         self.buckets = 4 * (n + 1)  # ~4 buckets per entry keep each walk to a step or two
-        step = math.sqrt(self.a[np.isfinite(self.a)][-1]) / self.buckets or 1.0
-        self.inv_step = 1.0 / step
-        # guide[j] = #{k : A[k] <= ((j - 1) step)^2}: a search for x with
-        # sqrt(x) in [j step, (j + 1) step) starts at or below its end
-        grid = (np.maximum(np.arange(self.buckets + 1) - 1, 0) * step) ** 2
-        self.guide = np.searchsorted(self.a, grid, side="right")
+        self.inv_step = 1.0 / (math.sqrt(self.a[np.isfinite(self.a)][-1]) / self.buckets or 1.0)
+        # guide[j] = #{k : bucket(A[k]) < j}; bucket is monotone, so each of
+        # those A[k] lies below every x of bucket j: a search starts at or below its end
+        per_bucket = np.bincount(self._bucket(self.a), minlength=self.buckets + 1)
+        self.guide = np.cumsum(per_bucket) - per_bucket
+
+    def _bucket(self, x: np.ndarray) -> np.ndarray:  # min(floor(sqrt(x) / step), buckets)
+        return np.minimum(np.sqrt(x) * self.inv_step, self.buckets).astype(np.int64)
 
     def count_le(self, x: np.ndarray) -> np.ndarray:
         """#{k : A[k] <= x} for each x >= 0."""
-        j = np.minimum(np.sqrt(x) * self.inv_step, self.buckets).astype(np.int64)
-        return _walk_up(self.a, self.guide[j], x)  # the closing inf stops every walk
+        return _walk_up(self.a, self.guide[self._bucket(x)], x)  # the closing inf stops every walk
 
     def top_up(self, rng: Generator, phi: np.ndarray, draws: np.ndarray) -> np.ndarray:
         """Fingerprints phi (b, classes >= 2) of `size` symbols after draws[i]

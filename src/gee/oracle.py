@@ -2,9 +2,10 @@
 
 The exact law of an integer-valued separable statistic under i.i.d.
 multinomial sampling is one log-spectrum sum.  With independent
-Poisson(n p_j) counts, symbols sharing (p_j, table row) share one
-(count, value) array of Poisson weights.  Each group's array is
-transformed once, k log s of its spectrum s (k symbols) is summed over
+Poisson(n p_j) counts, the k symbols of one (k, p_j, row) entry of
+`FTable.groups` share one (count, value) array of Poisson weights (the
+expectation and the moments sum over the same groups).  Each group's
+array is transformed once, k log s of its spectrum s is summed over
 the groups, and count n of the sum's exp, divided by its mass
 P(Poisson(n) = n), is the conditional multinomial law.  Values run on
 the excess axis f(c) - f(0) - c (f(1) - f(0)) when every drawn row has
@@ -23,13 +24,12 @@ a fixed group order make a given input's output bit-identical.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pmf import Pmf, uniform, tv_distance, chi_square_functional
-from .statistics import FTable, SeparableStatistic, ThresholdRule, binomial_pmf
+from .pmf import Pmf
+from .statistics import SeparableStatistic, ThresholdRule
 
 __all__ = [
     "ExactDistribution",
@@ -83,21 +83,6 @@ class ExactDistribution:
 
     def mean(self) -> float:
         return float(np.dot(self.support, self.probs))
-
-
-# ---------------------------------------------------------------------------
-# per-symbol f tables
-
-
-def _symbol_groups(t: FTable, p: Pmf) -> Counter[tuple[float, int]]:
-    """Multiplicity of each (p_j, table row) pair, in order of first appearance."""
-    rows = np.zeros(p.m, dtype=np.int64) if t.group is None else t.group
-    return Counter(zip(p.probs.tolist(), rows.tolist()))
-
-
-def _levels(t: FTable, n: int) -> np.ndarray:
-    """Table rows at counts 0..n, shape (g, n+1)."""
-    return t.f[:, np.minimum(np.arange(n + 1), t.K)]
 
 
 # ---------------------------------------------------------------------------
@@ -179,17 +164,17 @@ def _core_distribution(
     if n < 0:
         raise ValueError(f"sample size must be >= 0, got {n}")
     t = stat.table(n, p.m)
-    levels = _levels(t, n)
+    levels = t.f[:, np.minimum(np.arange(n + 1), t.K)]  # rows at counts 0..n
     core = np.rint(levels)
     if np.max(np.abs(levels - core)) > 1e-9:
         raise ScalingError(
             f"{stat.name}: the exact law needs an integer-valued f table (scale {t.scale})"
         )
     core = core.astype(np.int64)
-    groups = _symbol_groups(t, p)
-    base = sum(k * int(core[g, 0]) for (_, g), k in groups.items())
-    drawn = {(pj, g): k for (pj, g), k in groups.items() if pj > 0.0}
-    rows = sorted({g for _, g in drawn})
+    groups = t.groups(p)
+    base = sum(k * int(core[g, 0]) for k, _, g in groups)
+    drawn = [(k, pj, g) for k, pj, g in groups if pj > 0.0]
+    rows = sorted({g for _, _, g in drawn})
     # counts sum to n, so when every drawn row has the same slope f(1) - f(0)
     # the linear part of the core is n * slope exactly; carry only the excess
     slopes = np.unique(core[rows, min(n, 1)] - core[rows, 0])
@@ -209,7 +194,7 @@ def _core_distribution(
         raise OracleBudgetError(f"log-spectrum law needs {cells} transform cells ({grids} "
                                 f"grids of {shape[0]}x{shape[1]}), over the budget of {budget}")
 
-    bases = ((n * pj, excess[g] % shape[1], k) for (pj, g), k in drawn.items())
+    bases = ((n * pj, excess[g] % shape[1], k) for k, pj, g in drawn)
     row = _row_n(bases, n, shape)
     # round-off is at least an ulp of the peak and the depth of the deepest
     # negative entry, and its positive entries reached ~1.6 times that over
@@ -263,7 +248,8 @@ def exact_error_probs(
 
 
 def exact_expectation(stat: SeparableStatistic, p: Pmf, n: int) -> float:
-    """Exact E[stat] via binomial marginals: E sum_j f_j(B_j), B_j ~ Bin(n, p_j).
+    """Exact E[stat] via binomial marginals: E sum_j f_j(B_j), B_j ~ Bin(n, p_j),
+    summed over the table's symbol groups (`FTable.mean`).
 
     Valid because expectation is linear across the multinomial marginals;
     for the coincidence statistic under uniform p this reduces to
@@ -272,12 +258,7 @@ def exact_expectation(stat: SeparableStatistic, p: Pmf, n: int) -> float:
     if n < 0:
         raise ValueError(f"sample size must be >= 0, got {n}")
     t = stat.table(n, p.m)
-    levels = _levels(t, n)
-    total = 0.0
-    for (pj, g), count in _symbol_groups(t, p).items():
-        binom = np.array([binomial_pmf(c, n, pj) for c in range(n + 1)])
-        total += count * float(levels[g] @ binom)
-    return total / t.scale + t.shift
+    return t.mean(t.groups(p), n)
 
 
 def asymptotic_moments(
@@ -289,23 +270,21 @@ def asymptotic_moments(
            + n^2/2 sum_j nu_j^2 (f_j(0) - 2 f_j(1) + f_j(2)),
     with remainder O(n^3/m^2) when max_j m nu_j stays bounded.
 
-    The variance branch applies only to symmetric statistics with
-    f(0) = 0 and f(2) != 2 f(1) (the coincidence family); it returns
-    (n^2/m) (f(2) - 2 f(1))^2 (m sum nu_j^2) / 2, and None otherwise.
+    The variance branch applies only to symmetric statistics (one row for
+    every symbol) with f(0) = 0 and f(2) != 2 f(1) (the coincidence family);
+    it returns (n^2/m) (f(2) - 2 f(1))^2 (m sum nu_j^2) / 2, and None otherwise.
     Here f_j is the true per-symbol value core_j/scale + shift/m; none
-    of the statistics carries an extra -n shift.
+    of the statistics carries an extra -n shift.  Both sum over symbol groups.
     """
     m = nu.m
     t = stat.table(n, m)
-    rows = _levels(t, 2) / t.scale + t.shift / m
-    table = np.broadcast_to(rows if t.group is None else rows[t.group], (m, 3))
-    f0, f1, f2 = table[:, 0], table[:, 1], table[:, 2]
-    v = nu.probs
-    mean = float(f0.sum() + n * np.dot(v, f1 - f0) + 0.5 * n * n * np.dot(v * v, f0 - 2 * f1 + f2))
-    symmetric = bool(np.all(table == table[0]))
+    k, pj, g = map(np.array, zip(*t.groups(nu)))
+    rows = t.f[g][:, np.minimum(np.arange(3), t.K)] / t.scale + t.shift / m
+    f0, f1, f2 = rows.T
+    mean = float(k @ (f0 + n * pj * (f1 - f0) + 0.5 * n * n * pj * pj * (f0 - 2 * f1 + f2)))
     var: float | None = None
-    if symmetric and f0[0] == 0.0 and f2[0] != 2.0 * f1[0]:
-        var = float(0.5 * (n * n / m) * (f2[0] - 2 * f1[0]) ** 2 * (m * np.dot(v, v)))
+    if np.all(rows == rows[0]) and f0[0] == 0.0 and f2[0] != 2.0 * f1[0]:
+        var = float(0.5 * (n * n / m) * (f2[0] - 2 * f1[0]) ** 2 * (m * (k @ (pj * pj))))
     return mean, var
 
 

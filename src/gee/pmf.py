@@ -64,8 +64,10 @@ class Pmf:
 
     probs: np.ndarray
 
-    def __post_init__(self) -> None:
-        probs = np.array(self.probs, dtype=np.float64)
+    def __post_init__(self, probs: np.ndarray | None = None) -> None:
+        """Check and keep, read-only, a copy of the caller's probabilities,
+        or `probs` itself: a float64 array built for this instance alone."""
+        probs = np.array(self.probs, dtype=np.float64) if probs is None else probs
         if probs.ndim != 1 or probs.size < 2:
             raise AlphabetSizeError(
                 f"alphabet needs at least 2 symbols, got shape {probs.shape}"
@@ -193,11 +195,17 @@ class _GuidedCdf:
         return out
 
 
+def _adopt(probs: np.ndarray) -> Pmf:
+    """A Pmf on an array built for it and held by no one else: no copy."""
+    (pmf := object.__new__(Pmf)).__post_init__(probs)
+    return pmf
+
+
 def uniform(m: int) -> Pmf:
     """Uniform distribution on an alphabet of m symbols."""
     if m < 2:
         raise AlphabetSizeError(f"alphabet size must be >= 2, got {m}")
-    return Pmf(np.full(m, 1.0 / m))
+    return _adopt(np.full(m, 1.0 / m))
 
 
 def _floor_stable(x: float) -> int:
@@ -232,7 +240,7 @@ def biuniform_worst_case(m: int, eps: float) -> Pmf:
             )
         probs = np.zeros(m)
         probs[:k] = 1.0 / k
-    return Pmf(probs)
+    return _adopt(probs)
 
 
 def permuted_worst_case(m: int, eps: float, subset: Iterable[int]) -> Pmf:
@@ -252,7 +260,7 @@ def permuted_worst_case(m: int, eps: float, subset: Iterable[int]) -> Pmf:
         raise ValueError(f"subset symbols must lie in 1..{m}")
     probs = np.full(m, 1.0 / m - eps / ((m + 1) // 2))
     probs[np.asarray(idx) - 1] = 1.0 / m + eps / (m // 2)
-    return Pmf(probs)
+    return _adopt(probs)
 
 
 def _check_same_alphabet(q: Pmf, p: Pmf) -> None:

@@ -131,6 +131,30 @@ class FTable:
         core = np.einsum("...j,j->...", phi, f)
         return core / self.scale + self.shift
 
+    def groups(self, p: Pmf) -> list[tuple[int, float, int]]:
+        """(k, p_j, row) for each distinct pair of a `p.groups` level and a
+        table row, k its number of symbols, in order of first appearance."""
+        levels, index = p.groups
+        rows = self.f.shape[0]
+        key = index.astype(np.intp) * rows + (0 if self.group is None else self.group)
+        key, first, k = np.unique(key, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        level, row = np.divmod(key[order], rows)
+        return list(zip(k[order].tolist(), levels[level].tolist(), row.tolist()))
+
+    def mean(self, groups: list[tuple[int, float, int]], n: int) -> float:
+        """E sum_j f_j(B_j), B_j ~ Binomial(n, p_j), over groups (k, p_j, row)
+        of k symbols each: each nonzero entry below K at its binomial mass,
+        and f(K) at the mass from K on."""
+        total = 0.0
+        for k, pj, g in groups:
+            row = self.f[g]
+            for c in np.flatnonzero(row).tolist():
+                mass = binomial_pmf(c, n, pj) if c < self.K else sum(
+                    binomial_pmf(x, n, pj) for x in range(c, n + 1))
+                total += row[c] * (k * mass)
+        return float(total / self.scale + self.shift)
+
 
 class SeparableStatistic:
     """Base class: a statistic of the form sum_j f_j(count of symbol j).
@@ -264,8 +288,9 @@ class WeightedCoincidence(SeparableStatistic):
 def binomial_pmf(k: int, n: int, p: float) -> float:
     """P(Binomial(n, p) = k).
 
-    Exact-combinatorial path for small n; log-gamma path above the range
-    where math.comb stays within float range.
+    The closed form n p (1 - p)^(n-1) at k = 1; else an exact-combinatorial
+    path for small n, and a log-gamma path above the range where math.comb
+    stays within float range.
     """
     if not 0 <= k <= n:
         return 0.0
@@ -273,6 +298,8 @@ def binomial_pmf(k: int, n: int, p: float) -> float:
         return 1.0 if k == 0 else 0.0
     if p >= 1.0:
         return 1.0 if k == n else 0.0
+    if k == 1:
+        return n * p * (1.0 - p) ** (n - 1)
     if n <= 1000:
         return math.comb(n, k) * p**k * (1.0 - p) ** (n - k)
     logv = (
@@ -283,20 +310,6 @@ def binomial_pmf(k: int, n: int, p: float) -> float:
         + (n - k) * math.log1p(-p)
     )
     return math.exp(logv)
-
-
-def expected_level_count(l: int, n: int, m: int) -> float:
-    """E[Phi_l] under the uniform null: m * P(Binomial(n, 1/m) = l),
-    in the closed form n (1 - 1/m)^(n-1) at l = 1."""
-    if l == 1:
-        return n * (1.0 - 1.0 / m) ** (n - 1)
-    return m * binomial_pmf(l, n, 1.0 / m)
-
-
-def coincidence_mean(n: int, m: int) -> float:
-    """Exact E[S] of the coincidence statistic under the uniform null:
-    -n (1 - 1/m)^(n-1)."""
-    return -expected_level_count(1, n, m)
 
 
 @dataclass(frozen=True)
@@ -344,8 +357,8 @@ def make_threshold(
 
     The statistic's `rule_kind` picks the rule.  "centred" (coincidence,
     extended coincidence): reject iff S >= E_null[S] + (n^2/m) tau, with
-    E_null[S] = sum_l f(l) E_null[Phi_l] over the table's levels (Phi_K
-    counting symbols seen K or more times) from exact binomial level counts.
+    E_null[S] the table's exact binomial mean (`FTable.mean`) over the m
+    symbols of the uniform null.
     "uncentred" (weighted coincidence): reject iff S >= (n^2/m) tau.
     "pearson" (Pearson, truncated Pearson): reject iff
     S >= n + (n^2/m)(kappa_bar(eps) - 1)/2, which needs eps and takes no tau.
@@ -380,11 +393,6 @@ def make_threshold(
     base = 0.0
     if statistic.rule_kind == "centred":
         t = statistic.table(n, m)
-        f = t.shared_row(f"the centred rule for {statistic.name}")
-        for l in np.flatnonzero(f).tolist():
-            level = expected_level_count(l, n, m) if l < t.K else sum(
-                expected_level_count(c, n, m) for c in range(l, n + 1)
-            )
-            base += f[l] * level
-        base = float(base / t.scale + t.shift)
+        t.shared_row(f"the centred rule for {statistic.name}")
+        base = t.mean([(m, 1.0 / m, 0)], n)  # all m symbols, probability 1/m, row 0
     return ThresholdRule(statistic, n, m, cut=base + scale * tau, tau=tau)

@@ -14,7 +14,7 @@ import os
 import subprocess
 import sys
 import textwrap
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -204,6 +204,25 @@ def shift_add_law(stat, p, n: int) -> tuple[np.ndarray, np.ndarray]:
     mask = vec > 0.0
     values = int(core[rows, 0].sum()) + step * (lo + np.flatnonzero(mask))
     return values / t.scale + t.shift, vec[mask] / vec[mask].sum()
+
+
+def counter_groups(t, p) -> list[tuple[int, float, int]]:
+    """(k, p_j, row) for each (p_j, table row) pair of the symbols, k its
+    multiplicity, in order of first appearance: a Counter over the symbols."""
+    rows = [0] * p.m if t.group is None else t.group.tolist()
+    return [(k, pj, g) for (pj, g), k in Counter(zip(p.probs.tolist(), rows)).items()]
+
+
+def full_sum_expectation(stat, p, n: int) -> float:
+    """E sum_j f_j(B_j), B_j ~ Binomial(n, p_j), summed over every count
+    0..n of every symbol group, with math.comb binomial masses (small n)."""
+    t = stat.table(n, p.m)
+    total = 0.0
+    for k, pj, g in counter_groups(t, p):
+        row = t.f[g, np.minimum(np.arange(n + 1), t.K)]
+        binom = np.array([math.comb(n, c) * pj**c * (1.0 - pj) ** (n - c) for c in range(n + 1)])
+        total += k * float(row @ binom)
+    return total / t.scale + t.shift
 
 
 def run_python(script: str, **env: str) -> str:

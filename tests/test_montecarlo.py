@@ -528,6 +528,14 @@ class TestFingerprintSampler:
         assert np.array_equal(chain.count_le(x), expected)
         assert np.all(expected - 1 - seen >= (seen == 0))  # the first draw is always fresh
 
+    @pytest.mark.parametrize("size,n", [(715542, 8000), (4096, 256), (6, 10), (2, 1), (1, 5), (10**9, 300)])
+    def test_guide_starts_at_or_below_the_answer(self, size, n, rng):
+        chain = _RepeatChain(size, n)
+        finite = chain.a[np.isfinite(chain.a)]  # sizes <= n put inf past A[size]
+        x = np.concatenate([rng.uniform(0.0, 1.1 * finite[-1] + 1.0, 5000), finite, np.nextafter(finite, 0), [1e6]])
+        start = chain.guide[chain._bucket(x)]
+        assert np.all(start <= np.searchsorted(chain.a, x, side="right"))
+
     @pytest.mark.parametrize("phi0,draws", [
         ([1, 1], 3),  # two or three hits on the one seen symbol: class 1 -> 4
         ([1, 1, 1], 1),

@@ -23,7 +23,7 @@ from gee.oracle import (
     exact_expectation,
     worst_case_bruteforce,
 )
-from gee.pmf import Pmf, biuniform_worst_case, uniform
+from gee.pmf import Pmf, biuniform_worst_case, permuted_worst_case, uniform
 from gee.statistics import (
     Coincidence,
     ExtendedCoincidence,
@@ -37,8 +37,10 @@ from gee.statistics import (
 
 from .oracles import (
     bruteforce_reference,
+    counter_groups,
     deviation_bounds,
     enumerate_law,
+    full_sum_expectation,
     run_python,
     shift_add_law,
     sorted_compositions,
@@ -64,6 +66,16 @@ class ZeroTable(SeparableStatistic):
 
     def core(self, n, m, q):
         return np.zeros(self.K + 1, dtype=int), 1, 0.0
+
+
+@dataclass(frozen=True)
+class CappedTable(SeparableStatistic):
+    """f = 0, -1, then 2 at every count from K = 2 on: a nonzero f(K) below n."""
+
+    name: str = "capped"
+
+    def core(self, n, m, q):
+        return np.array([0, -1, 2]), 1, 0.0
 
 
 @dataclass(frozen=True)
@@ -391,6 +403,52 @@ class TestExactExpectation:
         law = enumerate_law(Coincidence().from_counts, q.probs, 3)
         expected = sum(v * p for v, p in law.items())
         assert exact_expectation(Coincidence(), q, 3) == approx(expected, abs=1e-12)
+
+
+GROUP_M = 12
+THREE_LEVEL = Pmf(np.resize([3.0, 1.0, 2.0], GROUP_M) / 24.0)
+PERMUTED = permuted_worst_case(GROUP_M, 0.3, [2, 3, 5, 8, 11, 12])
+GROUP_SOURCES = {
+    "uniform": uniform(GROUP_M),
+    "contiguous": biuniform_worst_case(GROUP_M, 0.45),
+    "permuted": PERMUTED,
+    "three-level": THREE_LEVEL,
+    "restricted-0.6": biuniform_worst_case(GROUP_M, 0.6),  # a zero level
+}
+GROUP_STATISTICS = {
+    "shared": Coincidence(),
+    "pearson-permuted": Pearson(reference=PERMUTED),
+    "pearson-three-level": Pearson(reference=THREE_LEVEL),
+    "weighted-permuted": WeightedCoincidence(PERMUTED),
+    "weighted-three-level": WeightedCoincidence(THREE_LEVEL),
+}
+
+
+class TestSymbolGroups:
+    """FTable.groups and FTable.mean against a Counter over the symbols and
+    the full binomial sum over every count."""
+
+    @pytest.mark.parametrize("stat", sorted(GROUP_STATISTICS))
+    @pytest.mark.parametrize("source", sorted(GROUP_SOURCES))
+    def test_groups_match_counter(self, stat, source):
+        t = GROUP_STATISTICS[stat].table(5, GROUP_M)
+        p = GROUP_SOURCES[source]
+        assert t.groups(p) == counter_groups(t, p)  # order included
+
+    @pytest.mark.parametrize("n", LAW_NS)
+    @pytest.mark.parametrize("source", sorted(LAW_SOURCES))
+    @pytest.mark.parametrize("stat", sorted(LAW_STATISTICS) + ["capped"])
+    def test_mean_matches_full_sum(self, stat, source, n):
+        stat, p = LAW_STATISTICS.get(stat, CappedTable()), LAW_SOURCES[source]
+        t = stat.table(n, p.m)
+        assert t.mean(t.groups(p), n) == approx(full_sum_expectation(stat, p, n), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n", LAW_NS)
+    @pytest.mark.parametrize("source", sorted(REFERENCED_SOURCES))
+    def test_referenced_mean_matches_full_sum(self, source, n):
+        p = REFERENCED_SOURCES[source]
+        assert exact_expectation(REFERENCED_PEARSON, p, n) == approx(
+            full_sum_expectation(REFERENCED_PEARSON, p, n), rel=1e-12, abs=0)
 
 
 class TestAsymptoticMoments:

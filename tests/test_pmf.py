@@ -121,6 +121,24 @@ class TestPmfType:
         assert float(p.probs[p.probs > 0].sum()) > 1.0
         assert p.level_ranges[1] == 1.0
 
+    def test_callers_array_is_copied(self):
+        own = np.array([0.25, 0.75])
+        p = Pmf(own)
+        own[0] = 0.5
+        base = np.array([0.5, 0.5, 0.0])
+        view = base[:2]
+        view.flags.writeable = False
+        q = Pmf(view)
+        base[0] = 0.0
+        assert p.probs.tolist() == [0.25, 0.75] and q.probs.tolist() == [0.5, 0.5]
+
+    def test_constructors_keep_their_array_read_only(self):
+        for p in (uniform(4), biuniform_worst_case(4, 0.25), biuniform_worst_case(4, 0.6),
+                  permuted_worst_case(4, 0.25, [1, 3])):
+            assert not p.probs.flags.writeable
+            with pytest.raises(ValueError):
+                p.probs[0] = 1.0
+
 
 class TestConstructors:
     def test_uniform(self):

@@ -1,6 +1,7 @@
 """Unit tests for gee.statistics."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
+from gee.exponents import equalizing_tau
 from gee.pmf import Pmf, uniform
 from gee.statistics import (
     Coincidence,
@@ -19,7 +21,6 @@ from gee.statistics import (
     WeightedCoincidence,
     absolute_threshold,
     binomial_pmf,
-    coincidence_mean,
     make_threshold,
     occupancy,
 )
@@ -177,7 +178,7 @@ class TestThresholds:
 
     def test_zero_tau_cuts_at_mean(self):
         rule = make_threshold(Coincidence(), n=50, m=200, tau=0.0)
-        assert rule.cut == approx(coincidence_mean(50, 200), abs=1e-15)
+        assert rule.cut == approx(-50 * (1.0 - 1.0 / 200) ** 49, abs=1e-15)
 
     def test_pearson_consistency_rule(self):
         rule = make_threshold(Pearson(), n=100, m=1000, eps=0.35)
@@ -217,8 +218,39 @@ class TestThresholds:
         n, m = 20, 40
         stat = ExtendedCoincidence(weights=(0.0, 3.0))
         rule = make_threshold(stat, n=n, m=m, tau=0.0)
-        expected = coincidence_mean(n, m) + 3.0 * m * binomial_pmf(3, n, 1.0 / m)
+        expected = -n * (1.0 - 1.0 / m) ** (n - 1) + 3.0 * m * binomial_pmf(3, n, 1.0 / m)
         assert rule.cut == approx(expected, abs=1e-12)
+
+    # the cuts before the symbol-group mean, at the sweep points m = ceil(n^1.5)
+    # and tau = equalizing_tau(0.45); n = 1001 is past math.comb's range
+    SWEEP_CUTS = {
+        "coincidence": [-957.35433187941, -958.3334775589603, -1939.465243823297,
+                        -3914.171297429913, -7878.403456485978],
+        "extended-02": [-957.032316864581, -958.0114676162419, -1939.1397612602768,
+                        -3913.8434372951797, -7878.0739516241165],
+        "extended-013": [-957.189517106052, -958.1686673390675, -1939.2997773594968,
+                         -3914.005424847429, -7878.237323080522],
+    }
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_CUTS))
+    def test_sweep_cuts_pinned(self, name):
+        stat = {"coincidence": Coincidence(), "extended-02": ExtendedCoincidence((0.0, 2.0)),
+                "extended-013": ExtendedCoincidence((0.0, 1.0, 3.0))}[name]
+        tau = equalizing_tau(0.45)
+        for n, cut in zip((1000, 1001, 2000, 4000, 8000), self.SWEEP_CUTS[name]):
+            assert make_threshold(stat, n, math.ceil(n**1.5), tau=tau).cut == approx(cut, rel=2e-15, abs=0)
+
+    def test_centred_rule_needs_a_shared_table(self):
+        @dataclass(frozen=True)
+        class ReferencedCoincidence(Coincidence):
+            reference: Pmf | None = None
+
+            def core(self, n, m, q):
+                return np.hstack([0 * q, -q, 0 * q]), 1, 0.0
+
+        stat = ReferencedCoincidence(reference=Pmf([0.5, 0.25, 0.25]))
+        with pytest.raises(NeedsCountsError, match="centred rule"):
+            make_threshold(stat, n=3, m=3, tau=0.1)
 
     def test_weighted_rule_has_no_centering(self):
         rule = make_threshold(WeightedCoincidence(uniform(30)), n=10, m=30, tau=0.5)
