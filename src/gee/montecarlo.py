@@ -10,15 +10,14 @@ across threads, and fingerprint-path blocks all run on the calling thread.
 The sampling path is a fixed function of (source, n, m, tables), pinned
 in `_sampler_path`, and every path samples the exact multinomial law.
 The Poissonized paths take sources of at most two levels (`Pmf.groups`) in
-any symbol order, and draw each level as one label range; `_run_blocks`
-re-indexes reference-dependent tables to those labels on the tally path.
+any symbol order; count rows come out in the source's own symbol order.
 
 - "tally" (at most two levels, 2m <= n): a (b, m) count matrix,
   Poissonized.  With lam = max(n - 1.25 sqrt(n), 0), each cell draws
   Y_j ~ Poisson(lam p_j) by inverting its level's CDF bits first (see
   `_GuidedCdf.draw`); rows whose total N exceeds n are redrawn whole, and
-  the other n - N draws of a row are drawn directly (split on Binomial(n - N, w)
-  at two levels) and counted by `bincount`.  Given N = k, Y is
+  the other n - N draws of a row are drawn directly through `Pmf.inverse_cdf`
+  and counted by `bincount`.  Given N = k, Y is
   Multinomial(k, p), so adding Multinomial(n - k, p) gives the exact
   law at ~m + 1.25 sqrt(n) per row instead of n; ~10% of rows redraw.
 - "counts" (other sources, 16m <= n): the same count matrix from the
@@ -50,7 +49,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -81,7 +80,7 @@ __all__ = [
 ]
 
 BLOCK_TRIALS = 2048
-RNG_ALGORITHM = f"philox4x64-block{BLOCK_TRIALS}-v10"
+RNG_ALGORITHM = f"philox4x64-block{BLOCK_TRIALS}-v11"
 
 _MASK64 = (1 << 64) - 1
 
@@ -207,14 +206,6 @@ class _RepeatChain:
         return phi
 
 
-def _level_draws(rng: Generator, source: Pmf, n: np.ndarray) -> list[np.ndarray]:
-    """Per level of source.level_ranges, the draws of each row, n[i] in row i:
-    n at one level, else k ~ Binomial(n, w), w the first's mass, and n - k."""
-    ranges, w = source.level_ranges
-    k = rng.binomial(n, w) if len(ranges) == 2 else n
-    return [k, n - k][:len(ranges)]
-
-
 def _poisson_cdf(mu: float) -> tuple[int, np.ndarray]:
     """(lo, cdf) with cdf[i] = P(Poisson(mu) <= lo + i) over the window where
     it moves in double precision: from 12 sd below the mean to the first
@@ -251,16 +242,17 @@ def _tally_sampler(source: Pmf, n: int) -> _Sampler:
     """Count blocks (see `_count_blocks`) of n draws per row from a source
     of at most two levels, Poissonized (see the module docstring).
 
-    A chunk inverts one uniform per cell, redraws its rows of total over n
-    until none is left, then draws the remaining labels of each row, split
-    between the levels as the other direct paths do, and counts them by
-    one `bincount` of labels offset by row * m.
+    A chunk inverts one uniform per cell through its symbol's level's
+    Poisson CDF, redraws its rows of total over n until none is left, then
+    draws the remaining symbols of each row through the source's own
+    inverse-CDF table and counts them by one `bincount` of symbols offset
+    by row * m.
     """
     m = source.m
-    dtype = np.uint16 if m <= 0xFFFF else np.uint32
+    levels, index = source.groups
     lam = max(n - _TALLY_SLACK * math.sqrt(n), 0.0)
-    cdfs = [_poisson_cdf(lam * p) for p in source.groups[0]]
-    poisson = _GuidedCdf(cdfs, [hi - lo for lo, hi in source.level_ranges[0]], _GUIDE_BITS)
+    poisson = _GuidedCdf([_poisson_cdf(lam * p) for p in levels], index if levels.size > 1 else None, _GUIDE_BITS)
+    symbols = source.inverse_cdf  # built before any stream draws
 
     def fill(rng: Generator, chunk: np.ndarray) -> None:
         c = chunk.shape[0]
@@ -269,11 +261,9 @@ def _tally_sampler(source: Pmf, n: int) -> _Sampler:
             redo = poisson.draw(rng, np.empty((over.size, m), np.int64))
             chunk[over] = redo
             total[over] = redo.sum(axis=1)
-        offset = np.arange(c) * m
-        at = np.concatenate([
-            np.repeat(offset, d) + rng.integers(low, high, size=d.sum(), dtype=dtype)
-            for (low, high), d in zip(source.level_ranges[0], _level_draws(rng, source, n - total))
-        ])
+        rest = n - total
+        at = symbols.draw(rng, np.empty(rest.sum(), np.int32))
+        at += np.repeat(np.arange(0, c * m, m, dtype=np.int32), rest)
         chunk += np.bincount(at, minlength=c * m).reshape(c, m)
 
     return _count_blocks(fill, m)
@@ -284,8 +274,12 @@ def _fingerprint_sampler(source: Pmf, n: int) -> _Sampler:
     count, of n draws per row from a source of at most two levels (see the
     module docstring), each in one piece."""
     lam = max(n - _TALLY_SLACK * math.sqrt(n), 0.0)
-    windows = [_poisson_cdf(lam * p) for p in source.groups[0]]
-    chains = [_RepeatChain(hi - lo, n) for lo, hi in source.level_ranges[0]]
+    levels, index = source.groups
+    windows = [_poisson_cdf(lam * p) for p in levels]
+    first = index == 0
+    s = int(np.count_nonzero(first))
+    chains = [_RepeatChain(size, n) for size in (s, source.m - s)[:levels.size]]
+    w = min(float(source.probs[first].sum()), 1.0) if levels.size > 1 else 1.0  # a float sum can pass 1
     weight = np.arange(1 + max(lo + cdf.size for lo, cdf in windows))  # a spare class
 
     def poisson_part(rng: Generator, b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -298,8 +292,9 @@ def _fingerprint_sampler(source: Pmf, n: int) -> _Sampler:
         phi, total = poisson_part(rng, b)  # (levels, b, classes), and each row's N
         while (over := np.flatnonzero(total > n)).size:
             phi[:, over], total[over] = poisson_part(rng, over.size)
-        parts = [chain.top_up(rng, level, k)
-                 for chain, level, k in zip(chains, phi, _level_draws(rng, source, n - total))]
+        rest = n - total
+        k = rng.binomial(rest, w) if len(chains) == 2 else rest
+        parts = [chain.top_up(rng, level, d) for chain, level, d in zip(chains, phi, (k, rest - k))]
         width = max(part.shape[1] for part in parts)
         out = sum(np.pad(part, ((0, 0), (0, width - part.shape[1]))) for part in parts)
         yield out[:, :np.flatnonzero(out.any(axis=0))[-1] + 1]
@@ -519,9 +514,6 @@ def _run_blocks(
     keyed by (seed, ctx, b), whichever of the `streams` threads runs it.
     """
     path, draw = _make_sampler(source, n, tables)
-    if path == "tally":  # re-index tables to level-ordered labels
-        tables = [t if t.group is None else replace(t, group=t.group[np.argsort(source.groups[1], kind="stable")])
-                  for t in tables]
     sizes = [min(BLOCK_TRIALS, trials - lo) for lo in range(0, trials, BLOCK_TRIALS)]
 
     def values(b: int) -> list[np.ndarray]:

@@ -112,16 +112,6 @@ class Pmf:
         return levels, index
 
     @cached_property
-    def level_ranges(self) -> tuple[list[tuple[int, int]], float]:
-        """For at most two `groups` levels: each level's labels [lo, hi) when relabelled
-        in level order, and the first level's mass (1 alone, else a float sum clamped to 1)."""
-        first = self.groups[1] == 0
-        if (s := int(np.count_nonzero(first))) == self.m:
-            return [(0, s)], 1.0
-        mass = (self.probs[:s] if first[:s].all() else self.probs[first]).sum()  # no copy if contiguous
-        return [(0, s), (s, self.m)], min(float(mass), 1.0)
-
-    @cached_property
     def inverse_cdf(self) -> _GuidedCdf:
         """Guided inverse-CDF table of probs, with at least 4 guide bins per
         symbol; built once per instance."""
@@ -129,7 +119,7 @@ class Pmf:
         # nor leave u room to reach a zero-mass tail
         cdf = np.minimum(np.cumsum(self.probs), 1.0)
         cdf[np.flatnonzero(self.probs)[-1]:] = 1.0
-        return _GuidedCdf([(0, cdf)], (), max(_GUIDE_BITS, (4 * self.m - 1).bit_length()), np.int32)
+        return _GuidedCdf([(0, cdf)], None, max(_GUIDE_BITS, (4 * self.m - 1).bit_length()), np.int32)
 
     def __repr__(self) -> str:
         return f"Pmf({np.array2string(self.probs, threshold=8)})"
@@ -146,15 +136,15 @@ def _walk_up(keys: np.ndarray, end: np.ndarray, x: np.ndarray) -> np.ndarray:
 class _GuidedCdf:
     """Discrete inversion at uniform u < 1 on the 2^-53 grid (Chen & Asau's
     guide table): table t = (lo, cdf), whose cdf closes at 1, maps u to
-    lo + #{k : cdf[k] <= u}.  The last axis of out runs through the tables
-    in columns widths[t] wide; with fewer than two widths, all through table 0.
+    lo + #{k : cdf[k] <= u}.  Column j of the last axis of out reads table
+    index[j]; with no index, every column reads table 0.
 
     A guide over 2^bits equal bins of u per table holds the value itself
     for bins free of breakpoints, and -1 - (index of the bin's first key
     in the joined keys) for the rest, which walk up from there.
     """
 
-    def __init__(self, tables: Sequence[tuple[int, np.ndarray]], widths: Sequence[int],
+    def __init__(self, tables: Sequence[tuple[int, np.ndarray]], index: np.ndarray | None,
                  bits: int, dtype: type = np.int64) -> None:
         assert bits <= 32, "bins are read from at most 32-bit slices"
         bins = 1 << bits
@@ -170,7 +160,7 @@ class _GuidedCdf:
             guide[inside] = (lo - 1 - at) - guide[inside]
             at += cdf.size
         self.guide = self.guide.reshape(-1)
-        self.column = np.repeat(np.arange(len(widths)) * bins, widths) if len(widths) > 1 else None
+        self.column = None if index is None else index.astype(np.intp) * bins
 
     def draw(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
         """Fill out (the guide's dtype) with the values at one u per cell,

@@ -288,9 +288,8 @@ class WeightedCoincidence(SeparableStatistic):
 def binomial_pmf(k: int, n: int, p: float) -> float:
     """P(Binomial(n, p) = k).
 
-    The closed form n p (1 - p)^(n-1) at k = 1; else an exact-combinatorial
-    path for small n, and a log-gamma path above the range where math.comb
-    stays within float range.
+    math.comb(n, k) times the powers wherever C(n, k) fits a float (its
+    log-gamma value is below 700), else exp of the whole log-gamma sum.
     """
     if not 0 <= k <= n:
         return 0.0
@@ -298,18 +297,10 @@ def binomial_pmf(k: int, n: int, p: float) -> float:
         return 1.0 if k == 0 else 0.0
     if p >= 1.0:
         return 1.0 if k == n else 0.0
-    if k == 1:
-        return n * p * (1.0 - p) ** (n - 1)
-    if n <= 1000:
+    logc = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+    if logc < 700:
         return math.comb(n, k) * p**k * (1.0 - p) ** (n - k)
-    logv = (
-        math.lgamma(n + 1)
-        - math.lgamma(k + 1)
-        - math.lgamma(n - k + 1)
-        + k * math.log(p)
-        + (n - k) * math.log1p(-p)
-    )
-    return math.exp(logv)
+    return math.exp(logc + k * math.log(p) + (n - k) * math.log1p(-p))
 
 
 @dataclass(frozen=True)

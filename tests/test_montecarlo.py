@@ -593,7 +593,7 @@ class TestFingerprintSampler:
         source, n, trials = biuniform_worst_case(400, 0.3), 60, 40_000
         rng = RecordingRng(np.random.default_rng(7))
         phi = drawn(_fingerprint_sampler(source, n), rng, trials)
-        rows = sum(rng.rows) // len(source.level_ranges[0])  # one multinomial per level and round
+        rows = sum(rng.rows) // source.groups[0].size  # one multinomial per level and round
         assert rows > trials  # some rows were drawn twice
         assert np.all(phi @ np.arange(phi.shape[1]) == n)
         assert_fingerprint_law(source, n, phi)
@@ -756,24 +756,25 @@ class TestStreams:
     """One block of each sampler path, hashed, against the digests pinned
     to RNG_ALGORITHM: a stream may move only with a new RNG_ALGORITHM."""
 
-    RNG_ALGORITHM = "philox4x64-block2048-v10"
+    RNG_ALGORITHM = "philox4x64-block2048-v11"
     # sha256 prefix of the block's values as little-endian int64; the
     # chunked ones span 8 chunks of 256 count rows.  The counts ones, on
     # the three-level source, were recorded under -v10 at points past the
     # counts cut of n = 16m; the three-level sorted one under -v7, and the
     # two-level one under -v10, when every source drew through its
-    # inverse-CDF table; the tally and fingerprint ones under -v9, with the
-    # Poisson slack at 1.25 and the fingerprint top-up drawing its repeat
-    # targets after the fresh runs
+    # inverse-CDF table; the fingerprint ones under -v9, with the Poisson
+    # slack at 1.25 and the fingerprint top-up drawing its repeat targets
+    # after the fresh runs; the tally ones under -v11, with counts drawn in
+    # symbol order and the top-up drawn through the source's inverse-CDF table
     DIGESTS = {
-        "tally": (biuniform_worst_case(13, 0.3), 60, "72276ddba970198c"),
+        "tally": (biuniform_worst_case(13, 0.3), 60, "d0a88fa5f18763e8"),
         "counts": (three_level_pmf(12), 200, "509eeee254b4206d"),
-        "chunked tally": (biuniform_worst_case(500, 0.35), 4000, "ea91faa13bacf371"),
+        "chunked tally": (biuniform_worst_case(500, 0.35), 4000, "8c43d710730d5fc2"),
         "chunked counts": (three_level_pmf(500), 8000, "87552b8f577b255f"),
         "two-level sorted": (permuted_worst_case(51, 0.3, set(range(2, 51, 2))), 30, "57f3ae0176f340b9"),
         "general sorted": (three_level_pmf(50), 30, "89631ab6ec45ce0e"),
         "fingerprint": (biuniform_worst_case(5000, 0.45), 300, "f3e41c80090ad435"),
-        "permuted tally": (permuted_worst_case(13, 0.3, set(range(2, 13, 2))), 60, "60bd9cec60090c6d"),
+        "permuted tally": (permuted_worst_case(13, 0.3, set(range(2, 13, 2))), 60, "b72287e56e12a193"),
         "permuted fingerprint": (permuted_worst_case(5000, 0.45, set(range(2, 5001, 2))), 300, "a70cf3cd15d80047"),
     }
 
@@ -798,7 +799,7 @@ class TestStreams:
         assert rows.dtype == np.int32
         assert rows.shape == (b, n)
         table = source.inverse_cdf
-        wide = _GuidedCdf([(0, table.keys)], (), table.bits)  # an int64 guide
+        wide = _GuidedCdf([(0, table.keys)], None, table.bits)  # an int64 guide
         expected = wide.draw(np.random.default_rng(seed), np.empty((b, n), dtype=np.int64))
         assert np.array_equal(rows, np.sort(expected, axis=1))
 
@@ -848,20 +849,33 @@ class TestTallySampler:
         assert counts.shape == (b, m) and counts.min() >= 0
         assert np.all(counts.sum(axis=1) == n)
         assert np.all(counts[:, source.probs == 0.0] == 0)
-        (_, s), *rest = source.level_ranges[0]
-        if rest:
-            # the block's first draws are one guided draw per cell (one
-            # chunk), each row over n drawn again, then the top-up's
-            # per-row level split
-            lam = n - montecarlo._TALLY_SLACK * math.sqrt(n)
-            rng = np.random.default_rng(b)
-            tables = [_poisson_cdf(lam * p) for p in source.groups[0]]
-            poisson = _GuidedCdf(tables, [s, m - s], montecarlo._GUIDE_BITS)
-            y = poisson.draw(rng, np.empty((b, m), dtype=np.int64))
-            while (over := np.flatnonzero(y.sum(axis=1) > n)).size:
-                y[over] = poisson.draw(rng, np.empty((over.size, m), dtype=np.int64))
-            k = rng.binomial(n - y.sum(axis=1), source.level_ranges[1], size=b)
-            assert np.array_equal(counts[:, :s].sum(axis=1), y[:, :s].sum(axis=1) + k)
+        # the block is one chunk: one guided draw per cell through its
+        # symbol's level's Poisson table, each row over n drawn again, then
+        # the rest of each row's symbols through the source's own table
+        levels, index = source.groups
+        lam = n - montecarlo._TALLY_SLACK * math.sqrt(n)
+        rng = np.random.default_rng(b)
+        tables = [_poisson_cdf(lam * p) for p in levels]
+        poisson = _GuidedCdf(tables, index if levels.size > 1 else None, montecarlo._GUIDE_BITS)
+        y = poisson.draw(rng, np.empty((b, m), dtype=np.int64))
+        while (over := np.flatnonzero(y.sum(axis=1) > n)).size:
+            y[over] = poisson.draw(rng, np.empty((over.size, m), dtype=np.int64))
+        rest = n - y.sum(axis=1)
+        symbols = source.inverse_cdf.draw(rng, np.empty(rest.sum(), dtype=np.int32))
+        for row, extra in zip(y, np.split(symbols, np.cumsum(rest)[:-1])):
+            row += np.bincount(extra, minlength=m)
+        assert np.array_equal(counts, y)
+
+    def test_columns_are_in_symbol_order(self):
+        # the light level first: in level order the first 7 columns would
+        # hold the light symbols, and 6 columns would sit 97-183 standard
+        # errors off their symbol's mean n p_j
+        source, n = permuted_worst_case(13, 0.3, set(range(2, 13, 2))), 60
+        assert source.probs[0] < source.probs[1]
+        counts = drawn(_tally_sampler(source, n), np.random.default_rng(2), montecarlo.BLOCK_TRIALS)
+        p = source.probs
+        se = np.sqrt(n * p * (1 - p) / len(counts))
+        assert np.all(np.abs(counts.mean(axis=0) - n * p) <= 5 * se)
 
     @pytest.mark.parametrize("source", [uniform(500), biuniform_worst_case(500, 0.35)])
     def test_moments_match_multinomial_path(self, source, request):
@@ -893,7 +907,7 @@ class TestTallySampler:
             assert np.allclose(table.keys, np.cumsum(case.probs), rtol=0, atol=1e-12)
         else:
             tables = [_poisson_cdf(mu) for mu in case]
-            table = _GuidedCdf(tables, [1] * len(case), montecarlo._GUIDE_BITS)
+            table = _GuidedCdf(tables, np.arange(len(case)), montecarlo._GUIDE_BITS)
         grid = 1 << 53  # u = k / grid, as `Generator.random` draws it
         edges = np.arange(table.guide.size // len(tables), dtype=np.uint64) << np.uint64(53 - table.bits)
         for t, (lo, cdf) in enumerate(tables):
@@ -1144,7 +1158,9 @@ class TestPartitionMap:
 
 class TestTwoLevelSources:
     """Sources of at most two probability levels, in any symbol order, on
-    the direct paths, which draw each level as one range of labels."""
+    the direct paths: the tally path's counts come out in symbol order, and
+    the fingerprint path draws each level's fingerprint from its symbol
+    count in `Pmf.groups`."""
 
     @pytest.mark.parametrize("path,n,m", [("tally", 60, 13), ("sorted", 30, 51), ("fingerprint", 256, 4096)])
     def test_permuted_law_matches_oracle(self, path, n, m):
@@ -1157,8 +1173,9 @@ class TestTwoLevelSources:
 
     @pytest.mark.parametrize("path,n,m", [("tally", 4000, 500), ("sorted", 200, 1000), ("sorted", 300, 5000)])
     def test_reference_table_means(self, path, n, m):
-        # a reference-dependent table is re-indexed to the drawn labels: read
-        # by symbol, Pearson's mean at (4000, 500) sits 19104 standard errors off
+        # every path draws in symbol order, so a reference-dependent table is
+        # read as it stands: read in level order, Pearson's mean at
+        # (4000, 500) would sit 19104 standard errors off
         rng = np.random.default_rng(m)
         source, ref = (permuted_worst_case(m, eps, rng.choice(np.arange(1, m + 1), m // 2, replace=False))
                        for eps in (0.35, 0.2))

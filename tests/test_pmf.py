@@ -110,16 +110,15 @@ class TestPmfType:
         (Pmf([0.1, 0.3, 0.1, 0.1, 0.3, 0.1]), [(0, 4), (4, 6)]),
     ])
     def test_level_ranges(self, p, ranges):
+        # relabelled in level order, each level of `groups` is one range of
+        # labels, as wide as the level's symbol count (the fingerprint path's
+        # chain sizes)
         levels, index = p.groups
-        mass = min(float(p.probs[index == 0].sum()), 1.0) if levels.size == 2 else 1.0
-        assert p.level_ranges == (ranges, mass)
-
-    @pytest.mark.parametrize("m,eps", [(51, 0.6), (4096, 0.9)])
-    def test_first_level_mass_is_clamped(self, m, eps):
-        # the float sum of the heavy level passes 1 by an ulp
-        p = biuniform_worst_case(m, eps)
-        assert float(p.probs[p.probs > 0].sum()) > 1.0
-        assert p.level_ranges[1] == 1.0
+        ends = np.cumsum(np.bincount(index, minlength=levels.size)).tolist()
+        assert list(zip([0, *ends[:-1]], ends)) == ranges
+        relabelled = p.probs[np.argsort(index, kind="stable")]
+        for level, (lo, hi) in zip(levels, ranges):
+            assert np.all(relabelled[lo:hi] == level)
 
     def test_callers_array_is_copied(self):
         own = np.array([0.25, 0.75])

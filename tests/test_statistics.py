@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from gee.exponents import equalizing_tau
-from gee.pmf import Pmf, uniform
+from gee.oracle import exact_expectation
+from gee.pmf import Pmf, biuniform_worst_case, uniform
 from gee.statistics import (
     Coincidence,
     ExtendedCoincidence,
@@ -274,16 +276,40 @@ class TestBinomialPmf:
         assert binomial_pmf(5, 5, 1.0) == 1.0
         assert binomial_pmf(6, 5, 0.5) == 0.0
 
-    def test_large_n_lgamma_path(self):
-        import math
+    def test_lgamma_path_past_float_range(self):
+        # C(2000, k) is near 1e600 at k = 1000: past a float, so the log-gamma path
+        n = 2000
+        for k in (700, 950, 1000):
+            assert math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1) > 700
+            exact = float(Fraction(math.comb(n, k), 2**n))
+            assert binomial_pmf(k, n, 0.5) == approx(exact, rel=1e-10)
 
-        n, p = 1001, 1e-3  # n > 1000 takes the log-gamma path
-        for k in (0, 1, 5, 40):
-            exact = math.comb(n, k) * p**k * (1 - p) ** (n - k)
-            assert binomial_pmf(k, n, p) == approx(exact, rel=1e-10)
+    def test_comb_path_up_to_n_1000(self, rng):
+        # bit for bit the comb expression (at k = 1 also n p (1 - p)^(n - 1)):
+        # C(n, k) fits a float at every k when n <= 1000
+        for _ in range(5000):
+            n = int(rng.integers(1, 1001))
+            k, p = int(rng.integers(0, n + 1)), float(rng.random())
+            expected = math.comb(n, k) * p**k * (1.0 - p) ** (n - k)
+            assert binomial_pmf(k, n, p) == expected
+            assert binomial_pmf(1, n, p) == n * p * (1.0 - p) ** (n - 1)
+
+    def test_cancelling_expectation_matches_rational_sum(self):
+        # a weighted table whose terms cancel to 29.475 at n = 1500: every
+        # mass it sums is a comb-path value, so the sum holds to 1e-14
+        n, stat, source = 1500, WeightedCoincidence(biuniform_worst_case(2000, 0.3)), biuniform_worst_case(2000, 0.45)
+        t = stat.table(n, source.m)
+        total = Fraction(0)
+        for k, pj, g in t.groups(source):
+            q = Fraction(pj)
+            law = [math.comb(n, x) * q**x * (1 - q) ** (n - x) for x in range(t.K)]
+            for c in np.flatnonzero(t.f[g]).tolist():
+                mass = law[c] if c < t.K else 1 - sum(law[:c])
+                total += Fraction(float(t.f[g, c])) * k * mass
+        exact = total / t.scale + Fraction(t.shift)
+        assert exact_expectation(stat, source, n) == approx(float(exact), rel=1e-14, abs=0)
 
     def test_sums_to_one(self):
-        # the log-gamma path carries ~lgamma(n) * eps ~ 1e-12 relative error
         total = sum(binomial_pmf(k, 2000, 0.001) for k in range(0, 60))
         assert total == approx(1.0, abs=1e-10)
         total_small = sum(binomial_pmf(k, 500, 0.01) for k in range(0, 501))
