@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import os
@@ -148,7 +149,12 @@ _F_BUILTINS = {"kl": f_kl, "chi2": f_chi2, "tv-like": f_tv}
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("GEE_SEED", "0"))
+    """The seed from GEE_SEED (0 when unset), read when a seeded command runs."""
+    text = os.environ.get("GEE_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise _UsageError(f"GEE_SEED must be an integer, got {text!r}") from None
 
 
 def _extended(args, m: int) -> ExtendedCoincidence:
@@ -288,13 +294,14 @@ def _estimate_payload(est) -> dict:
 def _cmd_simulate(args) -> int:
     statistic = _STATISTICS[args.stat](args, args.m)
     rule = _rule(args, statistic, args.n, args.m)
+    seed = _default_seed() if args.seed is None else args.seed
     plan = SimPlan(
         n=args.n, m=args.m, eps=args.eps, statistic=statistic, rule=rule,
-        trials=args.trials, seed=args.seed, streams=args.streams,
+        trials=args.trials, seed=seed, streams=args.streams,
     )
     params = {
         "stat": args.stat, "n": args.n, "m": args.m, "eps": args.eps,
-        "tau": rule.tau, "trials": args.trials, "seed": args.seed,
+        "tau": rule.tau, "trials": args.trials, "seed": seed,
         "streams": args.streams, "rng": RNG_ALGORITHM,
     }
     payload = {
@@ -317,6 +324,7 @@ def _cmd_sweep(args) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         _rule(args, statistic, n, args.m_rule(n))
+    seed = _default_seed() if args.seed is None else args.seed
     rows = sweep(
         eps=args.eps,
         statistic=statistic,
@@ -324,7 +332,7 @@ def _cmd_sweep(args) -> int:
         n_list=args.n,
         m_rule=args.m_rule,
         trials=args.trials,
-        seed=args.seed,
+        seed=seed,
         streams=args.streams,
     )
     params = {
@@ -332,7 +340,7 @@ def _cmd_sweep(args) -> int:
         "tau": "equalize" if args.equalize else args.tau,
         "n": ",".join(str(v) for v in sorted(args.n)),
         "m_rule": args.m_rule.text, "trials": args.trials,
-        "seed": args.seed, "streams": args.streams, "rng": RNG_ALGORITHM,
+        "seed": seed, "streams": args.streams, "rng": RNG_ALGORITHM,
     }
     meta = _metadata(args, "sweep", params)
     meta["sampler"] = " ".join(
@@ -452,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--eps", type=_eps_arg, required=True)
     _add_tau_group(sim)
     sim.add_argument("--trials", type=_at_least(1), default=100000)
-    sim.add_argument("--seed", type=int, default=_default_seed())
+    sim.add_argument("--seed", type=int, help="default: GEE_SEED, else 0")
     sim.add_argument("--streams", type=_at_least(1), default=1)
     _add_common(sim)
     sim.set_defaults(func=_cmd_simulate)
@@ -466,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--m-rule", dest="m_rule", type=_MRule, required=True,
                      help="alphabet growth rule, e.g. n^1.5 or 3*n")
     swp.add_argument("--trials", type=_at_least(1), required=True)
-    swp.add_argument("--seed", type=int, default=_default_seed())
+    swp.add_argument("--seed", type=int, help="default: GEE_SEED, else 0")
     swp.add_argument("--streams", type=_at_least(1), default=1)
     _add_common(swp)
     swp.set_defaults(func=_cmd_sweep)
@@ -496,9 +504,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: parsing leaves it unchanged
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _UsageError as exc:

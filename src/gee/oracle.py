@@ -45,7 +45,9 @@ __all__ = [
 ]
 
 DEFAULT_CELL_BUDGET = 10**8
-BRUTEFORCE_MAX_M = 6  # the walk visits 4.8M sorted points at m = 6, mesh 200; m = 7 has 26M
+# a command-line contract, not a cost limit: the pruned walk keeps a few thousand
+# prefixes at m = 7, mesh 200; an unpruned check walks 4.8M points at m = 6, 26M at 7
+BRUTEFORCE_MAX_M = 6
 
 
 class OracleBudgetError(RuntimeError):
@@ -292,22 +294,46 @@ def asymptotic_moments(
 # brute-force worst case
 
 
-def _partition_levels(total: int, slots: int, cap: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Non-increasing rows of `slots` non-negative ints at most cap summing to
-    `total`, in descending lexicographic order, as a tree with one (entry,
-    parent) pair of arrays per column: a prefix takes each next entry from
-    min(what is left, its last entry) down to ceil(what is left / slots
-    left), and the last column keeps the prefixes whose forced entry fits."""
-    left, cap, levels = np.array([total]), np.array([cap]), []
-    for k in range(slots, 1, -1):
-        hi = np.minimum(left, cap)
+def _partition_levels(
+    total: int, slots: int, heads: np.ndarray, shell: float, best: int | None = None
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """Non-increasing rows of `slots` non-negative ints summing to `total`
+    whose first entry is one of `heads` (descending, each in [ceil(total /
+    slots), total]), in descending lexicographic order, as a tree with one
+    (entry, parent) pair of arrays per column, and the sums x^2 of the rows
+    it ends in.  A prefix takes each next entry from min(what is left, its
+    last entry) down to ceil(what is left / slots left); the last column is
+    forced.
+
+    A prefix is dropped when its greedy completion (entry, ..., entry, rest,
+    0, ...) has sum |slots x - total| below `shell`: that completion
+    majorizes every other and the sum is Schur-convex.  Given a bound `best`
+    on the least sum x^2 in the shell (total^2 bounds every row), each
+    column lowers it to its least greedy completion in the shell, then drops
+    a prefix whose sum x^2 plus left^2 / slots left exceeds it; ties survive."""
+    entry = np.asarray(heads, dtype=np.int64)
+    parent = np.zeros(entry.size, dtype=np.intp)
+    left, sq = total - entry, entry * entry
+    tv = dev = np.abs(slots * entry - total)
+    levels = []
+    for k in range(slots - 1, 0, -1):  # slots left after this column
+        full, rest = np.divmod(left, np.maximum(entry, 1))
+        keep = tv + full * dev + np.abs(slots * rest - total) + (k - full - 1) * total >= shell
+        if best is not None:
+            best = np.min(sq + full * entry * entry + rest * rest, where=keep, initial=best)
+            keep &= k * sq + left * left <= k * best
+        keep = np.flatnonzero(keep)
+        entry, left, sq, tv = entry[keep], left[keep], sq[keep], tv[keep]
+        levels.append((entry, parent[keep]))
+        hi = np.minimum(left, entry)
         size = np.maximum(hi + 1 + (-left // k), 0)  # hi - ceil(left / k) + 1
         parent = np.repeat(np.arange(hi.size), size)
-        cap = (hi - size + np.cumsum(size))[parent] - np.arange(parent.size)  # from hi down
-        left = left[parent] - cap
-        levels.append((cap, parent))
-    parent = np.flatnonzero(left <= cap)
-    return levels + [(left[parent], parent)]
+        entry = (hi - size + np.cumsum(size))[parent] - np.arange(parent.size)  # from hi down
+        left, sq = left[parent] - entry, sq[parent] + entry * entry
+        dev = np.abs(slots * entry - total)
+        tv = tv[parent] + dev
+    # the test on the column before was exact for the forced last entry
+    return levels + [(entry, parent)], sq
 
 
 def _partition_rows(levels: list, idx) -> np.ndarray:
@@ -324,8 +350,10 @@ def worst_case_bruteforce(m: int, eps: float, mesh: int) -> tuple[Pmf, float]:
     Walks the sorted simplex grid of resolution 1/mesh (the functional and the
     shell are permutation-invariant) in descending lexicographic order, with
     exact integer sums of the grid counts x: sum x^2 and sum |m x - mesh|,
-    and stops at the first head with no row in the shell.  Returns the first
-    point of least sum x^2 and its value m sum x^2 / mesh^2.  Small m only."""
+    by branch and bound (`_partition_levels`): a subtree is skipped when no
+    row of it reaches the shell or none can tie the least sum x^2 of a point
+    already found in it.  Returns the first point of least sum x^2 and its
+    value m sum x^2 / mesh^2.  Small m only."""
     if not 2 <= m <= BRUTEFORCE_MAX_M:
         raise ValueError(f"brute force supports 2 <= m <= {BRUTEFORCE_MAX_M}, got {m}")
     if mesh < 1:
@@ -333,24 +361,10 @@ def worst_case_bruteforce(m: int, eps: float, mesh: int) -> tuple[Pmf, float]:
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"eps must lie in [0, 1), got {eps}")
 
-    best_sq, best = math.inf, None
     shell = (eps - 1e-12) * 2 * m * mesh
-    for head in range(mesh, -(-mesh // m) - 1, -1):
-        # the greedy row (head, ..., head, rest, 0, ...) majorizes every sorted
-        # row with entries at most head, and sum |m x - mesh| is Schur-convex:
-        # once it falls inside the shell, so does every row of this head and after
-        full, rest = divmod(mesh, head)
-        if full * abs(m * head - mesh) + abs(m * rest - mesh) + (m - full - 1) * mesh < shell:
-            break
-        levels = [(np.array([head]), np.array([0]))] + _partition_levels(mesh - head, m - 1, head)
-        sq = tv = np.zeros(1, dtype=np.int64)
-        for entry, parent in levels:
-            sq = sq[parent] + entry * entry
-            tv = tv[parent] + np.abs(m * entry - mesh)
-        feas = np.flatnonzero(tv >= shell)
-        if feas.size and sq[k := feas[np.argmin(sq[feas])]] < best_sq:
-            best_sq, best = sq[k], (levels, [k])
-
-    if best is None:
+    heads = np.arange(mesh, -(-mesh // m) - 1, -1)
+    levels, sq = _partition_levels(mesh, m, heads, shell, mesh * mesh)
+    if not sq.size:
         raise ValueError(f"no grid point at TV distance >= {eps} from uniform (mesh {mesh})")
-    return Pmf(_partition_rows(*best)[0] / mesh), m * int(best_sq) / mesh**2
+    k = int(np.argmin(sq))
+    return Pmf(_partition_rows(levels, [k])[0] / mesh), m * int(sq[k]) / mesh**2

@@ -152,6 +152,54 @@ def bruteforce_reference(m: int, eps: float, mesh: int) -> tuple[list[int], Frac
     return best
 
 
+def partition_tree(total: int, slots: int, cap: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every non-increasing row of `slots` non-negative ints at most cap
+    summing to `total`, in descending lexicographic order, as a tree with
+    one (entry, parent) pair of arrays per column: a prefix takes each next
+    entry from min(what is left, its last entry) down to ceil(what is left /
+    slots left), and the last column keeps the prefixes whose forced entry
+    fits."""
+    left, cap, levels = np.array([total]), np.array([cap]), []
+    for k in range(slots, 1, -1):
+        hi = np.minimum(left, cap)
+        size = np.maximum(hi + 1 + (-left // k), 0)  # hi - ceil(left / k) + 1
+        parent = np.repeat(np.arange(hi.size), size)
+        cap = (hi - size + np.cumsum(size))[parent] - np.arange(parent.size)  # from hi down
+        left = left[parent] - cap
+        levels.append((cap, parent))
+    parent = np.flatnonzero(left <= cap)
+    return levels + [(left[parent], parent)]
+
+
+def bruteforce_walk(m: int, eps: float, mesh: int) -> tuple[list[int], float]:
+    """The unpruned grid walk: every sorted row of every head from mesh down,
+    scored with exact integer sums, until the first head whose greedy row
+    (head, ..., head, rest, 0, ...) lies inside the shell.  Returns the grid
+    counts and value m sum x^2 / mesh^2 of the first point of least sum x^2,
+    in descending lexicographic order, at TV distance >= eps - 1e-12."""
+    best_sq, best = math.inf, None
+    shell = (eps - 1e-12) * 2 * m * mesh
+    for head in range(mesh, -(-mesh // m) - 1, -1):
+        full, rest = divmod(mesh, head)
+        if full * abs(m * head - mesh) + abs(m * rest - mesh) + (m - full - 1) * mesh < shell:
+            break
+        levels = [(np.array([head]), np.array([0]))] + partition_tree(mesh - head, m - 1, head)
+        sq = tv = np.zeros(1, dtype=np.int64)
+        for entry, parent in levels:
+            sq = sq[parent] + entry * entry
+            tv = tv[parent] + np.abs(m * entry - mesh)
+        feas = np.flatnonzero(tv >= shell)
+        if feas.size and sq[k := feas[np.argmin(sq[feas])]] < best_sq:
+            best_sq, best = sq[k], (levels, k)
+    if best is None:
+        raise ValueError(f"no grid point at TV distance >= {eps} from uniform (mesh {mesh})")
+    levels, k = best
+    row = []
+    for entry, parent in reversed(levels):
+        row, k = [int(entry[k])] + row, parent[k]
+    return row, m * int(best_sq) / mesh**2
+
+
 def deviation_bounds(core, n: int) -> tuple[int, int]:
     """(floor, ceil) of n times the smallest and largest ratio
     (f(c) - f(0)) / c over the rows of an integer table, with 0 included,

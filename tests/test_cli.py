@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -436,3 +437,26 @@ class TestOutput:
         from gee.cli import _default_seed
 
         assert _default_seed() == 77
+
+    def test_seed_env_read_per_run(self, capsys, monkeypatch):
+        # one parser serves every main() call: GEE_SEED is read when the
+        # seeded command runs, not when the parser is built
+        argv = ["sweep", "--eps", "0.3", "--tau", "0.2", "--n", "10", "--m-rule", "2*n",
+                "--trials", "3000", "--no-timestamp"]
+        seeds = []
+        for value in ("3", "4"):
+            monkeypatch.setenv("GEE_SEED", value)
+            code, out = run_cli(capsys, *argv)
+            assert code == 0
+            seeds += re.findall(r" seed=(\S+)", out)
+        assert seeds == ["3", "4"]
+
+    def test_malformed_seed_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("GEE_SEED", "abc")
+        assert main(["region", "--eps", "0.3", "--points", "2", "--no-timestamp"]) == 0
+        simulate = ["simulate", "--n", "10", "--m", "20", "--eps", "0.3", "--tau", "0.2",
+                    "--trials", "100", "--no-timestamp"]
+        capsys.readouterr()
+        assert main(simulate) == 2
+        assert "GEE_SEED" in capsys.readouterr().err
+        assert main([*simulate, "--seed", "5"]) == 0

@@ -37,6 +37,7 @@ from gee.statistics import (
 
 from .oracles import (
     bruteforce_reference,
+    bruteforce_walk,
     counter_groups,
     deviation_bounds,
     enumerate_law,
@@ -569,14 +570,42 @@ class TestWorstCaseBruteforce:
             assert np.rint(argmin.probs * mesh).astype(int).tolist() == counts, eps
             assert value == approx(float(exact), rel=1e-14), eps
 
+    def test_matches_unpruned_walk(self):
+        # the pruned walk against the unpruned one on seeded random grids,
+        # eps drawn uniformly and on exact shell values k / (2 m mesh)
+        rng = np.random.default_rng(2024)
+        refusals = 0
+        for case in range(600):
+            m = int(rng.integers(2, 7))
+            mesh = int(rng.integers(1, (90 if m == 6 else 200) + 1))
+            if case % 2:
+                eps = float(rng.uniform(0.0, 1.0))
+            else:
+                eps = int(rng.integers(0, 2 * (m - 1) * mesh + 1)) / (2 * m * mesh)
+            try:
+                counts, value = bruteforce_walk(m, eps, mesh)
+            except ValueError:
+                refusals += 1
+                with pytest.raises(ValueError):
+                    worst_case_bruteforce(m, eps, mesh)
+                continue
+            argmin, got = worst_case_bruteforce(m, eps, mesh)
+            key = (m, mesh, eps)
+            assert np.rint(argmin.probs * mesh).astype(int).tolist() == counts, key
+            assert got == value, key
+        assert 0 < refusals < 300
+
     @pytest.mark.parametrize("total,slots,cap", [
         (0, 1, 0), (5, 1, 5), (5, 1, 4), (0, 3, 0), (7, 3, 7), (7, 3, 3),
         (7, 3, 2),  # cap below total / slots: no row
         (12, 4, 5), (10, 5, 10), (9, 2, 6),
     ])
     def test_partitions_match_enumeration(self, total, slots, cap):
-        levels = _partition_levels(total, slots, cap)
+        # no incumbent, and a shell every row reaches: nothing is pruned
+        heads = np.arange(min(total, cap), -(-total // slots) - 1, -1)
+        levels, sq = _partition_levels(total, slots, heads, 0.0)
         rows = _partition_rows(levels, np.arange(levels[-1][0].size))
+        assert sq.tolist() == (rows * rows).sum(axis=1).tolist()
         assert rows.shape == (len(sorted_compositions(total, slots, cap)), slots)
         assert [tuple(row) for row in rows.tolist()] == sorted_compositions(total, slots, cap)
 
