@@ -1,10 +1,13 @@
 """Command-line interface.
 
-Every subcommand emits reproducible CSV or JSON: outputs embed the full
-parameter set, seed, and RNG algorithm id, and repeated runs with the
-same flags are byte-identical apart from the timestamp line (which
---no-timestamp removes).  Floats are printed with 12 significant
-digits.  Exit codes: 0 success, 2 usage error, 3 computation error.
+Every subcommand writes one result in one envelope, to stdout or --out:
+its metadata (tool, version, command, the full parameter set with seed
+and RNG algorithm id, and a timestamp that --no-timestamp removes) sits
+under the "meta" key of a JSON object, or in "# key: value" lines above
+the header of a CSV table (`region`, `sweep`).  Repeated runs with the
+same flags are byte-identical apart from the timestamp.  Floats are
+printed with 12 significant digits.  Exit codes: 0 success, 2 usage
+error, 3 computation error.
 """
 
 from __future__ import annotations
@@ -127,29 +130,28 @@ class _MRule:
     """Alphabet growth rule parsed from 'n^A' or 'C*n'; remembers its text."""
 
     def __init__(self, text: str) -> None:
-        power = re.fullmatch(r"n\^([0-9]*\.?[0-9]+)", text)
-        linear = re.fullmatch(r"([0-9]*\.?[0-9]+)\*n", text)
-        if power:
-            a = float(power.group(1))
-            self._fn: Callable[[int], int] = lambda n: math.ceil(n**a)
-        elif linear:
-            c = float(linear.group(1))
-            self._fn = lambda n: math.ceil(c * n)
-        else:
+        match = re.fullmatch(r"n\^([0-9]*\.?[0-9]+)|([0-9]*\.?[0-9]+)\*n", text)
+        if match is None:
             raise argparse.ArgumentTypeError(
                 f"m rule must look like 'n^1.5' or '3*n', got {text!r}"
             )
+        power, factor = match.groups()
+        self._power = power is not None
+        self._value = float(power or factor)
         self.text = text
 
     def __call__(self, n: int) -> int:
-        return self._fn(n)
+        return math.ceil(n**self._value if self._power else self._value * n)
 
 
 _F_BUILTINS = {"kl": f_kl, "chi2": f_chi2, "tv-like": f_tv}
 
 
-def _default_seed() -> int:
-    """The seed from GEE_SEED (0 when unset), read when a seeded command runs."""
+def _default_seed(seed: int | None = None) -> int:
+    """The seed from --seed, else from GEE_SEED (0 when unset), read when a
+    seeded command runs."""
+    if seed is not None:
+        return seed
     text = os.environ.get("GEE_SEED", "0")
     try:
         return int(text)
@@ -189,80 +191,67 @@ def _rule(args, statistic, n: int, m: int):
         raise _UsageError(str(exc)) from exc
 
 
-def _metadata(args, command: str, params: dict) -> dict:
+def _emit(args, params: dict, body) -> None:
+    """Write a handler's result under its metadata, to stdout or --out: a
+    dict body as JSON with the metadata under "meta", a (header, rows,
+    extra_meta) body as CSV below "# key: value" lines."""
     meta = {
         "tool": "gee",
         "version": __version__,
-        "command": command,
-        "params": {k: v for k, v in sorted(params.items())},
+        "command": args.command,
+        "params": dict(sorted(params.items())),
     }
-    if not getattr(args, "no_timestamp", False):
+    if not args.no_timestamp:
         meta["timestamp"] = (
             datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
         )
-    return meta
-
-
-def _emit_text(args, text: str) -> None:
-    if getattr(args, "out", None):
+    if isinstance(body, dict):
+        text = json.dumps(_round12({**body, "meta": meta}), indent=2, sort_keys=True) + "\n"
+    else:
+        header, rows, extra_meta = body
+        meta["params"] = " ".join(
+            f"{k}={_fmt(v) if isinstance(v, float) else v}" for k, v in meta["params"].items()
+        )
+        lines = [f"# {k}: {v}" for k, v in {**meta, **extra_meta}.items()]
+        text = "\n".join([*lines, header, *rows]) + "\n"
+    if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _emit_json(args, payload: dict) -> None:
-    _emit_text(args, json.dumps(_round12(payload), indent=2, sort_keys=True) + "\n")
-
-
-def _csv_text(meta: dict, header: str, rows: list[str]) -> str:
-    lines = []
-    for k, v in meta.items():
-        if k == "params":
-            v = " ".join(
-                f"{pk}={_fmt(pv) if isinstance(pv, float) else pv}" for pk, pv in v.items()
-            )
-        lines.append(f"# {k}: {v}")
-    return "\n".join([*lines, header, *rows]) + "\n"
-
-
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns (params, body) for `_emit`
 
 
-def _cmd_region(args) -> int:
+def _cmd_region(args):
     points = region_curve(args.eps, args.points)
-    meta = _metadata(args, "region", {"eps": args.eps, "points": args.points})
     rows = [f"{_fmt(p.tau)},{_fmt(p.jf)},{_fmt(p.jm)}" for p in points]
-    _emit_text(args, _csv_text(meta, "tau,jf,jm", rows))
-    return 0
+    return {"eps": args.eps, "points": args.points}, ("tau,jf,jm", rows, {})
 
 
-def _cmd_exponents(args) -> int:
+def _cmd_exponents(args):
     tau = _tau(args)
     try:
         jf, jm = jf_star(tau), jm_star(tau, args.eps)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    payload = {
-        "meta": _metadata(
-            args, "exponents", {"eps": args.eps, "tau": tau, "equalize": args.equalize}
-        ),
+    params = {"eps": args.eps, "tau": tau, "equalize": args.equalize}
+    return params, {
         "eps": args.eps,
         "kappa_bar": kappa_bar(args.eps),
         "tau": tau,
         "jf": jf,
         "jm": jm,
     }
-    _emit_json(args, payload)
-    return 0
 
 
-def _cmd_worst_case(args) -> int:
+def _cmd_worst_case(args):
     q = biuniform_worst_case(args.m, args.eps)
     value = chi_square_functional(q, uniform(args.m))
     params = {"m": args.m, "eps": args.eps}
-    payload = {
+    body = {
         "pmf": [float(x) for x in q.probs],
         "chi_square_functional": value,
     }
@@ -271,15 +260,13 @@ def _cmd_worst_case(args) -> int:
             raise _UsageError(f"--bruteforce supports 2 <= m <= {BRUTEFORCE_MAX_M}, got {args.m}")
         params["mesh"] = args.mesh
         argmin, min_value = worst_case_bruteforce(args.m, args.eps, args.mesh)
-        payload["bruteforce"] = {
+        body["bruteforce"] = {
             "argmin": [float(x) for x in argmin.probs],
             "min_value": min_value,
             "gap": abs(min_value - value),
             "mesh": args.mesh,
         }
-    payload["meta"] = _metadata(args, "worst-case", params)
-    _emit_json(args, payload)
-    return 0
+    return params, body
 
 
 def _estimate_payload(est) -> dict:
@@ -291,32 +278,28 @@ def _estimate_payload(est) -> dict:
     }
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args):
     statistic = _STATISTICS[args.stat](args, args.m)
     rule = _rule(args, statistic, args.n, args.m)
-    seed = _default_seed() if args.seed is None else args.seed
     plan = SimPlan(
         n=args.n, m=args.m, eps=args.eps, statistic=statistic, rule=rule,
-        trials=args.trials, seed=seed, streams=args.streams,
+        trials=args.trials, seed=_default_seed(args.seed), streams=args.streams,
     )
     params = {
         "stat": args.stat, "n": args.n, "m": args.m, "eps": args.eps,
-        "tau": rule.tau, "trials": args.trials, "seed": seed,
+        "tau": rule.tau, "trials": args.trials, "seed": plan.seed,
         "streams": args.streams, "rng": RNG_ALGORITHM,
     }
-    payload = {
-        "meta": _metadata(args, "simulate", params),
+    return params, {
         "r": plan.r,
         "cut": rule.cut,
         "pf": _estimate_payload(estimate_pf(plan)),
         "pm": _estimate_payload(estimate_pm(plan)),
         "sampler": plan.sampler,
     }
-    _emit_json(args, payload)
-    return 0
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args):
     statistic = _STATISTICS[args.stat](args, 0)  # sweep statistics carry no reference pmf
     # m grows with n, so the rule at the smallest n meets a bad m first;
     # sweep itself warns of a clamped tau, once
@@ -324,7 +307,7 @@ def _cmd_sweep(args) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         _rule(args, statistic, n, args.m_rule(n))
-    seed = _default_seed() if args.seed is None else args.seed
+    seed = _default_seed(args.seed)
     rows = sweep(
         eps=args.eps,
         statistic=statistic,
@@ -342,8 +325,7 @@ def _cmd_sweep(args) -> int:
         "m_rule": args.m_rule.text, "trials": args.trials,
         "seed": seed, "streams": args.streams, "rng": RNG_ALGORITHM,
     }
-    meta = _metadata(args, "sweep", params)
-    meta["sampler"] = " ".join(
+    sampler = " ".join(
         f"n={row.n}:pf={row.sampler['pf']},pm={row.sampler['pm']}" for row in rows
     )
     lines = [
@@ -351,13 +333,10 @@ def _cmd_sweep(args) -> int:
         f"{_fmt(row.pm.p_hat)},{_fmt(row.pm.ci95_halfwidth)},{';'.join(row.flags)}"
         for row in rows
     ]
-    _emit_text(
-        args, _csv_text(meta, "n,m,r,pf_hat,pf_ci,pm_hat,pm_ci,flags", lines)
-    )
-    return 0
+    return params, ("n,m,r,pf_hat,pf_ci,pm_hat,pm_ci,flags", lines, {"sampler": sampler})
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args):
     statistic = _STATISTICS[args.stat](args, args.m)
     rule = _rule(args, statistic, args.n, args.m)
     null = uniform(args.m)
@@ -368,44 +347,29 @@ def _cmd_oracle(args) -> int:
         "eps": args.eps, "tau": args.tau, "tau_abs": args.tau_abs,
         "budget": args.budget,
     }
-    payload = {
-        "meta": _metadata(args, "oracle", params),
+    return params, {
         "cut": rule.cut,
         "pf": pf,
         "pm": pm if args.eps is not None else None,
     }
-    _emit_json(args, payload)
-    return 0
 
 
-def _cmd_fdiv_check(args) -> int:
+def _cmd_fdiv_check(args):
     f = _F_BUILTINS[args.f]
     quad_grid = np.linspace(0.0, args.xmax, args.points)
     report = check_fdiv_conditions(f, quad_grid=quad_grid)
-    payload = {
-        "meta": _metadata(
-            args, "fdiv-check", {"f": args.f, "xmax": args.xmax, "points": args.points}
-        ),
+    params = {"f": args.f, "xmax": args.xmax, "points": args.points}
+    return params, {
         "f": args.f,
         "cond1": report.gap_holds,
         "witness": report.gap_witness,
         "cond2": report.quad_holds,
         "alpha": report.quad_alpha,
     }
-    _emit_json(args, payload)
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # parser
-
-
-def _add_common(sub) -> None:
-    sub.add_argument("--out", help="output file (default: stdout)")
-    sub.add_argument(
-        "--no-timestamp", action="store_true",
-        help="omit the timestamp from output metadata",
-    )
 
 
 def _add_statistic(sub, names: list[str]) -> None:
@@ -413,14 +377,29 @@ def _add_statistic(sub, names: list[str]) -> None:
     sub.add_argument("--weights", type=_weights_arg, help="extended-statistic weights v2,v3,...")
 
 
-def _add_tau_group(sub) -> None:
-    group = sub.add_mutually_exclusive_group()
-    group.add_argument("--tau", type=float, help="normalized threshold")
-    group.add_argument(
-        "--equalize", action="store_true",
-        help="use the threshold equalizing the two exponents",
-    )
-    sub.set_defaults(tau_abs=None)
+def _add_threshold(sub, required: bool = False, absolute: bool = False) -> None:
+    """--tau, exclusive with --tau-abs if absolute, else with --equalize.  A
+    command whose threshold is optional builds its rule with `_rule`, which
+    reads both, so the one not declared reads as unset."""
+    choice = sub.add_mutually_exclusive_group(required=required)
+    choice.add_argument("--tau", type=float, help="normalized threshold")
+    if absolute:
+        choice.add_argument("--tau-abs", dest="tau_abs", type=float,
+                            help="absolute cut in statistic units")
+    else:
+        choice.add_argument(
+            "--equalize", action="store_true",
+            help="use the threshold equalizing the two exponents",
+        )
+    if not required:
+        sub.set_defaults(tau_abs=None, equalize=False)
+
+
+def _add_runs(sub, **trials) -> None:
+    """--trials (its default, or required=True, passed in `trials`), --seed and --streams."""
+    sub.add_argument("--trials", type=_at_least(1), **trials)
+    sub.add_argument("--seed", type=int, help="default: GEE_SEED, else 0")
+    sub.add_argument("--streams", type=_at_least(1), default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -430,76 +409,64 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"gee {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", help="output file (default: stdout)")
+    output.add_argument(
+        "--no-timestamp", action="store_true",
+        help="omit the timestamp from output metadata",
+    )
 
-    region = subs.add_parser("region", help="achievable-region boundary as CSV")
+    def command(name: str, func: Callable, summary: str) -> argparse.ArgumentParser:
+        sub = subs.add_parser(name, help=summary, parents=[output])
+        sub.set_defaults(func=func)
+        return sub
+
+    region = command("region", _cmd_region, "achievable-region boundary as CSV")
     region.add_argument("--eps", type=_eps_arg, required=True)
     region.add_argument("--points", type=_at_least(2), required=True)
-    _add_common(region)
-    region.set_defaults(func=_cmd_region)
 
-    expo = subs.add_parser("exponents", help="exponent pair at one threshold")
+    expo = command("exponents", _cmd_exponents, "exponent pair at one threshold")
     expo.add_argument("--eps", type=_eps_arg, required=True)
-    tau_group = expo.add_mutually_exclusive_group(required=True)
-    tau_group.add_argument("--tau", type=float)
-    tau_group.add_argument("--equalize", action="store_true")
-    _add_common(expo)
-    expo.set_defaults(func=_cmd_exponents)
+    _add_threshold(expo, required=True)
 
-    worst = subs.add_parser("worst-case", help="worst-case bi-uniform alternative")
+    worst = command("worst-case", _cmd_worst_case, "worst-case bi-uniform alternative")
     worst.add_argument("--m", type=_at_least(2), required=True)
     worst.add_argument("--eps", type=_eps_arg, required=True)
     worst.add_argument("--bruteforce", action="store_true")
     worst.add_argument("--mesh", type=_at_least(1), default=200)
-    _add_common(worst)
-    worst.set_defaults(func=_cmd_worst_case)
 
-    sim = subs.add_parser("simulate", help="Monte Carlo error probabilities")
+    sim = command("simulate", _cmd_simulate, "Monte Carlo error probabilities")
     _add_statistic(sim, list(_STATISTICS))
     sim.add_argument("--n", type=_at_least(1), required=True)
     sim.add_argument("--m", type=_at_least(2), required=True)
     sim.add_argument("--eps", type=_eps_arg, required=True)
-    _add_tau_group(sim)
-    sim.add_argument("--trials", type=_at_least(1), default=100000)
-    sim.add_argument("--seed", type=int, help="default: GEE_SEED, else 0")
-    sim.add_argument("--streams", type=_at_least(1), default=1)
-    _add_common(sim)
-    sim.set_defaults(func=_cmd_simulate)
+    _add_threshold(sim)
+    _add_runs(sim, default=100000)
 
-    swp = subs.add_parser("sweep", help="(P_F, P_M) along an (n, m) schedule")
+    swp = command("sweep", _cmd_sweep, "(P_F, P_M) along an (n, m) schedule")
     _add_statistic(swp, [name for name in _STATISTICS if name != "weighted"])
     swp.add_argument("--eps", type=_eps_arg, required=True)
-    _add_tau_group(swp)
+    _add_threshold(swp)
     swp.add_argument("--n", type=_n_list_arg, required=True,
                      help="comma-separated sample sizes")
     swp.add_argument("--m-rule", dest="m_rule", type=_MRule, required=True,
                      help="alphabet growth rule, e.g. n^1.5 or 3*n")
-    swp.add_argument("--trials", type=_at_least(1), required=True)
-    swp.add_argument("--seed", type=int, help="default: GEE_SEED, else 0")
-    swp.add_argument("--streams", type=_at_least(1), default=1)
-    _add_common(swp)
-    swp.set_defaults(func=_cmd_sweep)
+    _add_runs(swp, required=True)
 
-    orc = subs.add_parser("oracle", help="exact error probabilities (small n, m)")
+    orc = command("oracle", _cmd_oracle, "exact error probabilities (small n, m)")
     _add_statistic(orc, list(_STATISTICS))
     orc.add_argument("--n", type=_at_least(1), required=True)
     orc.add_argument("--m", type=_at_least(2), required=True)
     orc.add_argument("--eps", type=_eps_arg)
-    rule_group = orc.add_mutually_exclusive_group()
-    rule_group.add_argument("--tau", type=float, help="normalized threshold")
-    rule_group.add_argument("--tau-abs", dest="tau_abs", type=float,
-                            help="absolute cut in statistic units")
+    _add_threshold(orc, absolute=True)
     orc.add_argument("--budget", type=_at_least(1), default=DEFAULT_CELL_BUDGET,
                      help="transform-cell budget: refuse a law whose transform grid, "
                           "charged max(4, symbol groups) times, has more cells")
-    _add_common(orc)
-    orc.set_defaults(func=_cmd_oracle, equalize=False)
 
-    fdiv = subs.add_parser("fdiv-check", help="grid certificates for an f-divergence")
+    fdiv = command("fdiv-check", _cmd_fdiv_check, "grid certificates for an f-divergence")
     fdiv.add_argument("--f", choices=sorted(_F_BUILTINS), required=True)
     fdiv.add_argument("--xmax", type=_xmax_arg, default=100.0)
     fdiv.add_argument("--points", type=_at_least(2), default=4001)
-    _add_common(fdiv)
-    fdiv.set_defaults(func=_cmd_fdiv_check)
 
     return parser
 
@@ -511,7 +478,7 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        _emit(args, *args.func(args))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -521,6 +488,7 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

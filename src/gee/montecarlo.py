@@ -487,10 +487,7 @@ class ErrorEstimate:
     @classmethod
     def from_count(cls, count: int, trials: int) -> "ErrorEstimate":
         p = count / trials
-        if count in (0, trials):
-            ci = 0.0
-        else:
-            ci = 1.96 * math.sqrt(p * (1.0 - p) / trials)
+        ci = 1.96 * math.sqrt(p * (1.0 - p) / trials)
         return cls(p_hat=p, exceed_count=count, trials=trials, ci95_halfwidth=ci)
 
 

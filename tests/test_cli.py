@@ -3,12 +3,14 @@
 import json
 import math
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 from pytest import approx
 
-from gee.cli import main
+from gee.cli import build_parser, main
+from gee.oracle import DEFAULT_CELL_BUDGET
 
 
 def run_cli(capsys, *argv):
@@ -136,6 +138,7 @@ class TestUsageErrors:
         SIM + ["--tau", "0.1", "--streams", "2.5"],
         ["worst-case", "--m", "3", "--eps", "0.3", "--bruteforce", "--mesh", "1.5"],
         ["region", "--eps", "0.3", "--points", "1.5"],
+        SIM + ["--stat", "extended", "--tau", "0.1"],
         SIM + ["--stat", "extended", "--weights", "a,b", "--tau", "0.1"],
         SIM + ["--stat", "extended", "--weights", "0,nan", "--tau", "0.1"],
         ["oracle", "--stat", "extended", "--weights", "0,inf", "--n", "5", "--m", "10",
@@ -409,6 +412,51 @@ class TestFdivCheck:
         with pytest.raises(SystemExit) as err:
             main(["fdiv-check", "--f", "hellinger"])
         assert err.value.code == 2
+
+
+class TestParser:
+    """Every dest and default each subcommand parses to, and the README's
+    command lines, pinned independently of how the parser is declared."""
+
+    COMMON = {"out": None, "no_timestamp": False}
+    STATISTIC = {"stat": "coincidence", "weights": None}
+    RUNS = {"seed": None, "streams": 1}
+
+    @pytest.mark.parametrize("argv,expected", [
+        ("region --eps 0.35 --points 2", {"eps": 0.35, "points": 2}),
+        ("exponents --eps 0.45 --equalize", {"eps": 0.45, "tau": None, "equalize": True}),
+        ("worst-case --m 4 --eps 0.25",
+         {"m": 4, "eps": 0.25, "bruteforce": False, "mesh": 200}),
+        ("simulate --n 12 --m 30 --eps 0.3",
+         {**STATISTIC, "n": 12, "m": 30, "eps": 0.3, "tau": None, "equalize": False,
+          "tau_abs": None, "trials": 100000, **RUNS}),
+        ("sweep --eps 0.3 --n 10,14 --m-rule 2*n --trials 100",
+         {**STATISTIC, "eps": 0.3, "tau": None, "equalize": False, "tau_abs": None,
+          "n": [10, 14], "m_rule": "2*n", "trials": 100, **RUNS}),
+        ("oracle --n 3 --m 3",
+         {**STATISTIC, "n": 3, "m": 3, "eps": None, "tau": None, "tau_abs": None,
+          "equalize": False, "budget": DEFAULT_CELL_BUDGET}),
+        ("fdiv-check --f kl", {"f": "kl", "xmax": 100.0, "points": 4001}),
+    ])
+    def test_minimal_argv_defaults(self, argv, expected):
+        parsed = vars(build_parser().parse_args(argv.split()))
+        assert callable(parsed.pop("func"))
+        if "m_rule" in parsed:
+            parsed["m_rule"] = parsed["m_rule"].text
+        command = argv.split()[0]
+        assert parsed == {"command": command, **expected, **self.COMMON}
+
+    def test_readme_command_lines_parse(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"## Command line\n\n```sh\n(.*?)```", readme, re.S).group(1)
+        parser, commands = build_parser(), set()
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line)
+            assert argv[0] == "gee", line
+            commands.add(parser.parse_args(argv[1:]).command)
+        assert commands == {
+            "region", "exponents", "worst-case", "simulate", "sweep", "oracle", "fdiv-check",
+        }
 
 
 class TestOutput:

@@ -189,3 +189,12 @@ class TestEstimateExponent:
     def test_zero_probability_rejected(self):
         with pytest.raises(ValueError):
             estimate_exponent([(10.0, 0.5), (20.0, 0.0)])
+
+    @pytest.mark.parametrize("rows,error,fragment", [
+        ([(10.0, 1.5), (20.0, 0.5)], ValueError, "probability estimates must lie in (0, 1]"),
+        ([(10.0, 0.5), (20.0, 1.0 + 1e-12)], ValueError, "probability estimates must lie in (0, 1]"),
+    ])
+    def test_refusals(self, rows, error, fragment):
+        with pytest.raises(error) as info:
+            estimate_exponent(rows)
+        assert fragment in str(info.value)

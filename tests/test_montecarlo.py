@@ -1197,3 +1197,23 @@ class TestTwoLevelSources:
         for stat, x in zip(stats, simulate_statistics(source, stats, n, 20_480, seed=n)):
             x2, df = chi_square(x, exact_distribution(stat, source, n))
             assert x2 <= chi_square_bound(df), (stat.name, x2, df)
+
+
+def _plan(**fields):
+    rule = make_threshold(Coincidence(), 10, 20, tau=0.2, eps=0.3)
+    return SimPlan(**{"n": 10, "m": 20, "eps": 0.3, "statistic": Coincidence(), "rule": rule,
+                      "trials": 100, "seed": 1, **fields})
+
+
+@pytest.mark.parametrize("call,error,fragment", [
+    (lambda: _plan(trials=0), ValueError, "need n >= 1, m >= 2, trials >= 1, streams >= 1"),
+    (lambda: _plan(streams=0), ValueError, "need n >= 1, m >= 2, trials >= 1, streams >= 1"),
+    (lambda: _plan(alternative=uniform(21)), ValueError, "alternative has 21 symbols, plan has 20"),
+    (lambda: sample_occupancy(uniform(4), -1, np.random.default_rng(0)), ValueError,
+     "sample size must be >= 0, got -1"),
+    (lambda: PartitionMap(lambda u: u, 1), ValueError, "need at least 2 cells, got 1"),
+])
+def test_refusals(call, error, fragment):
+    with pytest.raises(error) as info:
+        call()
+    assert fragment in str(info.value)

@@ -15,6 +15,7 @@ from gee.oracle import (
     _deviation_bounds,
     _partition_levels,
     _partition_rows,
+    ExactDistribution,
     OracleBudgetError,
     ScalingError,
     asymptotic_moments,
@@ -669,3 +670,26 @@ class TestSweepScaleReferenceN2000(TestSweepScaleReference):
 
     N, M = 2000, math.ceil(2000**1.5)
     PF, PM = 0.041290748, 0.059934755
+
+
+@pytest.mark.parametrize("call,error,fragment", [
+    (lambda: ExactDistribution(np.array([0.0, 1.0]), np.array([1.0])), ValueError,
+     "support and probs must be matching vectors"),
+    (lambda: ExactDistribution(np.array([0.0, 1.0]), np.array([1.5, -0.5])), ValueError,
+     "probabilities must be non-negative"),
+    (lambda: ExactDistribution(np.array([0.0, 1.0]), np.array([0.5, 0.4])), ValueError,
+     "probabilities sum to"),
+    (lambda: exact_distribution(Coincidence(), uniform(4), -1), ValueError,
+     "sample size must be >= 0, got -1"),
+    (lambda: exact_expectation(Coincidence(), uniform(4), -1), ValueError,
+     "sample size must be >= 0, got -1"),
+    (lambda: exact_error_probs(Coincidence(), absolute_threshold(Coincidence(), 5, 4, 0.0),
+                               uniform(4), uniform(5), 5), ValueError,
+     "alphabet sizes differ: 4 vs 5"),
+    (lambda: worst_case_bruteforce(3, 0.3, 0), ValueError, "mesh must be >= 1, got 0"),
+    (lambda: worst_case_bruteforce(3, 1.0, 10), ValueError, "eps must lie in [0, 1), got 1.0"),
+])
+def test_refusals(call, error, fragment):
+    with pytest.raises(error) as info:
+        call()
+    assert fragment in str(info.value)

@@ -305,6 +305,17 @@ class TestFDivergence:
         with pytest.raises(ValueError):
             f_divergence(biuniform_worst_case(4, 0.2), uniform(4), bad)
 
+    def test_scalar_only_f(self):
+        # an f written for one float, returning one float, is evaluated
+        # symbol by symbol
+        def chi2(x):
+            return float((x - 1.0) ** 2)
+
+        q, p = biuniform_worst_case(6, 0.3), uniform(6)
+        assert f_divergence(q, p, chi2) == approx(f_divergence(q, p, f_chi2), rel=1e-14)
+        # one float for the whole array has the wrong shape: also symbol by symbol
+        assert f_divergence(q, p, lambda x: 0.0) == 0.0
+
 
 class TestFDivConditions:
     def test_chi2(self):
@@ -329,3 +340,26 @@ class TestFDivConditions:
         coarse = check_fdiv_conditions(f_tv, quad_grid=np.linspace(0, 4, 101))
         fine = check_fdiv_conditions(f_tv, quad_grid=np.linspace(0, 4, 100001))
         assert fine.quad_alpha > 10.0 * coarse.quad_alpha
+
+
+@pytest.mark.parametrize("call,error,fragment", [
+    (lambda: Pmf(np.array([1.0])), AlphabetSizeError, "alphabet needs at least 2 symbols"),
+    (lambda: biuniform_worst_case(1, 0.3), AlphabetSizeError, "alphabet size must be >= 2, got 1"),
+    (lambda: biuniform_worst_case(4, 0.0), ValueError, "eps must lie in (0, 1), got 0.0"),
+    (lambda: permuted_worst_case(1, 0.3, []), AlphabetSizeError,
+     "alphabet size must be >= 2, got 1"),
+    (lambda: permuted_worst_case(4, 0.5, [1, 2]), ValueError, "eps must lie in (0, 0.5), got 0.5"),
+    (lambda: permuted_worst_case(4, 0.3, [1, 5]), ValueError, "subset symbols must lie in 1..4"),
+    (lambda: check_fdiv_conditions(f_kl, gap_grid=[0.0, 0.5]), ValueError,
+     "gap_grid must lie strictly inside (0, 1)"),
+    (lambda: check_fdiv_conditions(f_kl, quad_grid=[-1.0, 2.0]), ValueError,
+     "quad_grid must be non-negative"),
+    (lambda: check_fdiv_conditions(lambda x: np.where(x < 1.0, np.nan, 0.0)), ValueError,
+     "f evaluated to NaN on the gap grid"),
+    (lambda: check_fdiv_conditions(lambda x: np.where(x > 2.0, np.nan, (x - 1.0) ** 2)),
+     ValueError, "f evaluated to NaN on the quadratic grid"),
+])
+def test_refusals(call, error, fragment):
+    with pytest.raises(error) as info:
+        call()
+    assert fragment in str(info.value)

@@ -112,6 +112,7 @@ class TestEvaluate:
         assert ExtendedCoincidence(weights=(0.0, 1.0)).weights_valid
         assert not ExtendedCoincidence(weights=(1.0, 1.0)).weights_valid
         assert not ExtendedCoincidence(weights=(0.0, -1.0)).weights_valid
+        assert ExtendedCoincidence(weights=()).weights_valid
 
     def test_empty_sample_evaluates(self):
         fp = occupancy([0, 0, 0])
@@ -314,3 +315,16 @@ class TestBinomialPmf:
         assert total == approx(1.0, abs=1e-10)
         total_small = sum(binomial_pmf(k, 500, 0.01) for k in range(0, 501))
         assert total_small == approx(1.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("call,error,fragment", [
+    (lambda: OccupancyFingerprint(n=0, m=2, phi=[[2]]), ValueError,
+     "phi must be a vector of non-negative counts"),
+    (lambda: OccupancyFingerprint(n=0, m=3, phi=[2]), ValueError, "sum of phi is 2, expected m=3"),
+    (lambda: occupancy([]), ValueError, "counts must be a non-empty vector"),
+    (lambda: ExtendedCoincidence((0.0, math.nan)), ValueError, "weights must be finite"),
+])
+def test_refusals(call, error, fragment):
+    with pytest.raises(error) as info:
+        call()
+    assert fragment in str(info.value)
