@@ -142,7 +142,9 @@ def estimate_exponent(
             "cannot take log of a zero probability estimate; "
             "increase trials or drop the row"
         )
-    if np.any(ps > 1.0):
+    if not np.all(ps <= 1.0):  # a NaN fails this too
         raise ValueError("probability estimates must lie in (0, 1]")
+    if not np.all(np.isfinite(rs)) or np.unique(rs).size < 2:
+        raise ValueError("need at least 2 distinct finite values of r to fit a slope")
     slope, intercept = np.polyfit(rs, -np.log(ps), 1)
     return float(slope), float(intercept)

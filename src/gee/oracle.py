@@ -8,10 +8,9 @@ expectation and the moments sum over the same groups).  Each group's
 array is transformed once, k log s of its spectrum s is summed over
 the groups, and count n of the sum's exp, divided by its mass
 P(Poisson(n) = n), is the conditional multinomial law.  Values run on
-the excess axis f(c) - f(0) - c (f(1) - f(0)) when every drawn row has
-the same slope f(1) - f(0) (the counts sum to n, so the linear part is
-n times that slope), else on the plain axis.  The budget charges
-max(4, groups) grids before any transform; four are live at most.
+the excess axis f(c) - f(0) - c s, with s the slope f(1) - f(0) of one
+drawn row (the counts sum to n, so the linear part is n s).  The budget
+charges max(4, groups) grids before any transform; four are live at most.
 
 Round-off is absolute, ~1e-16 of the law's peak (log s is taken from
 s - 1, the transform of the array less its unit mass, so it keeps its
@@ -177,10 +176,11 @@ def _core_distribution(
     base = sum(k * int(core[g, 0]) for k, _, g in groups)
     drawn = [(k, pj, g) for k, pj, g in groups if pj > 0.0]
     rows = sorted({g for _, _, g in drawn})
-    # counts sum to n, so when every drawn row has the same slope f(1) - f(0)
-    # the linear part of the core is n * slope exactly; carry only the excess
-    slopes = np.unique(core[rows, min(n, 1)] - core[rows, 0])
-    slope = int(slopes[0]) if slopes.size == 1 else 0
+    # counts sum to n, so n times one drawn row's slope f(1) - f(0) is an exact
+    # linear part of the core; carry only the excess.  The shifted ratios
+    # (f(c) - f(0)) / c - slope straddle 0, so lo..up is never wider than
+    # unshifted, and the slope is a multiple of the unshifted gcd
+    slope = int(core[rows[0], min(n, 1)] - core[rows[0], 0])
     excess = core - core[:, :1] - slope * np.arange(n + 1)
     # excess steps are multiples of the gcd, so the transforms run on excess / gcd
     step = max(int(np.gcd.reduce(excess[rows], axis=None)), 1)
@@ -295,27 +295,24 @@ def asymptotic_moments(
 
 
 def _partition_levels(
-    total: int, slots: int, heads: np.ndarray, shell: float, best: int | None = None
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """Non-increasing rows of `slots` non-negative ints summing to `total`
-    whose first entry is one of `heads` (descending, each in [ceil(total /
-    slots), total]), in descending lexicographic order, as a tree with one
-    (entry, parent) pair of arrays per column, and the sums x^2 of the rows
-    it ends in.  A prefix takes each next entry from min(what is left, its
-    last entry) down to ceil(what is left / slots left); the last column is
-    forced.
+    total: int, slots: int, cap: int, shell: float, best: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Non-increasing rows of `slots` non-negative ints at most `cap` summing
+    to `total`, in descending lexicographic order, and their sums x^2.  A
+    prefix takes each next entry from min(what is left, its last entry) down
+    to ceil(what is left / slots left); the last column is forced.
 
     A prefix is dropped when its greedy completion (entry, ..., entry, rest,
     0, ...) has sum |slots x - total| below `shell`: that completion
     majorizes every other and the sum is Schur-convex.  Given a bound `best`
     on the least sum x^2 in the shell (total^2 bounds every row), each
     column lowers it to its least greedy completion in the shell, then drops
-    a prefix whose sum x^2 plus left^2 / slots left exceeds it; ties survive."""
-    entry = np.asarray(heads, dtype=np.int64)
-    parent = np.zeros(entry.size, dtype=np.intp)
+    a prefix whose sum x^2 plus left^2 / slots left exceeds it; ties survive.
+    Only the prefixes a column keeps are written out."""
+    entry = np.arange(min(total, cap), -(-total // slots) - 1, -1, dtype=np.int64)
+    rows, parent = np.zeros((1, 0), dtype=np.int64), np.zeros(entry.size, dtype=np.intp)
     left, sq = total - entry, entry * entry
     tv = dev = np.abs(slots * entry - total)
-    levels = []
     for k in range(slots - 1, 0, -1):  # slots left after this column
         full, rest = np.divmod(left, np.maximum(entry, 1))
         keep = tv + full * dev + np.abs(slots * rest - total) + (k - full - 1) * total >= shell
@@ -324,7 +321,7 @@ def _partition_levels(
             keep &= k * sq + left * left <= k * best
         keep = np.flatnonzero(keep)
         entry, left, sq, tv = entry[keep], left[keep], sq[keep], tv[keep]
-        levels.append((entry, parent[keep]))
+        rows = np.column_stack([rows[parent[keep]], entry])
         hi = np.minimum(left, entry)
         size = np.maximum(hi + 1 + (-left // k), 0)  # hi - ceil(left / k) + 1
         parent = np.repeat(np.arange(hi.size), size)
@@ -333,15 +330,7 @@ def _partition_levels(
         dev = np.abs(slots * entry - total)
         tv = tv[parent] + dev
     # the test on the column before was exact for the forced last entry
-    return levels + [(entry, parent)], sq
-
-
-def _partition_rows(levels: list, idx) -> np.ndarray:
-    """The rows ending at last-column indices idx, rebuilt through the parents."""
-    cols = []
-    for entry, parent in reversed(levels):
-        cols, idx = [entry[idx]] + cols, parent[idx]
-    return np.column_stack(cols)
+    return np.column_stack([rows[parent], entry]), sq
 
 
 def worst_case_bruteforce(m: int, eps: float, mesh: int) -> tuple[Pmf, float]:
@@ -362,9 +351,8 @@ def worst_case_bruteforce(m: int, eps: float, mesh: int) -> tuple[Pmf, float]:
         raise ValueError(f"eps must lie in [0, 1), got {eps}")
 
     shell = (eps - 1e-12) * 2 * m * mesh
-    heads = np.arange(mesh, -(-mesh // m) - 1, -1)
-    levels, sq = _partition_levels(mesh, m, heads, shell, mesh * mesh)
+    rows, sq = _partition_levels(mesh, m, mesh, shell, mesh * mesh)
     if not sq.size:
         raise ValueError(f"no grid point at TV distance >= {eps} from uniform (mesh {mesh})")
     k = int(np.argmin(sq))
-    return Pmf(_partition_rows(levels, [k])[0] / mesh), m * int(sq[k]) / mesh**2
+    return Pmf(rows[k] / mesh), m * int(sq[k]) / mesh**2

@@ -193,6 +193,10 @@ class TestEstimateExponent:
     @pytest.mark.parametrize("rows,error,fragment", [
         ([(10.0, 1.5), (20.0, 0.5)], ValueError, "probability estimates must lie in (0, 1]"),
         ([(10.0, 0.5), (20.0, 1.0 + 1e-12)], ValueError, "probability estimates must lie in (0, 1]"),
+        ([(1.0, 0.5), (2.0, math.nan)], ValueError, "probability estimates must lie in (0, 1]"),
+        ([(1.0, 0.5), (1.0, 0.4)], ValueError, "2 distinct finite values of r"),
+        ([(math.inf, 0.5), (1.0, 0.4)], ValueError, "2 distinct finite values of r"),
+        ([(math.nan, 0.5), (1.0, 0.4)], ValueError, "2 distinct finite values of r"),
     ])
     def test_refusals(self, rows, error, fragment):
         with pytest.raises(error) as info:

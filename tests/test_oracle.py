@@ -14,7 +14,6 @@ from gee.montecarlo import SimPlan, estimate_pf, estimate_pm
 from gee.oracle import (
     _deviation_bounds,
     _partition_levels,
-    _partition_rows,
     ExactDistribution,
     OracleBudgetError,
     ScalingError,
@@ -110,7 +109,7 @@ LAW_SOURCES = {
     "restricted-0.6": biuniform_worst_case(LAW_M, 0.6),  # half the symbols never drawn
 }
 # rows 2c^2 and 4c^2 (reference 1/2, 1/4, 1/4, core times 3): their slopes
-# differ, so the law runs on the plain value axis
+# differ, so the excess axis shifts by one drawn row's slope only
 REFERENCED_PEARSON = IntegerPearson(reference=Pmf([0.5, 0.25, 0.25]), mult=3)
 REFERENCED_SOURCES = {
     "uniform": uniform(3),
@@ -302,6 +301,14 @@ class TestExactDistribution:
         assert exact_error_probs(stat, rule, p, p, n)[0] == 0.0
         dist = exact_distribution(stat, p, n)
         assert dist.probs.min() > 1e-15 * dist.probs.max()
+
+    def test_rows_with_different_slopes_shift_by_one_rows_slope(self):
+        # two drawn rows, 2 c^2 and 4 c^2 in core units: shifting by the first
+        # row's slope 2 leaves ratios (f(c) - f(0)) / c in 0..118 where the
+        # unshifted ones span 0..120, so at n = 30 and a gcd of 2 the axis holds
+        # 1771 values (1800 columns) instead of 1801 (1875)
+        with pytest.raises(OracleBudgetError, match="4 grids of 72x1800"):
+            exact_distribution(REFERENCED_PEARSON, Pmf([0.5, 0.25, 0.25]), 30, budget=1)
 
     def test_budget_error_mentions_figure(self):
         with pytest.raises(OracleBudgetError, match="1000"):
@@ -596,6 +603,29 @@ class TestWorstCaseBruteforce:
             assert got == value, key
         assert 0 < refusals < 300
 
+    def test_pruned_walk_returns_every_tie(self):
+        # the whole pruned output, shell and incumbent set as the brute force
+        # sets them: every row in the shell of least sum x^2, in order
+        rng = np.random.default_rng(2027)
+        compositions, shells = {}, 0
+        for case in range(600):
+            slots = int(rng.integers(2, 7))
+            total = int(rng.integers(1, (25 if slots == 6 else 40) + 1))
+            eps = float(rng.uniform(0.0, 1.0))
+            shell = (eps - 1e-12) * 2 * slots * total
+            key = (total, slots)
+            if key not in compositions:
+                compositions[key] = np.array(sorted_compositions(total, slots, total))
+            every = compositions[key]
+            inside = every[np.abs(slots * every - total).sum(axis=1) >= shell]
+            sums = (inside * inside).sum(axis=1)
+            want = inside[sums == sums.min(initial=total * total)]
+            rows, sq = _partition_levels(total, slots, total, shell, total * total)
+            assert rows.tolist() == want.tolist(), (case, total, slots, eps)
+            assert sq.tolist() == (want * want).sum(axis=1).tolist(), (case, total, slots, eps)
+            shells += bool(want.size)
+        assert 300 < shells < 600
+
     @pytest.mark.parametrize("total,slots,cap", [
         (0, 1, 0), (5, 1, 5), (5, 1, 4), (0, 3, 0), (7, 3, 7), (7, 3, 3),
         (7, 3, 2),  # cap below total / slots: no row
@@ -603,9 +633,7 @@ class TestWorstCaseBruteforce:
     ])
     def test_partitions_match_enumeration(self, total, slots, cap):
         # no incumbent, and a shell every row reaches: nothing is pruned
-        heads = np.arange(min(total, cap), -(-total // slots) - 1, -1)
-        levels, sq = _partition_levels(total, slots, heads, 0.0)
-        rows = _partition_rows(levels, np.arange(levels[-1][0].size))
+        rows, sq = _partition_levels(total, slots, cap, 0.0)
         assert sq.tolist() == (rows * rows).sum(axis=1).tolist()
         assert rows.shape == (len(sorted_compositions(total, slots, cap)), slots)
         assert [tuple(row) for row in rows.tolist()] == sorted_compositions(total, slots, cap)
