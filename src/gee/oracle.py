@@ -9,19 +9,31 @@ array is transformed once, k log s of its spectrum s is summed over
 the groups, and count n of the sum's exp, divided by its mass
 P(Poisson(n) = n), is the conditional multinomial law.  Values run on
 the excess axis f(c) - f(0) - c s, with s the slope f(1) - f(0) of one
-drawn row (the counts sum to n, so the linear part is n s).  The budget
-charges max(4, groups) grids before any transform; four are live at most.
+drawn row (the counts sum to n, so the linear part is n s).
+
+Only row n is read, so the grid holds what can reach it, count c at row
+c mod L and value v at column v mod W; cells that fold together add.
+L is the first fast length whose wrap onto count n, P(N >= n + L) +
+P(N <= n - L) for N ~ Poisson(n), is below e^-46 by the bounds
+exp(-n h(1 +- L/n)), h(y) = y log y - y + 1: a little above sqrt(92 n),
+and below n from n = 126 on.  The value axis is a window a..b of the excess
+inside the deviation bounds; Chernoff bounds on the Poissonized excess
+put under e^-46 P(Poisson(n) = n) / 2 beyond each edge, and W is the
+first fast length that holds it.  The budget charges max(4, groups)
+windowed grids of L x W before any transform; four are live at most.
 
 Round-off is absolute, ~1e-16 of the law's peak (log s is taken from
-s - 1, the transform of the array less its unit mass, so it keeps its
-digits near s = 1).  Entries within 8 times the measured round-off are
-clipped: a probability below ~1e-15 of the peak reads 0, one a little
-above carries a relative error of that order.  One thread (no BLAS) and
-a fixed group order make a given input's output bit-identical.
+s - 1, the transform of the array less its unit mass, with counts 0 and
+1, a sparse array's heavy cells, in closed form, so it keeps its digits
+near s = 1).  Entries within 8 times the measured round-off are clipped:
+a probability below ~1e-15 of the peak reads 0, one a little above
+carries a relative error of that order.  One thread (no BLAS) and a
+fixed group order make a given input's output bit-identical.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -47,6 +59,8 @@ DEFAULT_CELL_BUDGET = 10**8
 # a command-line contract, not a cost limit: the pruned walk keeps a few thousand
 # prefixes at m = 7, mesh 200; an unpruned check walks 4.8M points at m = 6, 26M at 7
 BRUTEFORCE_MAX_M = 6
+# the odd parts 3^b 5^c of the lengths the FFT transforms fast, up to 2^40
+_ODD = sorted(q for q in (3**b * 5**c for b in range(26) for c in range(18)) if q < 2**40)
 
 
 class OracleBudgetError(RuntimeError):
@@ -108,16 +122,17 @@ def _deviation_bounds(core: np.ndarray, n: int) -> tuple[int, int]:
 
 def _fast_len(size: int) -> int:
     """Smallest 2^a 3^b 5^c >= size, a length the FFT transforms fast."""
-    odd = [3**b * 5**c for b in range(size.bit_length() + 1) for c in range(size.bit_length() + 1)]
-    return min(q << ((size - 1) // q).bit_length() for q in odd)
+    return min(q << ((size - 1) // q).bit_length() for q in _ODD[: bisect.bisect(_ODD, 2 * size)])
 
 
 def _count_len(n: int) -> int:
-    """Smallest fast length L > n with P(Poisson(n) >= n + L), the mass that
-    wraps onto count n, below e^-46 by the bound exp(-n h(1 + L/n)),
-    h(x) = x log x - x + 1."""
-    size = _fast_len(n + 1)
-    while n and n * ((1 + size / n) * math.log1p(size / n) - size / n) < 46.0:
+    """Smallest fast length L whose wrap onto count n, P(N >= n + L) +
+    P(N <= n - L) for N ~ Poisson(n), stays below e^-46 by the bounds
+    exp(-n h(1 +- L/n)), h(y) = y log y - y + 1 (h(0) = 1, and no count lies
+    below 0).  h(1 + x) <= x^2/2, so no length up to sqrt(92 n) passes."""
+    size = _fast_len(math.isqrt(92 * n) + 1)
+    while n and sum(math.exp(46.0 - n * (y * math.log(y) - y + 1.0 if y else 1.0))
+                    for y in (1.0 + size / n, 1.0 - size / n) if y >= 0.0) >= 1.0:
         size = _fast_len(size + 1)
     return size
 
@@ -137,25 +152,59 @@ def _add_log1p(total: np.ndarray, z: np.ndarray, k: int) -> None:
     total.imag += k * np.arctan2(y, 1.0 + x, out=y)
 
 
+def _unit(cycles: np.ndarray) -> np.ndarray:
+    """exp(-2 pi i x) - 1 at signed x in [-1/2, 1/2], its digits kept near 0."""
+    return -2.0 * np.sin(np.pi * cycles) ** 2 - 1j * np.sin(2.0 * np.pi * cycles)
+
+
 def _row_n(bases, n: int, shape: tuple[int, int]) -> np.ndarray:
-    """Row n of the convolution of each base (lam, value columns of counts
-    0..n, k) of Poisson(lam) weights raised to its power k, value v at
-    column v mod shape[1]: the exp of the sum of k log s over the bases'
-    spectra s on the `shape` grid, read at count n by one twiddle sum."""
+    """Row n of the convolution of each base (weights of counts 0..n less the
+    unit mass at count 0, value 0; their value columns; k) raised to its
+    power k, count c at row c mod shape[0] and value v at column v mod
+    shape[1]: the exp of the sum of k log s over the bases' spectra s on the
+    `shape` grid, read at count n by one twiddle sum.
+
+    Counts 0 and 1 join the spectrum in closed form, w0 + w1 (1 + u)(1 + v)
+    with u and v the two phases less 1, each to full relative precision:
+    where the law's mass is, s is near 1, and a sparse base's two heavy
+    cells would leave s - 1 an absolute round-off of their size, which k
+    multiplies."""
     size, width = shape
     total = np.zeros((size, width // 2 + 1), dtype=complex)
-    counts = np.arange(n + 1)
-    lgammas = np.array([math.lgamma(c + 1) for c in range(n + 1)])
-    for lam, columns, k in bases:
-        z = np.zeros((n + 1, width))  # lam is 0 only at n = 0, where z is z[0, 0]
-        z[counts, columns] = np.exp(-lam + counts * math.log(lam or 1.0) - lgammas)
-        z[0, 0] = math.expm1(-lam)  # less the unit mass at count 0, value 0: s - 1
+    rows = np.arange(n + 1) % size
+    u = _unit(np.fft.fftfreq(size))[:, None]
+    cycles, half = np.fft.fftfreq(width), np.arange(width // 2 + 1)
+    for weights, columns, k in bases:
+        z = np.zeros(shape)
+        np.add.at(z, (rows[2:], columns[2:]), weights[2:])  # counts that fold onto one cell add
         z = np.fft.rfft(z)  # rfft2 in two steps frees the base before the second
-        z = np.fft.fft(z, size, axis=0)
+        z = np.fft.fft(z, axis=0)
+        z += (weights[0] + weights[1]) + weights[1] * u  # count 1 at value 0: w0 + w1 (1 + u)
+        if columns[1]:  # at value column c, w1 (1 + u) v more, v = e^(-2 pi i c / width) - 1
+            z += (weights[1] * (1.0 + u)) * _unit(cycles[half * columns[1] % width])
         _add_log1p(total, z, k)
     np.exp(total, out=total)
     twiddle = np.exp(2j * np.pi * (np.arange(size) * n % size) / size) / size
     return np.fft.irfft(np.einsum("i,ij->j", twiddle, total), width)  # no BLAS threads
+
+
+def _window(logw, e, k, n: int, lo: int, up: int) -> tuple[int, int]:
+    """The values a..b of lo..up to keep: beyond each edge the excess V of the
+    Poissonized law (groups of k symbols with log weights logw on excess
+    values e) has under e^-46 P(Poisson(n) = n) / 2.
+
+    By Chernoff, P(V >= x) <= exp(K(t) - t x) and P(V <= x) <= exp(K(-t) + t x)
+    for every t > 0, K(t) = sum k log sum_c w(c) e^(t e(c)).  Each t of a
+    geometric grid in units of V's standard deviation gives an edge, where
+    its bound meets that mass; the nearest edge on each side stands."""
+    w = np.exp(logw)
+    sd = math.sqrt(max(k @ (np.sum(w * e * e, axis=1) - np.sum(w * e, axis=1) ** 2), 1.0))
+    tilt = np.outer([1.0, -1.0], np.ldexp(1.0, np.arange(-3, 6))) / sd
+    terms = logw + tilt[..., None, None] * e
+    peak = terms.max(axis=-1)
+    cumulant = (np.log(np.exp(terms - peak[..., None]).sum(axis=-1)) + peak) @ k
+    edge = (cumulant + 46.0 + math.log(2.0) + n - n * math.log(n) + math.lgamma(n + 1)) / tilt
+    return max(lo, math.floor(edge[1].max()) + 1), min(up, math.ceil(edge[0].min()) - 1)
 
 
 def _core_distribution(
@@ -174,20 +223,28 @@ def _core_distribution(
     core = core.astype(np.int64)
     groups = t.groups(p)
     base = sum(k * int(core[g, 0]) for k, _, g in groups)
+    if n == 0:  # every count is 0
+        return np.array([base]), np.ones(1), t.scale, t.shift
     drawn = [(k, pj, g) for k, pj, g in groups if pj > 0.0]
     rows = sorted({g for _, _, g in drawn})
     # counts sum to n, so n times one drawn row's slope f(1) - f(0) is an exact
     # linear part of the core; carry only the excess.  The shifted ratios
     # (f(c) - f(0)) / c - slope straddle 0, so lo..up is never wider than
     # unshifted, and the slope is a multiple of the unshifted gcd
-    slope = int(core[rows[0], min(n, 1)] - core[rows[0], 0])
+    slope = int(core[rows[0], 1] - core[rows[0], 0])
     excess = core - core[:, :1] - slope * np.arange(n + 1)
     # excess steps are multiples of the gcd, so the transforms run on excess / gcd
     step = max(int(np.gcd.reduce(excess[rows], axis=None)), 1)
     excess //= step
     lo, up = _deviation_bounds(excess[rows], n)
-    # every value of a total count n lies in lo..up, so that width holds row n
-    shape = (_count_len(n), _fast_len(up - lo + 1))
+    # Poisson(n p) weights of counts 0..n; only these reach row n
+    lgammas = np.array([math.lgamma(c + 1) for c in range(n + 1)])
+    logw = np.array([-n * pj + np.arange(n + 1) * math.log(n * pj) - lgammas
+                     for _, pj, _ in drawn])
+    k = np.array([k for k, _, _ in drawn])
+    e = excess[[g for _, _, g in drawn]]
+    a, b = _window(logw, e, k, n, lo, up)
+    shape = (_count_len(n), _fast_len(b - a + 1))
     # four grids live at most (the sum, a base, its transform's two stages),
     # and one transform per group: this bounds memory (8 B a cell) and time
     grids = max(len(drawn), 4)
@@ -196,16 +253,17 @@ def _core_distribution(
         raise OracleBudgetError(f"log-spectrum law needs {cells} transform cells ({grids} "
                                 f"grids of {shape[0]}x{shape[1]}), over the budget of {budget}")
 
-    bases = ((n * pj, excess[g] % shape[1], k) for k, pj, g in drawn)
-    row = _row_n(bases, n, shape)
+    w = np.exp(logw)
+    w[:, 0] = np.expm1(-n * np.array([pj for _, pj, _ in drawn]))  # less the unit mass: s - 1
+    row = _row_n(zip(w, e % shape[1], k.tolist()), n, shape)
     # round-off is at least an ulp of the peak and the depth of the deepest
     # negative entry, and its positive entries reached ~1.6 times that over
     # the shift-add reference matrix: clip
     floor = 8.0 * max(-row.min(), np.finfo(float).eps * row.max())
-    vec = np.roll(np.where(row > floor, row, 0.0), -lo)[: up - lo + 1]
+    vec = np.roll(np.where(row > floor, row, 0.0), -a)[: b - a + 1]
     vec /= vec.sum()  # the mass is P(Poisson(n) = n) up to round-off
     mask = vec > 0.0
-    values = base + n * slope + step * (lo + np.flatnonzero(mask).astype(np.int64))
+    values = base + n * slope + step * (a + np.flatnonzero(mask).astype(np.int64))
     return values, vec[mask], t.scale, t.shift
 
 
@@ -244,9 +302,14 @@ def exact_error_probs(
     else:
         values1, probs1, _, _ = _core_distribution(stat, p_alt, n, budget)
     core_cut = (rule.cut - shift) * scale
-    pf = min(1.0, float(probs0[values0 >= core_cut].sum()))
-    pm = min(1.0, float(probs1[values1 < core_cut].sum()))
-    return pf, pm
+    return _mass(probs0, values0 >= core_cut), _mass(probs1, values1 < core_cut)
+
+
+def _mass(probs: np.ndarray, where: np.ndarray) -> float:
+    """probs[where].sum(), or 1 less the rest's sum where that is over 1/2:
+    summed on the lighter side, a cut past every value reads exactly 0 or 1."""
+    mass = float(probs[where].sum())
+    return mass if mass <= 0.5 else 1.0 - float(probs[~where].sum())
 
 
 def exact_expectation(stat: SeparableStatistic, p: Pmf, n: int) -> float:

@@ -8,6 +8,7 @@ interpreter, for checks that need their own process environment.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import os
@@ -251,6 +252,75 @@ def shift_add_law(stat, p, n: int) -> tuple[np.ndarray, np.ndarray]:
     vec = W[n] / cond
     mask = vec > 0.0
     values = int(core[rows, 0].sum()) + step * (lo + np.flatnonzero(mask))
+    return values / t.scale + t.shift, vec[mask] / vec[mask].sum()
+
+
+# every 2^a 3^b 5^c up to 2^40: the lengths the FFT transforms fast
+FAST_LENGTHS = sorted(x for x in (2**a * 3**b * 5**c for a in range(41) for b in range(26)
+                                  for c in range(18)) if x <= 2**40)
+
+
+def full_count_len(n: int) -> int:
+    """Smallest fast length L > n with P(Poisson(n) >= n + L), the mass that
+    wraps onto count n, below e^-46 by the bound exp(-n h(1 + L/n)),
+    h(x) = x log x - x + 1: a count axis that holds every count 0..n."""
+    return next(size for size in FAST_LENGTHS if size > n and (
+        not n or n * ((1 + size / n) * math.log1p(size / n) - size / n) >= 46.0))
+
+
+def full_grid_law(stat, p, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact law (support, probs) of an integer-valued separable statistic
+    at n >= 1 on the full log-spectrum grid: counts 0..L-1 with L from
+    `full_count_len`, and every value `deviation_bounds` allows.
+
+    Values run on the excess axis f(c) - f(0) - c s, s the slope of the
+    first drawn row, reduced by the gcd of its steps.  Each symbol group's
+    Poisson(n p_j) weights of counts 2..n are written into its own (count,
+    value) base by plain assignment (no two counts share a cell), counts 0
+    and 1 join its spectrum s in closed form, k log s is summed over the
+    groups, and count n of the exp, normalised, is the law.  Entries within
+    8 times the round-off are clipped.  Cost (groups) L W.
+    """
+    t = stat.table(n, p.m)
+    core = np.rint(t.f[:, np.minimum(np.arange(n + 1), t.K)]).astype(np.int64)
+    groups = counter_groups(t, p)
+    drawn = [(k, pj, g) for k, pj, g in groups if pj > 0.0]
+    first = drawn[0][2]
+    slope = int(core[first, 1] - core[first, 0])
+    excess = core - core[:, :1] - slope * np.arange(n + 1)
+    rows = sorted({g for *_, g in drawn})
+    step = max(int(np.gcd.reduce(excess[rows], axis=None)), 1)
+    excess //= step
+    lo, up = deviation_bounds(excess[rows], n)
+    size = full_count_len(n)
+    width = FAST_LENGTHS[bisect.bisect_left(FAST_LENGTHS, up - lo + 1)]
+    counts = np.arange(n + 1)
+    lgammas = np.array([math.lgamma(c + 1) for c in counts])
+    total = np.zeros((size, width // 2 + 1), dtype=complex)
+    for k, pj, g in drawn:
+        lam = n * pj
+        w = np.exp(-lam + counts * math.log(lam) - lgammas)
+        base = np.zeros((size, width))
+        base[counts[2:], excess[g, 2:] % width] = w[2:]
+        z = np.fft.fft(np.fft.rfft(base), axis=0)
+        # the base less its unit mass, s - 1: counts 0 and 1 add w0 - 1 + w1 e^(-i psi),
+        # psi = 2 pi (row / size + excess(1) column / width), in closed form
+        psi = np.add.outer(np.arange(size) / size, np.arange(width // 2 + 1) * excess[g, 1] / width)
+        psi = 2.0 * np.pi * (psi - np.rint(psi))
+        z += math.expm1(-lam) + w[1] - w[1] * (2.0 * np.sin(psi / 2) ** 2 + 1j * np.sin(psi))
+        x, y = z.real, z.imag
+        with np.errstate(divide="ignore", invalid="ignore"):  # log |s|^2, digits kept near s = 1
+            mag = np.where(x * x + y * y < 0.25, np.log1p((2.0 + x) * x + y * y),
+                           np.log((1.0 + x) ** 2 + y * y))
+        total.real += 0.5 * k * mag
+        total.imag += k * np.arctan2(y, 1.0 + x)
+    twiddle = np.exp(2j * np.pi * (np.arange(size) * n % size) / size) / size
+    row = np.fft.irfft(np.einsum("i,ij->j", twiddle, np.exp(total)), width)
+    floor = 8.0 * max(-row.min(), np.finfo(float).eps * row.max())
+    vec = np.roll(np.where(row > floor, row, 0.0), -lo)[: up - lo + 1]
+    mask = vec > 0.0
+    values = sum(k * int(core[g, 0]) for k, _, g in groups) + n * slope
+    values = values + step * (lo + np.flatnonzero(mask))
     return values / t.scale + t.shift, vec[mask] / vec[mask].sum()
 
 

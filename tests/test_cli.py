@@ -216,6 +216,15 @@ class TestOracle:
         ])
         assert code == 3
 
+    def test_last_criterion_8_point_fits_the_default_budget(self, capsys):
+        # n = 8000, m = ceil(n^1.5): two laws on 900-row windowed grids; the
+        # full grid of every count and value (4 of 8100 x 8100) is 2.6 times it
+        code, out = run_cli(capsys, "oracle", "--n", "8000", "--m", "715542", "--eps", "0.45",
+                            "--tau", "0.365", "--no-timestamp")
+        data = json.loads(out)
+        assert code == 0 and data["meta"]["params"]["budget"] == DEFAULT_CELL_BUDGET
+        assert data["pf"] == approx(0.009660003712, abs=5e-10)
+
     def test_pearson_with_tau_is_usage_error(self, capsys):
         code = main([
             "oracle", "--stat", "pearson", "--n", "10", "--m", "30",

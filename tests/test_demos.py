@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SLOW = {"05_slope_experiment.py"}  # about 13 s; the others take under 3 s
+SLOW = {"05_slope_experiment.py"}  # its Monte Carlo sweep, about 2 s; the others under 3 s
 
 
 @pytest.mark.parametrize("demo", [

@@ -1,5 +1,6 @@
 """Unit tests for gee.oracle against full-enumeration and shift-add references."""
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass
@@ -36,11 +37,14 @@ from gee.statistics import (
 )
 
 from .oracles import (
+    FAST_LENGTHS,
     bruteforce_reference,
     bruteforce_walk,
     counter_groups,
     deviation_bounds,
     enumerate_law,
+    full_count_len,
+    full_grid_law,
     full_sum_expectation,
     run_python,
     shift_add_law,
@@ -77,6 +81,17 @@ class CappedTable(SeparableStatistic):
 
     def core(self, n, m, q):
         return np.array([0, -1, 2]), 1, 0.0
+
+
+@dataclass(frozen=True)
+class RepeatTable(SeparableStatistic):
+    """f = 0, 0, then 1 from K = 2 on: the number of symbols drawn twice or
+    more.  Its excess is 1 at every count from 2 on."""
+
+    name: str = "repeats"
+
+    def core(self, n, m, q):
+        return np.array([0, 0, 1]), 1, 0.0
 
 
 @dataclass(frozen=True)
@@ -179,7 +194,7 @@ class TestExactDistribution:
         assert_law_matches(dist, {0.0: 1.0})
 
     # weighted coincidence at n = 100 spans ~140k core values: the reference
-    # takes ~20 s per law and the log-spectrum law a 120 x 139,968 grid
+    # takes ~20 s per law and the log-spectrum law a 120 x 115,200 grid
     # (~0.4 GB), so it stops at 40
     @pytest.mark.parametrize("stat,source,n", [
         (stat, source, n) for stat in sorted(LAW_STATISTICS) for source in sorted(LAW_SOURCES)
@@ -249,17 +264,18 @@ class TestExactDistribution:
                               MKL_NUM_THREADS=threads) for threads in ("1", "2")}
         assert len(digests) == 1
 
-    # coincidence at n = 100 on a 120 x 108 grid (counts 0..119, values
-    # 0..99 of the excess axis), max(4, groups) grids: uniform(1000) is one
-    # group, the bi-uniform source two, the five-band source five
-    @pytest.mark.parametrize("source,grids", [
-        (uniform(1000), 4), (biuniform_worst_case(1000, 0.45), 4),
-        (Pmf(np.repeat(np.arange(1.0, 6.0), 200) / 3000.0), 5),
+    # coincidence at n = 100 on a 120-row grid (counts 0..119) whose width
+    # holds the source's window of the excess axis: 90, 108 and 96 columns;
+    # max(4, groups) grids: uniform(1000) is one group, the bi-uniform
+    # source two, the five-band source five
+    @pytest.mark.parametrize("source,grids,width", [
+        (uniform(1000), 4, 90), (biuniform_worst_case(1000, 0.45), 4, 108),
+        (Pmf(np.repeat(np.arange(1.0, 6.0), 200) / 3000.0), 5, 96),
     ], ids=["one-group", "two-groups", "five-groups"])
     def test_budget_counts_transform_cells_before_any_transform(
-        self, source, grids, monkeypatch
+        self, source, grids, width, monkeypatch
     ):
-        cells = grids * 120 * 108
+        cells = grids * 120 * width
         exact_distribution(Coincidence(), source, 100, budget=cells)
         monkeypatch.setattr(gee.oracle, "_row_n", None)  # any call fails
         with pytest.raises(OracleBudgetError, match=f"{cells} transform cells \\({grids} grids"):
@@ -268,10 +284,10 @@ class TestExactDistribution:
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
     def test_budget_bounds_one_wide_grid(self, monkeypatch):
         # weighted coincidence at n = 100 on a restricted source: one group,
-        # but on a 120 x 139,968 grid; the figure times 8 bytes must cover
+        # but on a 120 x 115,200 grid; the figure times 8 bytes must cover
         # the law's peak memory above the resident set it starts from
         stat, p = WeightedCoincidence(uniform(LAW_M)), biuniform_worst_case(LAW_M, 0.6)
-        cells = 4 * 120 * 139968
+        cells = 4 * 120 * 115200
         growth = int(run_python("""
             import resource
             from gee.oracle import exact_distribution
@@ -286,7 +302,7 @@ class TestExactDistribution:
         """))
         assert 0 < growth <= 8 * cells
         monkeypatch.setattr(gee.oracle, "_row_n", None)  # any call fails
-        with pytest.raises(OracleBudgetError, match=f"{cells} transform cells \\(4 grids of 120x139968"):
+        with pytest.raises(OracleBudgetError, match=f"{cells} transform cells \\(4 grids of 120x115200"):
             exact_distribution(stat, p, 100, budget=cells - 1)
 
     def test_tail_below_round_off_reads_zero(self):
@@ -331,6 +347,74 @@ class TestExactDistribution:
         stat = WeightedCoincidence(Pmf([0.7, 0.3]))
         with pytest.raises(ScalingError):
             exact_distribution(stat, uniform(2), 2)
+
+
+def assert_matches_full_grid(stat, p, n):
+    """Every value of the law within 5e-15 of the full-grid law, and every
+    upper and lower tail sum of at least 1e-10 within 1e-4 relative."""
+    support, probs = full_grid_law(stat, p, n)
+    dist = exact_distribution(stat, p, n)
+    values = np.union1d(support, dist.support)
+    want, got = np.zeros(values.size), np.zeros(values.size)
+    want[np.searchsorted(values, support)] = probs
+    got[np.searchsorted(values, dist.support)] = dist.probs
+    assert np.max(np.abs(got - want)) <= 5e-15
+    for reference, tails in ((np.cumsum(want), np.cumsum(got)),
+                             (np.cumsum(want[::-1]), np.cumsum(got[::-1]))):
+        kept = reference >= 1e-10
+        assert np.all(np.abs(tails[kept] - reference[kept]) <= 1e-4 * reference[kept])
+
+
+class TestWindowedGrid:
+    """The law on the grid of counts and values that can reach row n,
+    against the full grid of every count 0..n and every value the deviation
+    bounds allow."""
+
+    @pytest.mark.parametrize("stat,source,n", [
+        (Coincidence(), uniform(31623), 1000),
+        (Coincidence(), biuniform_worst_case(31623, 0.45), 1000),
+        (PearsonTruncated(), biuniform_worst_case(31623, 0.45), 1000),
+        (ExtendedCoincidence(weights=(0.0, 1.0, 3.0)), biuniform_worst_case(31623, 0.45), 1000),
+        (Pearson(), uniform(1000), 100),
+        (Pearson(), biuniform_worst_case(1000, 0.45), 100),
+        (Pearson(), uniform(400), 40),
+        (Pearson(), biuniform_worst_case(400, 0.45), 40),
+        pytest.param(Coincidence(), biuniform_worst_case(89443, 0.45), 2000,
+                     marks=pytest.mark.slow),
+    ], ids=["coincidence-null-1000", "coincidence-alt-1000", "pearson-truncated-alt-1000",
+            "extended-013-alt-1000", "pearson-null-100", "pearson-alt-100", "pearson-null-40",
+            "pearson-alt-40", "coincidence-alt-2000"])
+    def test_matches_full_grid(self, stat, source, n):
+        assert_matches_full_grid(stat, source, n)
+
+    def test_counts_that_fold_onto_one_cell_add(self):
+        # at n = 200 the count axis has 160 rows, so counts c and c + 160 share
+        # a row, and from count 2 on the table's excess is 1: c and c + 160 for
+        # c = 2..40 share a cell, and the base must hold the sum of their weights
+        assert gee.oracle._count_len(200) == 160
+        assert_matches_full_grid(RepeatTable(), uniform(2000), 200)
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 45, 46, 100, 200, 1000, 3419, 8000, 20000])
+    def test_count_wrap_is_below_its_bound(self, n):
+        # the exact Poisson(n) mass at the counts n + j L, j != 0, that fold onto row n
+        size = gee.oracle._count_len(n)
+        j = np.arange(1, 60)
+        counts = np.concatenate([n + j * size, n - j[j * size <= n] * size])
+        logs = [-n + c * math.log(n) - math.lgamma(c + 1) for c in counts.tolist()]
+        assert math.fsum(math.exp(x) for x in logs) < math.exp(-46.0)
+        assert size <= full_count_len(n)
+
+    def test_fast_lengths_match_enumeration(self):
+        sizes = list(range(1, 20001)) + [10**6 + 1, 2**30 - 1, 2**30 + 1, 3**18 + 1, 10**12]
+        want = [FAST_LENGTHS[bisect.bisect_left(FAST_LENGTHS, size)] for size in sizes]
+        assert [gee.oracle._fast_len(size) for size in sizes] == want
+
+    def test_count_lengths(self):
+        # below n = 46 the lower wrap P(N <= 0) = e^-n alone forbids L <= n;
+        # at n = 3419 the lower tail's bound moves L from 576 to 600
+        lengths = {n: gee.oracle._count_len(n) for n in (0, 1, 10, 100, 200, 1000, 3419, 8000)}
+        assert lengths == {0: 1, 1: 24, 10: 45, 100: 120, 200: 160, 1000: 320, 3419: 600,
+                           8000: 900}
 
 
 class TestExactErrorProbs:
@@ -663,7 +747,8 @@ class TestDeviationBounds:
 @pytest.mark.slow
 class TestSweepScaleReference:
     """Exact error probabilities at the first criterion-8 point,
-    n = 1000 and m = ceil(n^1.5), for the sweep estimates to be held to."""
+    n = 1000 and m = ceil(n^1.5), for the sweep estimates to be held to:
+    4 windowed grids of 320 x 160 (null) and 320 x 200 (alternative)."""
 
     N, M, EPS = 1000, math.ceil(1000**1.5), 0.45
     PF, PM = 0.069197029, 0.098222273
@@ -672,7 +757,7 @@ class TestSweepScaleReference:
     def setting(self):
         stat = Coincidence()
         rule = make_threshold(stat, self.N, self.M, tau=equalizing_tau(self.EPS), eps=self.EPS)
-        # the laws need 4 grids of 1024 x 1024 cells (4.2e6), within the default
+        # each law fits the default cell budget
         pf, pm = exact_error_probs(stat, rule, uniform(self.M),
                                    biuniform_worst_case(self.M, self.EPS), self.N)
         return stat, rule, pf, pm
@@ -694,10 +779,27 @@ class TestSweepScaleReference:
 
 class TestSweepScaleReferenceN2000(TestSweepScaleReference):
     """The second criterion-8 point, n = 2000 and m = 89443: 4 grids of
-    2025 x 2025 cells (1.6e7)."""
+    450 x 180 and 450 x 243 cells."""
 
     N, M = 2000, math.ceil(2000**1.5)
     PF, PM = 0.041290748, 0.059934755
+
+
+class TestSweepScaleReferenceN4000(TestSweepScaleReference):
+    """The third criterion-8 point, n = 4000 and m = 252983: 4 grids of
+    625 x 216 and 625 x 300 cells."""
+
+    N, M = 4000, math.ceil(4000**1.5)
+    PF, PM = 0.02517229973, 0.02651970494
+
+
+class TestSweepScaleReferenceN8000(TestSweepScaleReference):
+    """The last criterion-8 point, n = 8000 and m = 715542: 4 grids of
+    900 x 270 and 900 x 360 cells, within the default budget, which the full
+    grid of every count and value (4 of 8100 x 8100) exceeds."""
+
+    N, M = 8000, math.ceil(8000**1.5)
+    PF, PM = 0.009660003712, 0.01103126736
 
 
 @pytest.mark.parametrize("call,error,fragment", [
