@@ -11,6 +11,11 @@ The sampling path is a fixed function of (source, n, m, tables), pinned
 in `_sampler_path`, and every path samples the exact multinomial law.
 The Poissonized paths take sources of at most two levels (`Pmf.groups`) in
 any symbol order; count rows come out in the source's own symbol order.
+The fingerprint path reads only each level's probability and number of
+symbols, so a source built from its level census (`uniform`,
+`biuniform_worst_case`) is sampled with no array of m entries.  The other
+paths read per-symbol arrays (`Pmf.probs`, `Pmf.index`, `Pmf.inverse_cdf`),
+which `_make_sampler` builds before any stream draws.
 
 - "tally" (at most two levels, 2m <= n): a (b, m) count matrix,
   Poissonized.  With lam = max(n - 1.25 sqrt(n), 0), each cell draws
@@ -33,8 +38,9 @@ any symbol order; count rows come out in the source's own symbol order.
   shared by all symbols): the fingerprints Phi, Poissonized as on the
   tally path.  The Poisson(lam p) counts of a level's s symbols have
   the fingerprint Multinomial(s, Poisson(lam p) pmf); rows with
-  N = sum_c c Phi_c > n are redrawn.  Of a level's share of the other
-  n - N draws, with D of its symbols seen, a run of g fresh ones
+  N = sum_c c Phi_c > n are redrawn.  The other n - N draws are split
+  between two levels by a binomial of the first level's mass s p.  Of a
+  level's share, with D of its symbols seen, a run of g fresh ones
   (survival function prod_{i<g} (1 - (D+i)/s)) moves g symbols from
   class 0 to class 1, and the repeat after it lands on a uniform one of
   the D, which moves up one class.  The repeats' targets are drawn after
@@ -80,7 +86,7 @@ __all__ = [
 ]
 
 BLOCK_TRIALS = 2048
-RNG_ALGORITHM = f"philox4x64-block{BLOCK_TRIALS}-v11"
+RNG_ALGORITHM = f"philox4x64-block{BLOCK_TRIALS}-v12"
 
 _MASK64 = (1 << 64) - 1
 
@@ -249,9 +255,9 @@ def _tally_sampler(source: Pmf, n: int) -> _Sampler:
     by row * m.
     """
     m = source.m
-    levels, index = source.groups
+    levels, _ = source.groups
     lam = max(n - _TALLY_SLACK * math.sqrt(n), 0.0)
-    poisson = _GuidedCdf([_poisson_cdf(lam * p) for p in levels], index if levels.size > 1 else None, _GUIDE_BITS)
+    poisson = _GuidedCdf([_poisson_cdf(lam * p) for p in levels], source.index if levels.size > 1 else None, _GUIDE_BITS)
     symbols = source.inverse_cdf  # built before any stream draws
 
     def fill(rng: Generator, chunk: np.ndarray) -> None:
@@ -274,12 +280,10 @@ def _fingerprint_sampler(source: Pmf, n: int) -> _Sampler:
     count, of n draws per row from a source of at most two levels (see the
     module docstring), each in one piece."""
     lam = max(n - _TALLY_SLACK * math.sqrt(n), 0.0)
-    levels, index = source.groups
+    levels, sizes = source.groups
     windows = [_poisson_cdf(lam * p) for p in levels]
-    first = index == 0
-    s = int(np.count_nonzero(first))
-    chains = [_RepeatChain(size, n) for size in (s, source.m - s)[:levels.size]]
-    w = min(float(source.probs[first].sum()), 1.0) if levels.size > 1 else 1.0  # a float sum can pass 1
+    chains = [_RepeatChain(size, n) for size in sizes.tolist()]
+    w = min(float(sizes[0] * levels[0]), 1.0)  # the first level's mass s p: within the sum tolerance, it can pass 1
     weight = np.arange(1 + max(lo + cdf.size for lo, cdf in windows))  # a spare class
 
     def poisson_part(rng: Generator, b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -309,8 +313,9 @@ def _make_sampler(source: Pmf, n: int, tables: Sequence[FTable]) -> tuple[str, _
     if path == "tally":
         return path, _tally_sampler(source, n)
     if path == "counts":
+        probs = source.probs  # built before any stream draws
         return path, _count_blocks(
-            lambda rng, chunk: np.copyto(chunk, rng.multinomial(n, source.probs, size=len(chunk))), m)
+            lambda rng, chunk: np.copyto(chunk, rng.multinomial(n, probs, size=len(chunk))), m)
     if path == "fingerprint":
         return path, _fingerprint_sampler(source, n)
 

@@ -53,52 +53,49 @@ class SupportError(ValueError):
     """Absolute-continuity violation: q puts mass where p has none."""
 
 
-@dataclass(frozen=True, eq=False)
 class Pmf:
     """A probability mass function on the alphabet {1, ..., m}.
 
-    Entries are non-negative and sum to one within 1e-12.  The stored
-    array is read-only, so instances can be shared freely across
+    Entries are non-negative and sum to one within 1e-12.  `Pmf(probs)`
+    keeps a checked copy of the caller's array and finds its levels by one
+    scan; `uniform` and `biuniform_worst_case` build a source from its
+    level census `groups` alone, in O(1) in m, and its per-symbol arrays
+    (`probs`, `index`) are built on first use.  The samplers that read
+    them build them before any stream draws.  Instances are immutable and
+    every array is read-only, so instances can be shared freely across
     threads.
     """
 
-    probs: np.ndarray
-
-    def __post_init__(self, probs: np.ndarray | None = None) -> None:
-        """Check and keep, read-only, a copy of the caller's probabilities,
-        or `probs` itself: a float64 array built for this instance alone."""
-        probs = np.array(self.probs, dtype=np.float64) if probs is None else probs
+    def __init__(self, probs) -> None:
+        """Check and keep, read-only, a copy of the caller's probabilities."""
+        probs = np.array(probs, dtype=np.float64)
         if probs.ndim != 1 or probs.size < 2:
             raise AlphabetSizeError(
                 f"alphabet needs at least 2 symbols, got shape {probs.shape}"
             )
-        # two reductions: a NaN or negative entry fails the min (so -inf never
-        # meets +inf in the sum), and a +inf makes the sum inf
-        total = float(probs.sum()) if probs.min() >= 0.0 else math.nan
-        if not math.isfinite(total):
-            raise ValueError("probabilities must be finite and non-negative")
-        if abs(total - 1.0) > _SUM_TOL:
-            if abs(total - 1.0) > _RENORM_TOL:
-                raise ValueError(f"probabilities sum to {total}, too far from 1")
-            probs = probs / total
-        probs.flags.writeable = False
-        object.__setattr__(self, "probs", probs)
+        self.__dict__.update(m=probs.size, probs=_checked(probs))
 
-    @property
-    def m(self) -> int:
-        """Alphabet size."""
-        return self.probs.size
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"Pmf is immutable: cannot set {name}")
+
+    @cached_property
+    def probs(self) -> np.ndarray:
+        """Each symbol's probability; a census source repeats its levels
+        on first use."""
+        return _read_only(np.repeat(*self.groups))
 
     @property
     def support_size(self) -> int:
         """Number of symbols carrying positive mass (the k of a restricted null)."""
-        return int(np.count_nonzero(self.probs))
+        levels, sizes = self.groups
+        return int(sizes[levels > 0].sum())
 
     @cached_property
     def groups(self) -> tuple[np.ndarray, np.ndarray]:
-        """(levels, index): the distinct probabilities in order of first
-        appearance, and each symbol's position in levels, as uint8 with at
-        most two levels (found in O(m)), else intp; built once per instance."""
+        """(levels, sizes): the distinct probabilities in order of first
+        appearance, and each one's number of symbols.  A census source is
+        built with them; an array's are found once, by a scan (O(m) with
+        at most two levels) that also finds `index`."""
         probs = self.probs
         other = probs != probs[0]
         j = int(other.argmax())  # 0 when uniform
@@ -108,8 +105,18 @@ class Pmf:
             levels, first, index = np.unique(probs, return_index=True, return_inverse=True)
             order = np.argsort(first)
             levels, index = levels[order], np.argsort(order)[index]
-        levels.flags.writeable = index.flags.writeable = False
-        return levels, index
+        self.__dict__["index"] = _read_only(index)
+        return _read_only(levels), _read_only(np.bincount(index, minlength=levels.size))
+
+    @cached_property
+    def index(self) -> np.ndarray:
+        """Each symbol's position in levels, as uint8 with at most two
+        levels, else intp; a census source repeats its level numbers on
+        first use."""
+        levels, sizes = self.groups  # an array's scan sets index itself
+        if "index" in vars(self):
+            return vars(self)["index"]
+        return _read_only(np.repeat(np.arange(levels.size, dtype=np.uint8 if levels.size <= 2 else np.intp), sizes))
 
     @cached_property
     def inverse_cdf(self) -> _GuidedCdf:
@@ -123,6 +130,27 @@ class Pmf:
 
     def __repr__(self) -> str:
         return f"Pmf({np.array2string(self.probs, threshold=8)})"
+
+
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x.flags.writeable = False
+    return x
+
+
+def _checked(x: np.ndarray, sizes: np.ndarray | None = None) -> np.ndarray:
+    """x, read-only, once the probabilities x of one symbol each, or of
+    sizes[i] symbols each, are finite and non-negative and sum to 1 within
+    1e-12; a sum off by up to 1e-9 is rescaled to 1 (in a new array)."""
+    # two reductions: a NaN or negative entry fails the min (so -inf never
+    # meets +inf in the sum), and a +inf makes the sum inf
+    total = float(x.sum() if sizes is None else x @ sizes) if x.min() >= 0.0 else math.nan
+    if not math.isfinite(total):
+        raise ValueError("probabilities must be finite and non-negative")
+    if abs(total - 1.0) > _SUM_TOL:
+        if abs(total - 1.0) > _RENORM_TOL:
+            raise ValueError(f"probabilities sum to {total}, too far from 1")
+        x = x / total
+    return _read_only(x)
 
 
 def _walk_up(keys: np.ndarray, end: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -185,9 +213,12 @@ class _GuidedCdf:
         return out
 
 
-def _adopt(probs: np.ndarray) -> Pmf:
-    """A Pmf on an array built for it and held by no one else: no copy."""
-    (pmf := object.__new__(Pmf)).__post_init__(probs)
+def _census(levels: list[float], sizes: list[int]) -> Pmf:
+    """A Pmf of sizes[i] symbols at levels[i], in symbol order, built from
+    its census alone: distinct levels, in order of first appearance."""
+    sizes = _read_only(np.array(sizes, dtype=np.intp))
+    pmf = object.__new__(Pmf)
+    pmf.__dict__.update(m=int(sizes.sum()), groups=(_checked(np.array(levels, dtype=np.float64), sizes), sizes))
     return pmf
 
 
@@ -195,7 +226,7 @@ def uniform(m: int) -> Pmf:
     """Uniform distribution on an alphabet of m symbols."""
     if m < 2:
         raise AlphabetSizeError(f"alphabet size must be >= 2, got {m}")
-    return _adopt(np.full(m, 1.0 / m))
+    return _census([1.0 / m], [m])
 
 
 def _floor_stable(x: float) -> int:
@@ -219,18 +250,13 @@ def biuniform_worst_case(m: int, eps: float) -> Pmf:
         lo_count = m // 2
         hi = 1.0 / m + eps / lo_count
         lo = 1.0 / m - eps / ((m + 1) // 2)
-        probs = np.empty(m)
-        probs[:lo_count] = hi
-        probs[lo_count:] = lo
-    else:
-        k = _floor_stable(m * (1.0 - eps))
-        if k == 0:
-            raise DegenerateAlternativeError(
-                f"floor(m*(1-eps)) = 0 for m={m}, eps={eps}"
-            )
-        probs = np.zeros(m)
-        probs[:k] = 1.0 / k
-    return _adopt(probs)
+        return _census([hi, lo], [lo_count, m - lo_count]) if hi != lo else _census([hi], [m])
+    k = _floor_stable(m * (1.0 - eps))
+    if k == 0:
+        raise DegenerateAlternativeError(
+            f"floor(m*(1-eps)) = 0 for m={m}, eps={eps}"
+        )
+    return _census([1.0 / k, 0.0], [k, m - k])
 
 
 def permuted_worst_case(m: int, eps: float, subset: Iterable[int]) -> Pmf:
@@ -250,7 +276,7 @@ def permuted_worst_case(m: int, eps: float, subset: Iterable[int]) -> Pmf:
         raise ValueError(f"subset symbols must lie in 1..{m}")
     probs = np.full(m, 1.0 / m - eps / ((m + 1) // 2))
     probs[np.asarray(idx) - 1] = 1.0 / m + eps / (m // 2)
-    return _adopt(probs)
+    return Pmf(probs)
 
 
 def _check_same_alphabet(q: Pmf, p: Pmf) -> None:

@@ -133,11 +133,13 @@ class FTable:
 
     def groups(self, p: Pmf) -> list[tuple[int, float, int]]:
         """(k, p_j, row) for each distinct pair of a `p.groups` level and a
-        table row, k its number of symbols, in order of first appearance."""
-        levels, index = p.groups
+        table row, k its number of symbols, in order of first appearance:
+        on a shared table, each level with its size."""
+        levels, sizes = p.groups
+        if self.group is None:
+            return list(zip(sizes.tolist(), levels.tolist(), [0] * levels.size))
         rows = self.f.shape[0]
-        key = index.astype(np.intp) * rows + (0 if self.group is None else self.group)
-        key, first, k = np.unique(key, return_index=True, return_counts=True)
+        key, first, k = np.unique(p.index.astype(np.intp) * rows + self.group, return_index=True, return_counts=True)
         order = np.argsort(first)
         level, row = np.divmod(key[order], rows)
         return list(zip(k[order].tolist(), levels[level].tolist(), row.tolist()))
@@ -186,7 +188,7 @@ class SeparableStatistic:
             raise ValueError(f"reference has {ref.m} symbols, data has {m}")
         q, group = np.ones((1, 1)), None
         if ref is not None and ref.groups[0].size > 1:  # rows in first-appearance order
-            q, group = m * ref.groups[0][:, None], ref.groups[1].astype(np.intp)
+            q, group = m * ref.groups[0][:, None], ref.index.astype(np.intp)
         f, scale, shift = self.core(n, m, q)
         return FTable(np.atleast_2d(np.asarray(f, dtype=np.float64)), scale, shift, group)
 

@@ -324,6 +324,38 @@ def full_grid_law(stat, p, n: int) -> tuple[np.ndarray, np.ndarray]:
     return values / t.scale + t.shift, vec[mask] / vec[mask].sum()
 
 
+def array_uniform(m: int) -> np.ndarray:
+    """The uniform distribution filled symbol by symbol."""
+    return np.full(m, 1.0 / m)
+
+
+def array_biuniform(m: int, eps: float) -> np.ndarray:
+    """The bi-uniform worst case filled symbol by symbol: floor(m/2) heavy
+    symbols and the rest light below eps = 0.5, else floor(m (1 - eps))
+    symbols at 1/k and the rest at 0."""
+    if eps < 0.5:
+        probs = np.empty(m)
+        probs[:m // 2] = 1.0 / m + eps / (m // 2)
+        probs[m // 2:] = 1.0 / m - eps / ((m + 1) // 2)
+        return probs
+    k = math.floor(m * (1.0 - eps) + 1e-9)
+    probs = np.zeros(m)
+    probs[:k] = 1.0 / k
+    return probs
+
+
+def unique_groups(t, p) -> list[tuple[int, float, int]]:
+    """(k, p_j, row) for each (level, table row) pair of the symbols by
+    `np.unique` over their per-symbol keys, in order of first appearance."""
+    levels, _ = p.groups
+    rows = t.f.shape[0]
+    key = p.index.astype(np.intp) * rows + (0 if t.group is None else t.group)
+    key, first, k = np.unique(key, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    level, row = np.divmod(key[order], rows)
+    return list(zip(k[order].tolist(), levels[level].tolist(), row.tolist()))
+
+
 def counter_groups(t, p) -> list[tuple[int, float, int]]:
     """(k, p_j, row) for each (p_j, table row) pair of the symbols, k its
     multiplicity, in order of first appearance: a Counter over the symbols."""

@@ -29,6 +29,7 @@ from gee.montecarlo import (
     simulate_statistics,
     sweep,
 )
+from gee.exponents import equalizing_tau
 from gee.oracle import ExactDistribution, exact_distribution, exact_error_probs, exact_expectation
 from gee.pmf import Pmf, _GuidedCdf, biuniform_worst_case, permuted_worst_case, uniform
 from gee.statistics import (
@@ -756,7 +757,7 @@ class TestStreams:
     """One block of each sampler path, hashed, against the digests pinned
     to RNG_ALGORITHM: a stream may move only with a new RNG_ALGORITHM."""
 
-    RNG_ALGORITHM = "philox4x64-block2048-v11"
+    RNG_ALGORITHM = "philox4x64-block2048-v12"
     # sha256 prefix of the block's values as little-endian int64; the
     # chunked ones span 8 chunks of 256 count rows.  The counts ones, on
     # the three-level source, were recorded under -v10 at points past the
@@ -765,7 +766,10 @@ class TestStreams:
     # inverse-CDF table; the fingerprint ones under -v9, with the Poisson
     # slack at 1.25 and the fingerprint top-up drawing its repeat targets
     # after the fresh runs; the tally ones under -v11, with counts drawn in
-    # symbol order and the top-up drawn through the source's inverse-CDF table
+    # symbol order and the top-up drawn through the source's inverse-CDF table.
+    # -v12 splits the fingerprint top-up by the first level's mass s p (one
+    # rounding), no longer by a float sum over its symbols; these blocks kept
+    # their digests
     DIGESTS = {
         "tally": (biuniform_worst_case(13, 0.3), 60, "d0a88fa5f18763e8"),
         "counts": (three_level_pmf(12), 200, "509eeee254b4206d"),
@@ -852,11 +856,11 @@ class TestTallySampler:
         # the block is one chunk: one guided draw per cell through its
         # symbol's level's Poisson table, each row over n drawn again, then
         # the rest of each row's symbols through the source's own table
-        levels, index = source.groups
+        levels, _ = source.groups
         lam = n - montecarlo._TALLY_SLACK * math.sqrt(n)
         rng = np.random.default_rng(b)
         tables = [_poisson_cdf(lam * p) for p in levels]
-        poisson = _GuidedCdf(tables, index if levels.size > 1 else None, montecarlo._GUIDE_BITS)
+        poisson = _GuidedCdf(tables, source.index if levels.size > 1 else None, montecarlo._GUIDE_BITS)
         y = poisson.draw(rng, np.empty((b, m), dtype=np.int64))
         while (over := np.flatnonzero(y.sum(axis=1) > n)).size:
             y[over] = poisson.draw(rng, np.empty((over.size, m), dtype=np.int64))
@@ -1073,6 +1077,19 @@ class TestSweep:
 
     def test_empty_n_list(self):
         assert sweep(0.3, Coincidence(), 0.2, (), lambda n: 2 * n, 100, 1) == []
+
+    def test_fingerprint_row_builds_no_alphabet_sized_array(self):
+        # at m = 4e6 one float64 per symbol is 30.5 MiB: the row's sources,
+        # samplers and threshold read only each level's probability and size
+        tracemalloc.start()
+        try:
+            row, = sweep(0.45, Coincidence(), equalizing_tau(0.45), (1000,), lambda n: 4_000_000,
+                         montecarlo.BLOCK_TRIALS, seed=11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert row.sampler == {"pf": "fingerprint", "pm": "fingerprint"}
+        assert peak < 8 << 20
 
     def test_zero_rows_flagged_not_dropped(self):
         # eps=0.8 allows tau up to 4, pushing the cut above the maximum

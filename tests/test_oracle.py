@@ -1,6 +1,7 @@
 """Unit tests for gee.oracle against full-enumeration and shift-add references."""
 
 import bisect
+import hashlib
 import math
 import sys
 from dataclasses import dataclass
@@ -49,6 +50,7 @@ from .oracles import (
     run_python,
     shift_add_law,
     sorted_compositions,
+    unique_groups,
 )
 
 
@@ -527,6 +529,43 @@ class TestSymbolGroups:
         t = GROUP_STATISTICS[stat].table(5, GROUP_M)
         p = GROUP_SOURCES[source]
         assert t.groups(p) == counter_groups(t, p)  # order included
+
+    @pytest.mark.parametrize("stat", sorted(GROUP_STATISTICS))
+    @pytest.mark.parametrize("source", sorted(GROUP_SOURCES))
+    def test_groups_match_unique(self, stat, source):
+        t = GROUP_STATISTICS[stat].table(5, GROUP_M)
+        p = GROUP_SOURCES[source]
+        assert t.groups(p) == unique_groups(t, p)
+
+    @pytest.mark.parametrize("p", [uniform(715542), biuniform_worst_case(715542, 0.45),
+                                   biuniform_worst_case(715542, 0.6)])
+    def test_shared_groups_read_the_census(self, p):
+        # one (k, p_j, 0) per level, in level order, with no per-symbol array
+        t = Coincidence().table(100, p.m)
+        groups = t.groups(p)
+        assert "probs" not in vars(p) and "index" not in vars(p)
+        assert groups == unique_groups(t, p) == counter_groups(t, p)
+
+    # sha256 prefixes of (support, probs) of each exact law: the `exact`
+    # benchmark's five oracle cases and criterion 8's last point, each under
+    # the uniform null and the bi-uniform alternative at eps = 0.45
+    LAW_DIGESTS = {
+        ("coincidence", 100, 1000): ("f110db937ab2f1e3", "39dd2cd6be9a78ab"),
+        ("coincidence", 200, 2000): ("89bad522e8bb59c7", "13b0522e8076a206"),
+        ("pearson-truncated", 100, 1000): ("38ae67b7425b2885", "28426f2dd5f5a012"),
+        ("extended", 100, 1000): ("8b853c739e43b0ac", "245e0d5be41fb5bb"),
+        ("pearson", 40, 400): ("b366b8d79928798f", "491adc5556938a57"),
+        ("coincidence", 8000, 715542): ("774d1e2c148370e4", "93dd571a86a8d0b2"),
+    }
+    LAW_STATS = {"coincidence": Coincidence(), "pearson-truncated": PearsonTruncated(),
+                 "extended": ExtendedCoincidence((0, 1, 3)), "pearson": Pearson()}
+
+    @pytest.mark.parametrize("case", sorted(LAW_DIGESTS))
+    def test_laws_keep_their_bits(self, case):
+        name, n, m = case
+        for p, digest in zip((uniform(m), biuniform_worst_case(m, 0.45)), self.LAW_DIGESTS[case]):
+            law = exact_distribution(self.LAW_STATS[name], p, n)
+            assert hashlib.sha256(law.support.tobytes() + law.probs.tobytes()).hexdigest()[:16] == digest
 
     @pytest.mark.parametrize("n", LAW_NS)
     @pytest.mark.parametrize("source", sorted(LAW_SOURCES))

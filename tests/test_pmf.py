@@ -1,5 +1,7 @@
 """Unit tests for gee.pmf."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,10 @@ from gee.pmf import (
     uniform,
 )
 
-from .oracles import tv_sup_subsets
+from gee.montecarlo import _sampler_path
+from gee.statistics import Coincidence, Pearson
+
+from .oracles import array_biuniform, array_uniform, tv_sup_subsets
 
 
 class TestPmfType:
@@ -82,12 +87,13 @@ class TestPmfType:
         Pmf([0.0, 0.5, 0.0, 0.5]),
     ])
     def test_groups(self, p):
-        levels, index = p.groups
+        (levels, sizes), index = p.groups, p.index
         expected = self.unique_groups(p.probs)
         assert levels.tolist() == expected[0].tolist() and index.tolist() == expected[1].tolist()
+        assert sizes.tolist() == np.bincount(expected[1]).tolist()
         assert index.dtype == (np.uint8 if levels.size <= 2 else np.intp)
         assert np.array_equal(levels[index], p.probs)
-        assert not levels.flags.writeable and not index.flags.writeable
+        assert not any(x.flags.writeable for x in (levels, sizes, index))
 
     @pytest.mark.parametrize("count", [1, 2, 3])
     def test_groups_of_random_pmfs(self, count, rng):
@@ -98,7 +104,7 @@ class TestPmfType:
                 weights = rng.integers(1, 6, size=count).astype(float)
             index = rng.permutation(np.arange(m) % count)
             p = Pmf(weights[index] / weights[index].sum())
-            levels, got = p.groups
+            (levels, _), got = p.groups, p.index
             expected = self.unique_groups(p.probs)
             assert levels.size == np.unique(p.probs).size <= count
             assert levels.tolist() == expected[0].tolist() and got.tolist() == expected[1].tolist()
@@ -113,10 +119,10 @@ class TestPmfType:
         # relabelled in level order, each level of `groups` is one range of
         # labels, as wide as the level's symbol count (the fingerprint path's
         # chain sizes)
-        levels, index = p.groups
-        ends = np.cumsum(np.bincount(index, minlength=levels.size)).tolist()
+        levels, sizes = p.groups
+        ends = np.cumsum(sizes).tolist()
         assert list(zip([0, *ends[:-1]], ends)) == ranges
-        relabelled = p.probs[np.argsort(index, kind="stable")]
+        relabelled = p.probs[np.argsort(p.index, kind="stable")]
         for level, (lo, hi) in zip(levels, ranges):
             assert np.all(relabelled[lo:hi] == level)
 
@@ -137,6 +143,59 @@ class TestPmfType:
             assert not p.probs.flags.writeable
             with pytest.raises(ValueError):
                 p.probs[0] = 1.0
+
+
+CENSUS_MS = (2, 3, 768, 5001, 715542)
+CENSUS_EPS = (0.05, 0.3, 0.45, 0.5, 0.7)
+
+
+class TestCensusSources:
+    """`uniform` and `biuniform_worst_case` build from their level census;
+    each must equal the source built from its per-symbol array."""
+
+    @staticmethod
+    def assert_census_equals_array(p, array):
+        q = Pmf(array)
+        # read before any per-symbol array exists: none of these builds one
+        assert p.m == q.m == array.size
+        assert p.support_size == q.support_size == np.count_nonzero(array)
+        referenced = Pearson(reference=Pmf(array_biuniform(q.m, 0.3)))  # a table per level
+        for n in (50, 200, 1000, 8000, 4 * q.m):
+            tables = [Coincidence().table(n, q.m)] + [referenced.table(n, q.m)] * (n <= 8000)
+            assert _sampler_path(p, n, tables[:1]) == _sampler_path(q, n, tables[:1])
+            assert _sampler_path(p, n, tables) == _sampler_path(q, n, tables)
+        assert "probs" not in vars(p) and "index" not in vars(p)
+        assert p.probs.tobytes() == q.probs.tobytes() and not p.probs.flags.writeable
+        for got, expected in zip((*p.groups, p.index), (*q.groups, q.index)):
+            assert got.dtype == expected.dtype and got.tolist() == expected.tolist()
+            assert not got.flags.writeable
+        assert repr(p) == repr(q)
+        table, expected = p.inverse_cdf, q.inverse_cdf
+        assert table.bits == expected.bits
+        for got, want in ((table.keys, expected.keys), (table.values, expected.values), (table.guide, expected.guide)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("m", CENSUS_MS)
+    def test_uniform(self, m):
+        self.assert_census_equals_array(uniform(m), array_uniform(m))
+
+    @pytest.mark.parametrize("eps", CENSUS_EPS)
+    @pytest.mark.parametrize("m", CENSUS_MS)
+    def test_biuniform(self, m, eps):
+        if math.floor(m * (1.0 - eps) + 1e-9) == 0:
+            with pytest.raises(DegenerateAlternativeError):
+                biuniform_worst_case(m, eps)
+            return
+        self.assert_census_equals_array(biuniform_worst_case(m, eps), array_biuniform(m, eps))
+
+    def test_eps_below_the_resolution_of_one_level(self):
+        # 1/m +- eps/(m/2) rounds to 1/m: one level, as the array's scan finds
+        self.assert_census_equals_array(biuniform_worst_case(4, 1e-17), array_biuniform(4, 1e-17))
+
+    def test_immutable(self):
+        p = uniform(3)
+        with pytest.raises(AttributeError):
+            p.probs = np.array([0.5, 0.25, 0.25])
 
 
 class TestConstructors:
