@@ -65,8 +65,8 @@ def rate_function(tau: float, kappa: float) -> float:
     """
     if not tau >= 0.0:
         raise ValueError(f"tau must be >= 0, got {tau}")
-    if kappa < 1.0 - _EDGE_TOL:
-        raise ValueError(f"kappa must be >= 1 (Cauchy-Schwarz floor), got {kappa}")
+    if not 1.0 - _EDGE_TOL <= kappa < math.inf:
+        raise ValueError(f"kappa must be finite and >= 1 (Cauchy-Schwarz floor), got {kappa}")
     if kappa <= 1.0 + tau:
         return 0.0
     return 0.5 * (kappa - 1.0 - tau + (1.0 + tau) * math.log((1.0 + tau) / kappa))

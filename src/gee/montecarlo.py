@@ -649,6 +649,8 @@ class PartitionMap:
         if m < 2:
             raise ValueError(f"need at least 2 cells, got {m}")
         edges = np.array([quantile(j / m) for j in range(m + 1)], dtype=np.float64)
+        if np.isnan(edges).any():
+            raise ValueError("quantile function returned NaN")
         if np.any(np.diff(edges) < 0.0):
             raise ValueError("quantile function must be non-decreasing")
         self.m = m
@@ -656,7 +658,7 @@ class PartitionMap:
 
     def __call__(self, y):
         arr = np.asarray(y, dtype=np.float64)
-        if np.any(arr < self.edges[0]) or np.any(arr > self.edges[-1]):
+        if not np.all((arr >= self.edges[0]) & (arr <= self.edges[-1])):  # NaN fails too
             raise ValueError(
                 f"observation outside [{self.edges[0]}, {self.edges[-1]}]"
             )

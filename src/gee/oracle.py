@@ -83,7 +83,9 @@ class ExactDistribution:
         probs = np.asarray(self.probs, dtype=np.float64)
         if support.shape != probs.shape or support.ndim != 1:
             raise ValueError("support and probs must be matching vectors")
-        if np.any(probs < 0.0):
+        if not np.all(np.isfinite(support)):
+            raise ValueError("support values must be finite")
+        if not np.all(probs >= 0.0):  # NaN fails too
             raise ValueError("probabilities must be non-negative")
         total = float(probs.sum())
         if abs(total - 1.0) > 1e-10:

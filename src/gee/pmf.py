@@ -57,13 +57,13 @@ class Pmf:
     """A probability mass function on the alphabet {1, ..., m}.
 
     Entries are non-negative and sum to one within 1e-12.  `Pmf(probs)`
-    keeps a checked copy of the caller's array and finds its levels by one
-    scan; `uniform` and `biuniform_worst_case` build a source from its
-    level census `groups` alone, in O(1) in m, and its per-symbol arrays
-    (`probs`, `index`) are built on first use.  The samplers that read
-    them build them before any stream draws.  Instances are immutable and
-    every array is read-only, so instances can be shared freely across
-    threads.
+    keeps a checked copy of the caller's array and finds its level census
+    `groups` on first read; `uniform` and `biuniform_worst_case` build a
+    source from that census alone, in O(1) in m, and repeat it into
+    `probs` on first use.  Either way, `index` is found from `groups` and
+    `probs` on first read.  The samplers that read these per-symbol arrays
+    build them before any stream draws.  Instances are immutable and every
+    array is read-only, so instances can be shared freely across threads.
     """
 
     def __init__(self, probs) -> None:
@@ -94,29 +94,19 @@ class Pmf:
     def groups(self) -> tuple[np.ndarray, np.ndarray]:
         """(levels, sizes): the distinct probabilities in order of first
         appearance, and each one's number of symbols.  A census source is
-        built with them; an array's are found once, by a scan (O(m) with
-        at most two levels) that also finds `index`."""
-        probs = self.probs
-        other = probs != probs[0]
-        j = int(other.argmax())  # 0 when uniform
-        if j == 0 or np.array_equal(other, probs == probs[j]):
-            levels, index = probs[[0, j] if j else [0]], other.view(np.uint8)
-        else:
-            levels, first, index = np.unique(probs, return_index=True, return_inverse=True)
-            order = np.argsort(first)
-            levels, index = levels[order], np.argsort(order)[index]
-        self.__dict__["index"] = _read_only(index)
-        return _read_only(levels), _read_only(np.bincount(index, minlength=levels.size))
+        built with them; an array's are found on first read, by one
+        `np.unique` of probs."""
+        levels, first, sizes = np.unique(self.probs, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        return _read_only(levels[order]), _read_only(sizes[order])
 
     @cached_property
     def index(self) -> np.ndarray:
-        """Each symbol's position in levels, as uint8 with at most two
-        levels, else intp; a census source repeats its level numbers on
-        first use."""
-        levels, sizes = self.groups  # an array's scan sets index itself
-        if "index" in vars(self):
-            return vars(self)["index"]
-        return _read_only(np.repeat(np.arange(levels.size, dtype=np.uint8 if levels.size <= 2 else np.intp), sizes))
+        """Each symbol's position in levels, as intp, found on first read
+        by the same search of probs for every source."""
+        levels, _ = self.groups
+        order = np.argsort(levels)
+        return _read_only(order[np.searchsorted(levels, self.probs, sorter=order)])
 
     @cached_property
     def inverse_cdf(self) -> _GuidedCdf:
@@ -188,7 +178,7 @@ class _GuidedCdf:
             guide[inside] = (lo - 1 - at) - guide[inside]
             at += cdf.size
         self.guide = self.guide.reshape(-1)
-        self.column = None if index is None else index.astype(np.intp) * bins
+        self.column = None if index is None else index * bins
 
     def draw(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
         """Fill out (the guide's dtype) with the values at one u per cell,

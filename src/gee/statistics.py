@@ -55,7 +55,7 @@ class OccupancyFingerprint:
 
     def __post_init__(self) -> None:
         phi = np.array(self.phi, dtype=np.int64)
-        if phi.ndim != 1 or np.any(phi < 0):
+        if phi.ndim != 1 or np.any(phi < 0) or np.any(phi != np.asarray(self.phi)):
             raise ValueError("phi must be a vector of non-negative counts")
         if int(phi.sum()) != self.m:
             raise ValueError(f"sum of phi is {int(phi.sum())}, expected m={self.m}")
@@ -139,7 +139,7 @@ class FTable:
         if self.group is None:
             return list(zip(sizes.tolist(), levels.tolist(), [0] * levels.size))
         rows = self.f.shape[0]
-        key, first, k = np.unique(p.index.astype(np.intp) * rows + self.group, return_index=True, return_counts=True)
+        key, first, k = np.unique(p.index * rows + self.group, return_index=True, return_counts=True)
         order = np.argsort(first)
         level, row = np.divmod(key[order], rows)
         return list(zip(k[order].tolist(), levels[level].tolist(), row.tolist()))
@@ -188,7 +188,7 @@ class SeparableStatistic:
             raise ValueError(f"reference has {ref.m} symbols, data has {m}")
         q, group = np.ones((1, 1)), None
         if ref is not None and ref.groups[0].size > 1:  # rows in first-appearance order
-            q, group = m * ref.groups[0][:, None], ref.index.astype(np.intp)
+            q, group = m * ref.groups[0][:, None], ref.index
         f, scale, shift = self.core(n, m, q)
         return FTable(np.atleast_2d(np.asarray(f, dtype=np.float64)), scale, shift, group)
 

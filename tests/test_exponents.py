@@ -114,6 +114,12 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             rate_function(0.1, 0.8)
 
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf])
+    def test_rate_function_refuses_non_finite_kappa(self, kappa):
+        with pytest.raises(ValueError) as info:
+            rate_function(0.1, kappa)
+        assert "kappa must be finite and >= 1" in str(info.value)
+
     def test_convexity_and_monotonicity(self):
         taus = np.linspace(0.0, 0.49, 100)
         jf = np.array([jf_star(t) for t in taus])

@@ -1172,6 +1172,24 @@ class TestPartitionMap:
         with pytest.raises(ValueError):
             PartitionMap(lambda t: -t, 4)
 
+    @pytest.mark.parametrize("y", [math.nan, np.array([0.5, math.nan])])
+    def test_nan_observation_refused(self, y):
+        with pytest.raises(ValueError, match="observation outside"):
+            PartitionMap(lambda t: t, 4)(y)
+
+    def test_nan_quantile_refused(self):
+        with pytest.raises(ValueError, match="quantile function returned NaN"):
+            PartitionMap(lambda t: math.nan if t == 0.5 else t, 4)
+
+    def test_infinite_end_edges_allowed(self):
+        # an unbounded law's quantile (here the logistic's) is -inf at 0 and +inf at 1
+        def logit(t):
+            return -math.inf if t == 0.0 else math.inf if t == 1.0 else math.log(t / (1.0 - t))
+
+        pmap = PartitionMap(logit, 4)
+        assert pmap.edges[0] == -math.inf and pmap.edges[-1] == math.inf
+        assert pmap(np.array([-1e300, -0.1, 0.1, 1e300, math.inf])).tolist() == [1, 2, 3, 4, 4]
+
 
 class TestTwoLevelSources:
     """Sources of at most two probability levels, in any symbol order, on

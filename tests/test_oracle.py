@@ -848,6 +848,14 @@ class TestSweepScaleReferenceN8000(TestSweepScaleReference):
      "probabilities must be non-negative"),
     (lambda: ExactDistribution(np.array([0.0, 1.0]), np.array([0.5, 0.4])), ValueError,
      "probabilities sum to"),
+    (lambda: ExactDistribution(np.array([0.0, 1.0]), np.array([math.nan, math.nan])), ValueError,
+     "probabilities must be non-negative"),
+    (lambda: ExactDistribution(np.array([0.0, 1.0]), np.array([math.nan, 1.0])), ValueError,
+     "probabilities must be non-negative"),
+    (lambda: ExactDistribution(np.array([0.0, math.nan]), np.array([0.5, 0.5])), ValueError,
+     "support values must be finite"),
+    (lambda: ExactDistribution(np.array([0.0, math.inf]), np.array([0.5, 0.5])), ValueError,
+     "support values must be finite"),
     (lambda: exact_distribution(Coincidence(), uniform(4), -1), ValueError,
      "sample size must be >= 0, got -1"),
     (lambda: exact_expectation(Coincidence(), uniform(4), -1), ValueError,

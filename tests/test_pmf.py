@@ -91,7 +91,7 @@ class TestPmfType:
         expected = self.unique_groups(p.probs)
         assert levels.tolist() == expected[0].tolist() and index.tolist() == expected[1].tolist()
         assert sizes.tolist() == np.bincount(expected[1]).tolist()
-        assert index.dtype == (np.uint8 if levels.size <= 2 else np.intp)
+        assert index.dtype == np.intp
         assert np.array_equal(levels[index], p.probs)
         assert not any(x.flags.writeable for x in (levels, sizes, index))
 

@@ -98,6 +98,15 @@ class TestEvaluate:
         with pytest.raises(NeedsCountsError):
             stat.from_fingerprint(occupancy(counts))
 
+    @pytest.mark.parametrize("p", [biuniform_worst_case(12, 0.3), Pmf([0.1, 0.3, 0.2, 0.3, 0.1])],
+                             ids=["census", "array"])
+    def test_reference_table_shares_the_index(self, p):
+        # a reference-dependent table's group is its reference's read-only
+        # index itself: no copy of m entries per table
+        group = Pearson(reference=p).table(20, p.m).group
+        assert group is p.index
+        assert group.dtype == np.intp and not group.flags.writeable
+
     def test_truncated_pearson(self):
         fp = occupancy([3, 2, 1, 1, 0])
         # phi1=2, phi2=1 -> 2 + 4 - 49/5
@@ -321,6 +330,8 @@ class TestBinomialPmf:
     (lambda: OccupancyFingerprint(n=0, m=2, phi=[[2]]), ValueError,
      "phi must be a vector of non-negative counts"),
     (lambda: OccupancyFingerprint(n=0, m=3, phi=[2]), ValueError, "sum of phi is 2, expected m=3"),
+    (lambda: OccupancyFingerprint(n=2, m=2, phi=[1.2, 0.0, 1.0]), ValueError,
+     "phi must be a vector of non-negative counts"),
     (lambda: occupancy([]), ValueError, "counts must be a non-empty vector"),
     (lambda: ExtendedCoincidence((0.0, math.nan)), ValueError, "weights must be finite"),
 ])
