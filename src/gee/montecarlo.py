@@ -47,7 +47,11 @@ which `_make_sampler` builds before any stream draws.
   the runs (see `_RepeatChain.top_up`).
 
 On every path a statistic whose table all symbols share is evaluated as
-sum_c Phi_c f(c) over the occupancy fingerprints Phi of the block's rows.
+sum_c Phi_c f(c) over the occupancy fingerprints Phi of the block's rows,
+cut at the tables' largest K.  Count rows are fingerprinted whole and cut
+as drawn fingerprints are, unless the chunk's largest count reaches m:
+such fingerprints would be wider than the rows, which are read per
+symbol instead.
 """
 
 from __future__ import annotations
@@ -339,28 +343,22 @@ def _fingerprints(path: str, data: np.ndarray, m: int, top: int, largest: int | 
     with top' = min(top, the block's largest count), which a count block
     reads itself unless the caller passes it as `largest`.
 
-    A fingerprint block is cut at top'.  Count rows take one `bincount` of
-    min(c, top') + row (top' + 1).  On sorted symbols E_l counts a row's
-    windows of l equal draws: a symbol seen c times owns max(c - l + 1, 0)
-    of them, so E_1 = n and G_c = E_c - E_{c+1} symbols are seen c or more
-    times.  W_l[:, i] marks x_i == x_{i+l-1}; each W_{l+1} is W_l AND the
-    adjacent-equal mask, shifted to the window's end, and the levels stop
-    at the first empty one.
+    Count rows are fingerprinted whole, by one `bincount` of
+    c + row (largest + 1), and then cut as a drawn fingerprint block is:
+    the columns from top' on are summed into one.  On sorted symbols E_l
+    counts a row's windows of l equal draws: a symbol seen c times owns
+    max(c - l + 1, 0) of them, so E_1 = n and G_c = E_c - E_{c+1} symbols
+    are seen c or more times.  W_l[:, i] marks x_i == x_{i+l-1}; each
+    W_{l+1} is W_l AND the adjacent-equal mask, shifted to the window's
+    end, and the levels stop at the first empty one.
     """
-    if path == "fingerprint":
+    if path in _COUNT_PATHS:
+        width = (int(data.max(initial=0)) if largest is None else largest) + 1
+        data = np.bincount((data + width * np.arange(len(data))[:, None]).reshape(-1),  # one (b, m) temporary
+                           minlength=len(data) * width).reshape(-1, width)
+    if path != "sorted":  # count and drawn fingerprints share one cut
         top = min(top, data.shape[1] - 1)
         return np.concatenate([data[:, :top], data[:, top:].sum(axis=1, keepdims=True)], axis=1)
-    if path in _COUNT_PATHS:
-        b = data.shape[0]
-        largest = int(data.max(initial=0)) if largest is None else largest
-        top = min(top, largest)
-        offsets = np.arange(0, b * (top + 1), top + 1)[:, None]
-        if top < largest:
-            keys = np.minimum(data, top)  # the one (b, m) temporary
-            keys += offsets
-        else:  # no count to cut (Pearson's K is n)
-            keys = data + offsets
-        return np.bincount(keys.reshape(-1), minlength=b * (top + 1)).reshape(b, top + 1)
     b, n = data.shape
     w = eq = data[:, 1:] == data[:, :-1]
     e = [np.full(b, n)] if n else []
@@ -397,14 +395,15 @@ def _block_values(tables: Sequence[FTable], path: str, data: np.ndarray, m: int)
     ("tally", "counts"), fingerprints ("fingerprint") or row-sorted
     symbols ("sorted").  A shared table's value is sum_c Phi_c f(c) over
     the piece's fingerprints, cut at the shared tables' largest K, unless
-    that is wider than its count rows (at n >> m^2, or a heavy symbol);
-    there, and for a reference-dependent table, each value reads
+    the piece is count rows whose largest count reaches m (at n >> m^2, or
+    a heavy symbol), so that their whole fingerprints would be wider than
+    the rows; there, and for a reference-dependent table, each value reads
     f[group, min(c, K)] of the counts, or `_run_sums` of sorted symbols.
     Both sums agree exactly for an integer core, else to rounding.
     """
     top = max((t.K for t in tables if t.group is None), default=None)
     largest = int(data.max(initial=0)) if top is not None and path in _COUNT_PATHS else None
-    if largest is not None and min(top, largest) >= m:
+    if largest is not None and largest >= m:
         top = None
     phi = None if top is None else _fingerprints(path, data, m, top, largest)
     return [

@@ -54,8 +54,8 @@ class OccupancyFingerprint:
     phi: np.ndarray
 
     def __post_init__(self) -> None:
-        phi = np.array(self.phi, dtype=np.int64)
-        if phi.ndim != 1 or np.any(phi < 0) or np.any(phi != np.asarray(self.phi)):
+        phi = _integers(self.phi)
+        if phi is None or phi.ndim != 1 or np.any(phi < 0):
             raise ValueError("phi must be a vector of non-negative counts")
         if int(phi.sum()) != self.m:
             raise ValueError(f"sum of phi is {int(phi.sum())}, expected m={self.m}")
@@ -70,12 +70,23 @@ class OccupancyFingerprint:
         return int(self.phi[l]) if 0 <= l < self.phi.size else 0
 
 
+def _integers(values) -> np.ndarray | None:
+    """values as int64, or None unless each is an integer int64 holds.  NaN,
+    infinite and out-of-range floats are refused before the cast, which
+    would warn on them."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "f" and not np.all(np.abs(arr) < 2.0**63):
+        return None
+    as_int = arr.astype(np.int64)
+    return as_int if np.all(as_int == arr) else None
+
+
 def _as_counts(counts) -> np.ndarray:
     arr = np.asarray(counts)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("counts must be a non-empty vector")
-    as_int = arr.astype(np.int64)
-    if not np.all(as_int == arr):
+    as_int = _integers(arr)
+    if as_int is None:
         raise ValueError("counts must be integers")
     if np.any(as_int < 0):
         raise ValueError("counts must be non-negative")

@@ -294,6 +294,9 @@ class TestKernelsMatchCounts:
         ("tally", uniform(50), 1700),  # 19 of 64 rows hold a count of m or more
         ("counts", three_level_pmf(12), 200),
         ("counts", three_level_pmf(50), 1200),  # 14 of 64 rows
+        # three symbols at 0.175: 41 of 64 rows hold a count of m or more,
+        # so the piece is read per symbol and 23 rows alone off fingerprints
+        ("tally", Pmf(np.r_[np.full(3, 0.175), np.full(73, 0.475 / 73)]), 400),
         ("sorted", permuted_worst_case(50, 0.3, set(range(2, 51, 2))), 30),
         ("sorted", three_level_pmf(50), 30),
         ("fingerprint", uniform(5000), 300),
@@ -318,20 +321,24 @@ class TestKernelsMatchCounts:
             for stat, v, alone in zip(stats, values, _block_values(tables, path, data[i:i + 1], m)):
                 assert v[i] == alone[0], (stat.name, i)
 
-    def test_count_blocks_far_past_the_alphabet(self):
+    @pytest.mark.parametrize("n,m,stats,limit", [
         # cut at Pearson's K = n, fingerprints of these rows would take
         # 2048 x ~10^4 int64 cells (160 MB); the values come off the (2048, 2) counts
-        n, m = 20000, 2
+        (20000, 2, [Pearson(), Coincidence()], 1 << 20),
+        # counts near 2200: whole fingerprints before coincidence's cut at
+        # K = 2 would take ~34 MiB; the values come off the (2048, 50) counts
+        (100000, 50, [Coincidence()], 4 << 20),
+    ])
+    def test_count_blocks_far_past_the_alphabet(self, n, m, stats, limit):
         path, draw = _make_sampler(uniform(m), n, ())
         data = drawn(draw, np.random.default_rng(3), montecarlo.BLOCK_TRIALS)
-        stats = [Pearson(), Coincidence()]
         tracemalloc.start()
         try:
             values = _block_values([stat.table(n, m) for stat in stats], path, data, m)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1 << 20
+        assert peak < limit
         for stat, v in zip(stats, values):
             assert np.array_equal(v, [stat.from_counts(row) for row in data]), stat.name
 

@@ -333,6 +333,12 @@ class TestBinomialPmf:
     (lambda: OccupancyFingerprint(n=2, m=2, phi=[1.2, 0.0, 1.0]), ValueError,
      "phi must be a vector of non-negative counts"),
     (lambda: occupancy([]), ValueError, "counts must be a non-empty vector"),
+    # NaN, infinite and out-of-range entries are refused before numpy's cast
+    (lambda: occupancy([math.nan, 1.0]), ValueError, "counts must be integers"),
+    (lambda: Coincidence().from_counts([math.inf, 1]), ValueError, "counts must be integers"),
+    (lambda: occupancy([1e30, 1.0]), ValueError, "counts must be integers"),
+    (lambda: OccupancyFingerprint(1, 2, [math.nan, 1.0]), ValueError,
+     "phi must be a vector of non-negative counts"),
     (lambda: ExtendedCoincidence((0.0, math.nan)), ValueError, "weights must be finite"),
 ])
 def test_refusals(call, error, fragment):
